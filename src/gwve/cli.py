@@ -32,6 +32,7 @@ from .config import (
     parse_environment,
 )
 from .experiments import DEFAULT_SEED, ExperimentError
+from .offspring import DistributionError
 
 CHECKS = {
     "identities": ex.run_transform_identities,
@@ -167,24 +168,21 @@ def cmd_check(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _simulate_kind(kind: str) -> str:
-    return {"gw": "gw", "one-spine": "one_spine", "two-spine": "two_spine"}[kind]
-
-
 def cmd_simulate(args) -> int:
     overrides = {"replicates": args.replicates}
     config, doc = _experiment_config(args, overrides)
     out_dir = args.out or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    env = config.environment
-    n = args.n or doc.get("n") or config.horizons[-1]
-    if n < 1:
-        raise ConfigError("n", "horizon must be positive")
-
     if args.kind == "yaglom":
+        if args.n is not None:
+            raise ConfigError("n", "simulate yaglom runs at the config's horizons; --n does not apply")
         return _simulate_yaglom(config, out_dir, args.quiet)
 
-    kind = _simulate_kind(args.kind)
+    env = config.environment
+    n = args.n if args.n is not None else doc.get("n", config.horizons[-1])
+    if not isinstance(n, int) or n < 1:
+        raise ConfigError("n", "horizon must be a positive integer")
+    kind = args.kind.replace("-", "_")
     x, k_draws, aborted = ex.collect_populations(config, f"simulate/{kind}", n, kind)
     abort_fraction = aborted / config.replicates
     hist = np.bincount(x)
@@ -205,7 +203,7 @@ def cmd_simulate(args) -> int:
         "abort_fraction": abort_fraction,
         "mean": float(x.mean()) if x.size else math.nan,
     }
-    if kind == "two_spine" and k_draws is not None:
+    if k_draws is not None:
         k_path = out_dir / f"simulate_{kind}_n{n}_kn_histogram.csv"
         counts = np.bincount(k_draws, minlength=n)
         k_path.write_text(
@@ -230,16 +228,13 @@ def cmd_simulate(args) -> int:
 
 
 def _simulate_yaglom(config, out_dir: Path, quiet: bool) -> int:
-    env = config.environment
     rows = []
     total_aborted = 0
     for n in config.horizons:
         if not config.wants_mc(n):
             continue
-        x, _, aborted = ex.collect_populations(config, "yaglom", n, "gw")
+        survivors, aborted = ex.yaglom_survivors(config, n)
         total_aborted += aborted
-        a_n = env.a(n)
-        survivors = x[x > 0] / a_n
         sample_path = out_dir / f"yaglom_samples_n{n}.csv"
         sample_path.write_text(
             "\n".join(["z_over_a"] + [repr(float(v)) for v in survivors]) + "\n"
@@ -276,7 +271,7 @@ def main(argv=None) -> int:
             return cmd_check(args)
         if args.command == "simulate":
             return cmd_simulate(args)
-    except ConfigError as exc:
+    except (ConfigError, DistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy import special as _scipy_special
 
 from . import oracle, pgf_engine as engine, spines
 from .environment import Environment
@@ -47,6 +47,7 @@ __all__ = [
     "run_yaglom",
     "run_exponential_characterization",
     "collect_populations",
+    "yaglom_survivors",
 ]
 
 DEFAULT_SEED = 20201124
@@ -123,6 +124,8 @@ class ExperimentConfig:
             raise ExperimentError("horizons must be strictly increasing")
         if self.replicates < 1:
             raise ExperimentError("replicate count must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ExperimentError("seed must be an integer in [0, 2^64)")
         if any(s < 0 for s in self.s_grid) or any(l < 0 for l in self.lambda_grid):
             raise ExperimentError("evaluation grids must be nonnegative")
         if self.threads < 1 or self.chunk_size < 1:
@@ -237,7 +240,9 @@ def chi_square_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
     keep = expected > 0
     if np.any(counts[~keep] > 0):
         return 0.0  # observed mass in an impossible category
-    return float(_scipy_stats.chisquare(counts[keep], f_exp=expected[keep]).pvalue)
+    counts, expected = counts[keep], expected[keep]
+    statistic = np.sum((counts - expected) ** 2 / expected)
+    return float(_scipy_special.chdtrc(counts.size - 1, statistic))
 
 
 def simpson(f, a: float, b: float, panels: int) -> float:
@@ -264,47 +269,38 @@ def gamma3_cdf(x):
 # Chunked Monte Carlo driver.
 
 
-def _mc_batches(config: ExperimentConfig, tag: str, n: int, kind: str):
-    """Replicate batches with per-chunk streams, merged in chunk order."""
-    total = config.replicates
-    sizes = []
-    while total > 0:
-        take = min(config.chunk_size, total)
-        sizes.append(take)
-        total -= take
-
-    def work(item):
-        idx, size = item
-        rng = stream(config.seed, tag, n, idx)
-        if kind == "gw":
-            return spines.simulate_gw_populations(config.environment, n, size, rng, config.node_budget)
-        if kind == "one_spine":
-            return spines.simulate_one_spine_populations(config.environment, n, size, rng, config.node_budget)
-        if kind == "two_spine":
-            return spines.simulate_two_spine_populations(config.environment, n, size, rng, config.node_budget)
-        raise ValueError(kind)
-
-    items = list(enumerate(sizes))
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            yield from pool.map(work, items)
-    else:
-        for item in items:
-            yield work(item)
-
-
 def collect_populations(config: ExperimentConfig, tag: str, n: int, kind: str):
     """Terminal populations (and branch generations, for two-spine runs)
-    over all replicates, plus the aborted-replicate count."""
-    xs, ks, aborted = [], [], 0
-    for batch in _mc_batches(config, tag, n, kind):
-        xs.append(batch.x_n)
-        if hasattr(batch, "k"):
-            ks.append(batch.k)
-        aborted += batch.aborted
-    x = np.concatenate(xs) if xs else np.empty(0, dtype=np.int64)
+    over all replicates, plus the aborted-replicate count.
+
+    `kind` is "gw", "one_spine" or "two_spine".  Replicates are drawn in
+    chunks with a stream per (seed, tag, n, chunk) and merged in chunk order."""
+    sampler = getattr(spines, f"simulate_{kind}_populations", None)
+    if sampler is None:
+        raise ValueError(f"unknown population kind {kind!r}")
+    starts = range(0, config.replicates, config.chunk_size)
+
+    def work(idx):
+        size = min(config.chunk_size, config.replicates - starts[idx])
+        rng = stream(config.seed, tag, n, idx)
+        return sampler(config.environment, n, size, rng, config.node_budget)
+
+    if config.threads > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            batches = list(pool.map(work, range(len(starts))))
+    else:
+        batches = [work(idx) for idx in range(len(starts))]
+    x = np.concatenate([b.x_n for b in batches]) if batches else np.empty(0, dtype=np.int64)
+    ks = [b.k for b in batches if b.k is not None]
     k = np.concatenate(ks) if ks else None
-    return x, k, aborted
+    return x, k, sum(b.aborted for b in batches)
+
+
+def yaglom_survivors(config: ExperimentConfig, n: int):
+    """Survivors' Z_n/a_n over the Yaglom run's replicates at horizon n, plus
+    the aborted-replicate count."""
+    x, _, aborted = collect_populations(config, "yaglom", n, "gw")
+    return x[x > 0] / config.environment.a(n), aborted
 
 
 def _require_critical(config: ExperimentConfig, experiment: str) -> None:
@@ -528,15 +524,14 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
                              note="" if final else "informational"))
             if not config.wants_mc(n):
                 continue
-            x, _, ab = collect_populations(config, "yaglom", n, "gw")
+            survivors, ab = yaglom_survivors(config, n)
             aborted += ab
-            survivors = x[x > 0]
             rows.append(_row(n, "survivors", float(survivors.size), "ge", config.min_survivors))
             if survivors.size == 0:
                 rows.append(_row(n, "ks_exp1", math.inf, "le", math.inf,
                                  note="no survivors; excluded from pass criteria"))
                 continue
-            ks = ks_statistic(survivors / a_n, exp1_cdf)
+            ks = ks_statistic(survivors, exp1_cdf)
             mc_final = n == max(h for h in config.horizons if config.wants_mc(h))
             if survivors.size >= config.min_survivors:
                 ks_values.append(ks)

@@ -12,6 +12,11 @@ exact draw of a sum of iid offspring (negative binomial for geometric laws,
 Poisson/binomial closed under summation, multinomial for tables), and the
 spine nodes contribute their reweighted offspring counts.  The batch
 samplers are what make million-replicate comparisons cheap.
+
+The one-spine tree is the two-spine tree with no branch before the horizon,
+so the two constructions share one loop per representation: the arena loop
+and the batch loop both take the branching generation K, and the one-spine
+samplers pass K = n.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ __all__ = [
     "sample_one_spine",
     "sample_two_spine",
     "PopulationBatch",
-    "TwoSpineBatch",
     "simulate_gw_populations",
     "simulate_one_spine_populations",
     "simulate_two_spine_populations",
@@ -184,29 +188,11 @@ def sample_one_spine(
     env: Environment, n: int, rng: np.random.Generator, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> LabeledTree:
     """Size-biased tree: one marked line reproducing by the size-biased law,
-    one uniformly chosen child continuing the line, everyone else plain."""
+    one uniformly chosen child continuing the line, everyone else plain.
+    This is the two-spine tree with no branch before the horizon."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    b = _Builder(node_budget)
-    b.marks[0][0] = MARK_SPINE1
-    spine_pos = 0  # offset of the spine node within its generation
-    pop = 1
-    for k in range(n):
-        d = env.dist_at(k + 1)
-        c_spine = _size_biased(d).sample(rng)
-        c_off = d.sample(rng, size=pop - 1)
-        counts = np.insert(c_off, spine_pos, c_spine)
-        base = b.level_starts[-2]
-        parent_ids = np.repeat(np.arange(base, base + pop, dtype=np.int64), counts)
-        marks = np.zeros(parent_ids.size, dtype=np.uint8)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        child_pick = int(rng.integers(c_spine))
-        new_spine_pos = int(offsets[spine_pos]) + child_pick
-        marks[new_spine_pos] = MARK_SPINE1
-        b.add_level(parent_ids, counts, marks)
-        spine_pos = new_spine_pos
-        pop = int(counts.sum())
-    return b.finish()
+    return _spine_tree(env, n, n, rng, node_budget, MARK_SPINE1)
 
 
 def sample_two_spine(
@@ -220,35 +206,27 @@ def sample_two_spine(
     weights = kn_pmf_vector(env, n)
     K = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
     K = min(K, n - 1)
+    return _spine_tree(env, n, K, rng, node_budget, MARK_BOTH), K
 
+
+def _spine_tree(
+    env: Environment, n: int, K: int, rng: np.random.Generator, node_budget: int, line_mark: int
+) -> LabeledTree:
+    """Spine tree branching at generation K (no branch when K >= n); the
+    single line before the branch carries `line_mark`."""
     b = _Builder(node_budget)
-    b.marks[0][0] = MARK_BOTH
+    b.marks[0][0] = line_mark
     pop = 1
-    spine1_pos = 0
-    spine2_pos = 0
+    spine1_pos = spine2_pos = 0
     for k in range(n):
         d = env.dist_at(k + 1)
-        base = b.level_starts[-2]
-        if k < K:  # single spine reproducing by the size-biased law
-            c_spine = _size_biased(d).sample(rng)
-            c_off = d.sample(rng, size=pop - 1)
-            counts = np.insert(c_off, spine1_pos, c_spine)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            pick = int(rng.integers(c_spine))
-            new1 = new2 = int(offsets[spine1_pos]) + pick
-            mark_at = {new1: MARK_BOTH}
-        elif k == K:  # pair-biased birth; two distinct children
-            c_spine = _pair_biased(d).sample(rng)
-            c_off = d.sample(rng, size=pop - 1)
-            counts = np.insert(c_off, spine1_pos, c_spine)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            i = int(rng.integers(c_spine))
-            j = int(rng.integers(c_spine))
-            while j == i:
-                j = int(rng.integers(c_spine))
-            new1 = int(offsets[spine1_pos]) + i
-            new2 = int(offsets[spine1_pos]) + j
-            mark_at = {new1: MARK_SPINE1, new2: MARK_SPINE2}
+        if k <= K:  # single line: size-biased birth before K, pair-biased at K
+            c_spine = (_size_biased(d) if k < K else _pair_biased(d)).sample(rng)
+            counts = np.insert(d.sample(rng, size=pop - 1), spine1_pos, c_spine)
+            first = int(counts[:spine1_pos].sum())
+            new1 = new2 = first + int(rng.integers(c_spine))
+            while k == K and new2 == new1:  # two distinct children at the branch
+                new2 = first + int(rng.integers(c_spine))
         else:  # two independent spines
             c1 = _size_biased(d).sample(rng)
             c2 = _size_biased(d).sample(rng)
@@ -262,15 +240,14 @@ def sample_two_spine(
             offsets = np.concatenate([[0], np.cumsum(counts)])
             new1 = int(offsets[spine1_pos]) + int(rng.integers(c1))
             new2 = int(offsets[spine2_pos]) + int(rng.integers(c2))
-            mark_at = {new1: MARK_SPINE1, new2: MARK_SPINE2}
+        base = b.level_starts[-2]
         parent_ids = np.repeat(np.arange(base, base + pop, dtype=np.int64), counts)
         marks = np.zeros(parent_ids.size, dtype=np.uint8)
-        for pos, mark in mark_at.items():
-            marks[pos] = mark
+        marks[[new1, new2]] = (line_mark, line_mark) if k < K else (MARK_SPINE1, MARK_SPINE2)
         b.add_level(parent_ids, counts, marks)
         spine1_pos, spine2_pos = new1, new2
         pop = int(counts.sum())
-    return b.finish(), K
+    return b.finish()
 
 
 # ----------------------------------------------------------------------
@@ -279,17 +256,12 @@ def sample_two_spine(
 
 @dataclass
 class PopulationBatch:
-    """Final-generation populations of the completed replicates."""
+    """Final-generation populations of the completed replicates, and their
+    branching generations for two-spine runs."""
 
     x_n: np.ndarray
     aborted: int
-
-
-@dataclass
-class TwoSpineBatch:
-    x_n: np.ndarray
-    k: np.ndarray
-    aborted: int
+    k: np.ndarray | None = None
 
 
 def simulate_gw_populations(
@@ -340,20 +312,8 @@ def simulate_one_spine_populations(
     """Terminal populations of size-biased replicates (spine included)."""
     if n < 0 or reps < 0:
         raise ValueError("need n >= 0 and reps >= 0")
-    off = np.zeros(reps, dtype=np.int64)
-    cum = np.ones(reps, dtype=np.int64)
-    aborted = 0
-    for k in range(n):
-        d = env.dist_at(k + 1)
-        c_spine = _size_biased(d).sample(rng, size=off.size)
-        off = d.sum_sample(rng, off) + (c_spine - 1)
-        cum = cum + off + 1
-        over = cum > node_budget
-        if np.any(over):
-            aborted += int(np.count_nonzero(over))
-            keep = ~over
-            off, cum = off[keep], cum[keep]
-    return PopulationBatch(off + 1, aborted)
+    x_n, aborted, _ = _spine_batch(env, n, np.full(reps, n, dtype=np.int64), rng, node_budget)
+    return PopulationBatch(x_n, aborted)
 
 
 def simulate_two_spine_populations(
@@ -362,7 +322,7 @@ def simulate_two_spine_populations(
     reps: int,
     rng: np.random.Generator,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> TwoSpineBatch:
+) -> PopulationBatch:
     """Terminal populations and branching generations of pair-biased replicates."""
     if n < 1 or reps < 0:
         raise ValueError("need n >= 1 and reps >= 0")
@@ -371,8 +331,14 @@ def simulate_two_spine_populations(
     K = np.minimum(
         np.searchsorted(cdf, rng.random(reps), side="right"), n - 1
     ).astype(np.int64)
-    off = np.zeros(reps, dtype=np.int64)
-    cum = np.ones(reps, dtype=np.int64)
+    return PopulationBatch(*_spine_batch(env, n, K, rng, node_budget))
+
+
+def _spine_batch(env: Environment, n: int, K: np.ndarray, rng: np.random.Generator, node_budget: int):
+    """(terminal populations, aborted count, branching generations of the
+    completed replicates) for spine replicates branching at K (none at K = n)."""
+    off = np.zeros(K.size, dtype=np.int64)
+    cum = np.ones(K.size, dtype=np.int64)
     aborted = 0
     for k in range(n):
         d = env.dist_at(k + 1)
@@ -395,4 +361,4 @@ def simulate_two_spine_populations(
             aborted += int(np.count_nonzero(over))
             keep = ~over
             off, cum, K = off[keep], cum[keep], K[keep]
-    return TwoSpineBatch(off + 2, K, aborted)
+    return off + np.where(K < n, 2, 1), aborted, K

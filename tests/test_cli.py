@@ -186,3 +186,36 @@ def test_simulate_abort_fraction_exit_1(tmp_path):
     summary = json.loads((out / "simulate_gw_n30_summary.json").read_text())
     assert summary["aborted"] == 500
     assert summary["abort_fraction"] == 1.0
+
+
+def test_simulate_zero_horizon_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, replicates=1000)
+    rc = main(["simulate", "gw", "--config", str(config), "--n", "0",
+               "--out", str(tmp_path / "sim"), "--quiet"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_yaglom_rejects_horizon_flag_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, horizons=[20], replicates=1000)
+    rc = main(["simulate", "yaglom", "--config", str(config), "--n", "20",
+               "--out", str(tmp_path / "yag"), "--quiet"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seed_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, replicates=1000)
+    args = ["simulate", "gw", "--config", str(config), "--n", "3", "--out", str(tmp_path / "a"), "--quiet"]
+    assert main(args + ["--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    config = write_config(tmp_path, replicates=1000, seed=-1)
+    assert main(args) == 2
+    assert main(args + ["--seed", str(2**64)]) == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "constants"])
+def test_zero_mean_environment_exit_2(command, capsys):
+    spec = '{"rule":"constant","dist":{"kind":"table","pmf":[1]}}'
+    assert main([command, "--env", spec]) == 2
+    assert capsys.readouterr().err.startswith("error:")

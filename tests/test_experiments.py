@@ -79,6 +79,12 @@ def test_chi_square_impossible_category():
     assert ex.chi_square_pvalue(np.array([5, 5]), np.array([1.0, 0.0])) == 0.0
 
 
+def test_chi_square_hand_computed():
+    # statistic (2^2 + 2^2) / 20 = 0.4 on one degree of freedom
+    p = ex.chi_square_pvalue(np.array([18, 22]), np.array([0.5, 0.5]))
+    assert p == pytest.approx(0.52709, abs=1e-5)
+
+
 def test_simpson_polynomial_exact():
     assert ex.simpson(lambda x: x**3, 0.0, 2.0, 10) == pytest.approx(4.0, abs=1e-12)
 

@@ -194,11 +194,32 @@ def test_batch_determinism_and_stream_independence(e1):
     assert not np.array_equal(a.x_n, c.x_n)
 
 
-def test_batch_node_budget_aborts():
+BATCH_SAMPLERS = pytest.mark.parametrize(
+    "sampler",
+    [sp.simulate_gw_populations, sp.simulate_one_spine_populations, sp.simulate_two_spine_populations],
+    ids=["gw", "one_spine", "two_spine"],
+)
+
+
+@BATCH_SAMPLERS
+def test_batch_node_budget_aborts(sampler):
     env = Environment.constant(FiniteTable([0.0, 0.0, 1.0]))
-    batch = sp.simulate_gw_populations(env, 30, 100, stream(17, "abort"), node_budget=1000)
+    batch = sampler(env, 30, 100, stream(17, "abort"), node_budget=1000)
     assert batch.aborted == 100
     assert batch.x_n.size == 0
+
+
+@BATCH_SAMPLERS
+def test_batch_node_budget_partial_abort(sampler, e1):
+    n, reps = 30, 2000
+    batch = sampler(e1, n, reps, stream(18, "partial"), node_budget=1000)
+    assert 0 < batch.aborted < reps
+    assert batch.x_n.size + batch.aborted == reps
+    if sampler is sp.simulate_two_spine_populations:
+        assert batch.k.size == batch.x_n.size
+        assert np.all((batch.k >= 0) & (batch.k < n))
+    else:
+        assert batch.k is None
 
 
 def test_two_spine_branch_generation_skips_zero_variance():

@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", type=Path, help="output directory (or file for constants/classify)")
     shared.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
     shared.add_argument("--threads", type=int, help="worker threads for replicate chunks")
-    shared.add_argument("--quiet", action="store_true", help="suppress progress output")
+    shared.add_argument("--quiet", action="store_true", help="suppress status lines")
 
     parser = argparse.ArgumentParser(
         prog="gwve",
@@ -228,31 +228,30 @@ def cmd_simulate(args) -> int:
 
 
 def _simulate_yaglom(config, out_dir: Path, quiet: bool) -> int:
+    horizons = [n for n in config.horizons if config.wants_mc(n)]
     rows = []
-    total_aborted = 0
-    for n in config.horizons:
-        if not config.wants_mc(n):
-            continue
-        survivors, aborted = ex.yaglom_survivors(config, n)
-        total_aborted += aborted
+    for n, (survivors, aborted) in zip(horizons, ex.yaglom_survivors(config, horizons)):
         sample_path = out_dir / f"yaglom_samples_n{n}.csv"
         sample_path.write_text(
             "\n".join(["z_over_a"] + [repr(float(v)) for v in survivors]) + "\n"
         )
         ks = ex.ks_statistic(survivors, ex.exp1_cdf) if survivors.size else math.inf
-        rows.append((n, survivors.size, ks))
+        rows.append({"n": n, "requested": config.replicates,
+                     "completed": config.replicates - aborted, "aborted": aborted,
+                     "survivors": int(survivors.size), "ks_exp1": ks})
         if not quiet:
             print(f"yaglom n={n}: survivors={survivors.size} ks={ks:.5f} -> {sample_path}")
     report_lines = ["n,survivors,ks_exp1"]
-    for n, m, ks in rows:
-        report_lines.append(f"{n},{m},{ks!r}")
+    for row in rows:
+        report_lines.append(f"{row['n']},{row['survivors']},{row['ks_exp1']!r}")
     (out_dir / "yaglom_ks.csv").write_text("\n".join(report_lines) + "\n")
+    total_aborted = sum(row["aborted"] for row in rows)
     summary = {
         "kind": "yaglom",
         "seed": config.seed,
         "replicates_per_horizon": config.replicates,
         "aborted": total_aborted,
-        "rows": [{"n": n, "survivors": m, "ks_exp1": ks} for n, m, ks in rows],
+        "rows": rows,
     }
     (out_dir / "yaglom_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     abort_fraction = total_aborted / max(1, config.replicates * max(1, len(rows)))

@@ -7,6 +7,14 @@ stream per (seed, experiment, horizon, chunk) and merged in chunk order, so
 the worker-thread count cannot change any number.  Wall time and timestamps
 live only in the summary metadata, never in the CSV.
 
+The Yaglom Monte Carlo runs in one pass: each chunk, on the stream
+(seed, "yaglom", largest Monte Carlo horizon, chunk), is simulated once to
+that horizon and reduced to its survivors at every Monte Carlo horizon on the
+way.  The horizons therefore share their random numbers; each horizon's
+sample still has the exact law of Z_n given survival, so its KS distance is
+valid on its own, and the largest horizon's sample is the one a run at that
+horizon alone would draw.
+
 Monte Carlo pass criteria only bind on rows that meet their minimum-sample
 thresholds; thinner rows are still reported, flagged as informational.
 """
@@ -269,38 +277,64 @@ def gamma3_cdf(x):
 # Chunked Monte Carlo driver.
 
 
-def collect_populations(config: ExperimentConfig, tag: str, n: int, kind: str):
+def collect_populations(config: ExperimentConfig, tag: str, horizons, kind: str,
+                        survivors_only: bool = False):
     """Terminal populations (and branch generations, for two-spine runs)
     over all replicates, plus the aborted-replicate count.
 
     `kind` is "gw", "one_spine" or "two_spine".  Replicates are drawn in
-    chunks with a stream per (seed, tag, n, chunk) and merged in chunk order."""
+    chunks with a stream per (seed, tag, largest horizon, chunk) and merged in
+    chunk order.  `horizons` is one horizon, giving one (x, k, aborted)
+    triple, or an increasing list of them, giving one triple per horizon: each
+    chunk is then simulated once, to the largest horizon, and hands over its
+    batch at every horizon on the way (plain runs only, since the law of the
+    branching generation depends on the horizon).  `survivors_only` reduces
+    each chunk to its nonzero populations before the merge."""
     sampler = getattr(spines, f"simulate_{kind}_populations", None)
     if sampler is None:
         raise ValueError(f"unknown population kind {kind!r}")
+    single = isinstance(horizons, (int, np.integer))
+    hs = [horizons] if single else list(horizons)
+    if not hs or any(b <= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("horizons must be a nonempty increasing list")
+    if len(hs) > 1 and kind != "gw":
+        raise ValueError(f"{kind} populations need one run per horizon")
     starts = range(0, config.replicates, config.chunk_size)
 
     def work(idx):
         size = min(config.chunk_size, config.replicates - starts[idx])
-        rng = stream(config.seed, tag, n, idx)
-        return sampler(config.environment, n, size, rng, config.node_budget)
+        rng = stream(config.seed, tag, hs[-1], idx)
+        batch, out = None, []
+        for n in hs:
+            if batch is None:
+                batch = sampler(config.environment, n, size, rng, config.node_budget)
+            else:
+                batch = sampler(config.environment, n, size, rng, config.node_budget, start=batch)
+            x = batch.x_n[batch.x_n > 0] if survivors_only else batch.x_n
+            out.append((x, batch.k, batch.aborted))
+        return out
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            batches = list(pool.map(work, range(len(starts))))
+            chunks = list(pool.map(work, range(len(starts))))
     else:
-        batches = [work(idx) for idx in range(len(starts))]
-    x = np.concatenate([b.x_n for b in batches]) if batches else np.empty(0, dtype=np.int64)
-    ks = [b.k for b in batches if b.k is not None]
-    k = np.concatenate(ks) if ks else None
-    return x, k, sum(b.aborted for b in batches)
+        chunks = [work(idx) for idx in range(len(starts))]
+    results = []
+    for per_horizon in zip(*chunks):
+        xs, ks, aborted = zip(*per_horizon)
+        k = None if ks[0] is None else np.concatenate(ks)
+        results.append((np.concatenate(xs), k, sum(aborted)))
+    return results[0] if single else results
 
 
-def yaglom_survivors(config: ExperimentConfig, n: int):
-    """Survivors' Z_n/a_n over the Yaglom run's replicates at horizon n, plus
-    the aborted-replicate count."""
-    x, _, aborted = collect_populations(config, "yaglom", n, "gw")
-    return x[x > 0] / config.environment.a(n), aborted
+def yaglom_survivors(config: ExperimentConfig, horizons: list[int]):
+    """(survivors' Z_n/a_n, aborted-replicate count) at each horizon, from one
+    pass over the Yaglom run's replicates to the largest horizon."""
+    if not horizons:
+        return []
+    results = collect_populations(config, "yaglom", horizons, "gw", survivors_only=True)
+    return [(x / config.environment.a(n), aborted)
+            for n, (x, _, aborted) in zip(horizons, results)]
 
 
 def _require_critical(config: ExperimentConfig, experiment: str) -> None:
@@ -511,6 +545,8 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
     rows = []
     aborted = 0
     with _Timer() as t:
+        mc_horizons = [n for n in config.horizons if config.wants_mc(n)]
+        mc = dict(zip(mc_horizons, yaglom_survivors(config, mc_horizons)))
         ks_values = []
         for n in config.horizons:
             a_n = env.a(n)
@@ -522,9 +558,9 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
             rows.append(_row(n, "exact_curve_gap", exact_gap, "le",
                              config.tol("yaglom_exact") if final else math.inf,
                              note="" if final else "informational"))
-            if not config.wants_mc(n):
+            if n not in mc:
                 continue
-            survivors, ab = yaglom_survivors(config, n)
+            survivors, ab = mc[n]
             aborted += ab
             rows.append(_row(n, "survivors", float(survivors.size), "ge", config.min_survivors))
             if survivors.size == 0:
@@ -532,7 +568,7 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
                                  note="no survivors; excluded from pass criteria"))
                 continue
             ks = ks_statistic(survivors, exp1_cdf)
-            mc_final = n == max(h for h in config.horizons if config.wants_mc(h))
+            mc_final = n == mc_horizons[-1]
             if survivors.size >= config.min_survivors:
                 ks_values.append(ks)
                 rows.append(_row(n, "ks_exp1", ks, "le",

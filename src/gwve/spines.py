@@ -257,11 +257,15 @@ def _spine_tree(
 @dataclass
 class PopulationBatch:
     """Final-generation populations of the completed replicates, and their
-    branching generations for two-spine runs."""
+    branching generations for two-spine runs.  Plain runs also keep the
+    horizon reached and the node counts of their surviving replicates (in
+    replicate order), which is what continuing them to a later horizon needs."""
 
     x_n: np.ndarray
     aborted: int
     k: np.ndarray | None = None
+    n: int | None = None
+    nodes: np.ndarray | None = None
 
 
 def simulate_gw_populations(
@@ -270,17 +274,25 @@ def simulate_gw_populations(
     reps: int,
     rng: np.random.Generator,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    start: PopulationBatch | None = None,
 ) -> PopulationBatch:
-    """Terminal populations of `reps` independent plain replicates."""
+    """Terminal populations of `reps` independent plain replicates.
+
+    `start` continues an earlier batch of the same replicates from its horizon
+    on the same generator; the draws, and so the result, are those of a single
+    run to n.  Aborted counts are cumulative from generation 0."""
     if n < 0 or reps < 0:
         raise ValueError("need n >= 0 and reps >= 0")
-    pop = np.ones(reps, dtype=np.int64)
-    idx = np.arange(reps, dtype=np.int64)
-    cum = np.ones(reps, dtype=np.int64)
-    out = np.zeros(reps, dtype=np.int64)
+    if start is None:
+        start = PopulationBatch(np.ones(reps, dtype=np.int64), 0, n=0,
+                                nodes=np.ones(reps, dtype=np.int64))
+    elif start.n is None or start.n > n or start.x_n.size + start.aborted != reps:
+        raise ValueError("can only continue a plain batch of the same replicates to a later horizon")
+    idx = np.flatnonzero(start.x_n)
+    pop, cum = start.x_n[idx], start.nodes
+    aborted = start.aborted
     aborted_idx: list[np.ndarray] = []
-    aborted = 0
-    for k in range(n):
+    for k in range(start.n, n):
         if pop.size == 0:
             break
         pop = env.dist_at(k + 1).sum_sample(rng, pop)
@@ -294,12 +306,11 @@ def simulate_gw_populations(
         alive = pop > 0
         if not np.all(alive):
             pop, idx, cum = pop[alive], idx[alive], cum[alive]
+    out = np.zeros(start.x_n.size, dtype=np.int64)
     out[idx] = pop
-    if aborted:
-        mask = np.ones(reps, dtype=bool)
-        mask[np.concatenate(aborted_idx)] = False
-        out = out[mask]
-    return PopulationBatch(out, aborted)
+    if aborted_idx:
+        out = np.delete(out, np.concatenate(aborted_idx))
+    return PopulationBatch(out, aborted, n=n, nodes=cum)
 
 
 def simulate_one_spine_populations(

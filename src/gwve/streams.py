@@ -20,7 +20,10 @@ _U64 = (1 << 64) - 1
 
 def _encode(part) -> int:
     if isinstance(part, (int, np.integer)):
-        return int(part) & _U64
+        value = int(part)
+        if not 0 <= value <= _U64:
+            raise ValueError(f"stream path integers must lie in [0, 2^64), got {value}")
+        return value
     if isinstance(part, str):
         digest = hashlib.sha256(part.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")

@@ -132,6 +132,28 @@ def test_simulate_yaglom_outputs(tmp_path):
     assert int(n50[1]) == len(samples) - 1
     summary = json.loads((out / "yaglom_summary.json").read_text())
     assert summary["seed"] == 1234
+    for row, line in zip(summary["rows"], ks_lines[1:]):
+        assert row["requested"] == 150_000
+        assert row["completed"] + row["aborted"] == row["requested"]
+        assert row["survivors"] == int(line.split(",")[1])
+
+
+def test_simulate_yaglom_deterministic_and_one_pass(tmp_path):
+    config = write_config(tmp_path, horizons=[20, 50], replicates=120_000, chunk_size=16_384)
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["simulate", "yaglom", "--config", str(config), "--out", str(out),
+                     "--threads", threads, "--quiet"]) == 0
+        runs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert set(runs["1"]) == {"yaglom_ks.csv", "yaglom_samples_n20.csv", "yaglom_samples_n50.csv"}
+    assert runs["1"] == runs["2"]
+    # the stream path is (seed, "yaglom", largest horizon, chunk), so the last
+    # horizon's samples equal those of a run at that horizon alone
+    config = write_config(tmp_path, horizons=[50], replicates=120_000, chunk_size=16_384)
+    out = tmp_path / "alone"
+    assert main(["simulate", "yaglom", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert (out / "yaglom_samples_n50.csv").read_bytes() == runs["1"]["yaglom_samples_n50.csv"]
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -217,6 +217,19 @@ def test_collection_is_thread_invariant(e1):
     assert np.array_equal(xa, xb)
 
 
+@pytest.mark.parametrize("kind", ["one_spine", "two_spine"])
+def test_collection_rejects_several_spine_horizons(e1, kind):
+    # the law of the branching generation depends on the horizon
+    with pytest.raises(ValueError):
+        ex.collect_populations(cfg(e1, replicates=100), "t", [5, 10], kind)
+
+
+def test_collection_rejects_unordered_horizons(e1):
+    for horizons in ([], [10, 5], [5, 5]):
+        with pytest.raises(ValueError):
+            ex.collect_populations(cfg(e1, replicates=100), "t", horizons, "gw")
+
+
 def test_g_convergence_skips_zero_variance_generations(e1):
     from gwve.offspring import FiniteTable, Geometric
     from gwve.environment import Environment

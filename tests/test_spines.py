@@ -222,6 +222,31 @@ def test_batch_node_budget_partial_abort(sampler, e1):
         assert batch.k is None
 
 
+@pytest.mark.parametrize("env_name", ["e1", "e2"])
+def test_gw_batch_continuation_matches_single_runs(env_name, request):
+    env = request.getfixturevalue(env_name)
+    # the budget aborts some replicates before every horizon, so each
+    # continuation starts from a batch with aborts behind it
+    reps, budget = 4000, 150
+    rng = stream(19, "continue")
+    batch = None
+    for n in (8, 16, 30):
+        batch = sp.simulate_gw_populations(env, n, reps, rng, node_budget=budget, start=batch)
+        single = sp.simulate_gw_populations(env, n, reps, stream(19, "continue"), node_budget=budget)
+        assert 0 < batch.aborted < reps
+        assert np.array_equal(batch.x_n, single.x_n)
+        assert batch.aborted == single.aborted
+        assert np.count_nonzero(batch.x_n) > 0
+
+
+def test_gw_batch_continuation_rejects_mismatched_start(e1):
+    batch = sp.simulate_gw_populations(e1, 10, 100, stream(20, "c"))
+    with pytest.raises(ValueError):
+        sp.simulate_gw_populations(e1, 5, 100, stream(20, "c"), start=batch)
+    with pytest.raises(ValueError):
+        sp.simulate_gw_populations(e1, 20, 99, stream(20, "c"), start=batch)
+
+
 def test_two_spine_branch_generation_skips_zero_variance():
     env = Environment.periodic([FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.0, 1.0])])
     batch = sp.simulate_two_spine_populations(env, 6, 20_000, stream(33, "nu0"))

@@ -25,3 +25,24 @@ def test_string_labels_are_stable():
 def test_path_type_validation():
     with pytest.raises(TypeError):
         stream(1, 2.5)
+
+
+def test_negative_seed_rejected():
+    # reducing modulo 2^64 would alias -1 with 2^64 - 1
+    with pytest.raises(ValueError):
+        stream(-1, "a")
+    with pytest.raises(ValueError):
+        stream(2**64, "a")
+
+
+def test_negative_path_part_rejected():
+    with pytest.raises(ValueError):
+        stream(1, "a", -1)
+    with pytest.raises(ValueError):
+        stream(1, "a", np.int64(-1))
+
+
+def test_largest_path_integer_accepted():
+    a = stream(2**64 - 1, "a", 2**64 - 1).integers(10**9, size=3)
+    b = stream(2**64 - 1, "a", np.uint64(2**64 - 1)).integers(10**9, size=3)
+    assert np.array_equal(a, b)

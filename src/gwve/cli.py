@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
         "completed": int(x.size),
         "aborted": aborted,
         "abort_fraction": abort_fraction,
-        "mean": float(x.mean()) if x.size else math.nan,
+        "mean": float(x.mean()) if x.size else None,
     }
     if k_draws is not None:
         k_path = out_dir / f"simulate_{kind}_n{n}_kn_histogram.csv"
@@ -220,7 +220,7 @@ def cmd_simulate(args) -> int:
         except oracle.TailBudgetError:
             summary["tv_vs_oracle"] = None
     summary_path = out_dir / f"simulate_{kind}_n{n}_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if not args.quiet:
         print(f"simulated {args.kind} at n={n}: {x.size} replicates, {aborted} aborted")
         print(f"histogram: {hist_path}  summary: {summary_path}")
@@ -229,33 +229,33 @@ def cmd_simulate(args) -> int:
 
 def _simulate_yaglom(config, out_dir: Path, quiet: bool) -> int:
     horizons = [n for n in config.horizons if config.wants_mc(n)]
-    rows = []
+    rows, report_lines = [], ["n,survivors,ks_exp1"]
     for n, (survivors, aborted) in zip(horizons, ex.yaglom_survivors(config, horizons)):
         sample_path = out_dir / f"yaglom_samples_n{n}.csv"
         sample_path.write_text(
             "\n".join(["z_over_a"] + [repr(float(v)) for v in survivors]) + "\n"
         )
         ks = ex.ks_statistic(survivors, ex.exp1_cdf) if survivors.size else math.inf
+        report_lines.append(f"{n},{survivors.size},{ks!r}")
         rows.append({"n": n, "requested": config.replicates,
                      "completed": config.replicates - aborted, "aborted": aborted,
-                     "survivors": int(survivors.size), "ks_exp1": ks})
+                     "survivors": int(survivors.size),
+                     "ks_exp1": ks if math.isfinite(ks) else None})
         if not quiet:
             print(f"yaglom n={n}: survivors={survivors.size} ks={ks:.5f} -> {sample_path}")
-    report_lines = ["n,survivors,ks_exp1"]
-    for row in rows:
-        report_lines.append(f"{row['n']},{row['survivors']},{row['ks_exp1']!r}")
     (out_dir / "yaglom_ks.csv").write_text("\n".join(report_lines) + "\n")
-    total_aborted = sum(row["aborted"] for row in rows)
+    # Aborted counts are cumulative over the one pass: the largest horizon's is the total.
+    aborted = rows[-1]["aborted"] if rows else 0
     summary = {
         "kind": "yaglom",
         "seed": config.seed,
         "replicates_per_horizon": config.replicates,
-        "aborted": total_aborted,
+        "aborted": aborted,
         "rows": rows,
     }
-    (out_dir / "yaglom_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    abort_fraction = total_aborted / max(1, config.replicates * max(1, len(rows)))
-    return 0 if abort_fraction <= 0.01 else 1
+    (out_dir / "yaglom_summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return 0 if aborted / config.replicates <= 0.01 else 1
 
 
 def main(argv=None) -> int:

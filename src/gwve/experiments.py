@@ -212,7 +212,8 @@ class ExperimentReport:
         csv_path = out_dir / f"{self.name}.csv"
         csv_path.write_text(self.to_csv_text())
         summary_path = out_dir / f"{self.name}_summary.json"
-        summary_path.write_text(json.dumps(self.summary_dict(), indent=2, sort_keys=True) + "\n")
+        summary_path.write_text(json.dumps(self.summary_dict(), indent=2, sort_keys=True,
+                                           allow_nan=False) + "\n")
         return csv_path, summary_path
 
 
@@ -357,13 +358,15 @@ def run_decomposition_check(config: ExperimentConfig) -> ExperimentReport:
     tol = config.tol("decomposition_rel")
     rows = []
     with _Timer() as t:
+        lams = np.array(config.lambda_grid)
         for n in config.horizons:
-            for lam in config.lambda_grid:
-                trace = engine.composition_trace(config.environment, n, math.exp(-lam))
-                lhs = engine.laplace_zddot(config.environment, n, lam, trace)
-                rhs = engine.two_spine_rhs(config.environment, n, lam, trace)
-                rel = abs(lhs - rhs) / abs(lhs)
-                rows.append(_row(n, f"decomposition_rel_gap[lam={lam:g}]", rel, "le", tol))
+            trace = engine.composition_trace(config.environment, n, np.exp(-lams))
+            lhs = engine.laplace_zddot(config.environment, n, lams, trace)
+            rhs = engine.two_spine_rhs(config.environment, n, lams, trace)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.abs(lhs - rhs) / np.abs(lhs)
+            for lam, gap in zip(config.lambda_grid, rel):
+                rows.append(_row(n, f"decomposition_rel_gap[lam={lam:g}]", gap, "le", tol))
     return ExperimentReport("decomposition", config.seed, rows, wall_time=t.elapsed)
 
 
@@ -423,15 +426,11 @@ def run_g_convergence(config: ExperimentConfig) -> ExperimentReport:
         d_values = []
         skipped_total = 0
         for n in config.horizons:
-            a_n = config.environment.a(n)
-            worst = 0.0
-            skipped = 0
-            for s in config.s_grid:
-                profile = engine.g_gap_profile(config.environment, n, s / a_n)
-                bad = np.isnan(profile)
-                skipped = max(skipped, int(np.count_nonzero(bad)))
-                if np.any(~bad):
-                    worst = max(worst, float(np.max(profile[~bad])))
+            profile = engine.g_gap_profile(config.environment, n,
+                                           np.array(config.s_grid) / config.environment.a(n))
+            bad = np.isnan(profile)
+            skipped = int(np.count_nonzero(bad, axis=0).max(initial=0))
+            worst = float(np.max(profile[~bad])) if np.any(~bad) else 0.0
             d_values.append(worst)
             skipped_total += skipped
             final = n == config.horizons[-1]
@@ -491,10 +490,7 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
         lhs = 1.0 - engine.conditional_laplace_z(env, n, lam)
         mean_given_alive = env.mu(n) / surv
 
-        def integrand(svals):
-            return np.array([engine.laplace_zdot(env, n, s) for s in np.atleast_1d(svals)])
-
-        rhs = mean_given_alive * simpson(integrand, 0.0, lam, 10_000)
+        rhs = mean_given_alive * simpson(lambda s: engine.laplace_zdot(env, n, s), 0.0, lam, 10_000)
         rows.append(_row(n, "size_biased_integral_residual", abs(lhs - rhs), "le",
                          config.tol("quadrature_residual")))
     return ExperimentReport("transform_identities", config.seed, rows, aborted, t.elapsed)
@@ -503,14 +499,17 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
 def _lemma33_max_gap(env: Environment, n: int, config: ExperimentConfig) -> float:
     """Worst discrepancy between the five closed-form Laplace transforms and
     the oracle's discrete transforms at horizon n."""
-    gaps = []
-    lam_grid = list(config.lambda_grid)
+    lams = np.array(config.lambda_grid)
+
+    def oracle_laplace(pmf):
+        return np.array([oracle.laplace_from_pmf(pmf, lam) for lam in config.lambda_grid])
+
     p = oracle.exact_pmf(env, n, cap=config.oracle_cap)
-    sb = oracle.transform_pmf(p, "size_biased")
-    pb = oracle.transform_pmf(p, "pair_biased")
-    for lam in lam_grid:
-        gaps.append(abs(oracle.laplace_from_pmf(sb, lam) - engine.laplace_zdot(env, n, lam)))
-        gaps.append(abs(oracle.laplace_from_pmf(pb, lam) - engine.laplace_zddot(env, n, lam)))
+    trace = engine.composition_trace(env, n, np.exp(-lams))
+    gaps = [oracle_laplace(oracle.transform_pmf(p, "size_biased"))
+            - engine.laplace_zdot(env, n, lams, trace),
+            oracle_laplace(oracle.transform_pmf(p, "pair_biased"))
+            - engine.laplace_zddot(env, n, lams, trace)]
     for m in range(n):
         d = env.dist_at(m + 1)
         shifted = env.shift(m + 1)
@@ -519,18 +518,15 @@ def _lemma33_max_gap(env: Environment, n: int, config: ExperimentConfig) -> floa
         p_dot = oracle.exact_pmf(hang_dot, n - m, cap=config.oracle_cap)
         p_ddot = oracle.exact_pmf(hang_ddot, n - m, cap=config.oracle_cap)
         rest = n - (m + 1)
-        p_shift = oracle.exact_pmf(shifted, rest, cap=config.oracle_cap) if rest > 0 else None
-        for lam in lam_grid:
-            gaps.append(abs(oracle.laplace_from_pmf(p_dot, lam)
-                            - engine.laplace_hanging_qdot(env, n, m, lam)))
-            gaps.append(abs(oracle.laplace_from_pmf(p_ddot, lam)
-                            - engine.laplace_hanging_qddot(env, n, m, lam)))
-            if p_shift is not None:
-                ref = oracle.laplace_from_pmf(oracle.transform_pmf(p_shift, "size_biased"), lam)
-            else:
-                ref = math.exp(-lam)  # one fresh particle
-            gaps.append(abs(ref - engine.laplace_zdot_shifted(env, n, m, lam)))
-    return max(gaps)
+        if rest > 0:
+            p_shift = oracle.exact_pmf(shifted, rest, cap=config.oracle_cap)
+            ref = oracle_laplace(oracle.transform_pmf(p_shift, "size_biased"))
+        else:
+            ref = np.exp(-lams)  # one fresh particle
+        gaps += [oracle_laplace(p_dot) - engine.laplace_hanging_qdot(env, n, m, lams, trace),
+                 oracle_laplace(p_ddot) - engine.laplace_hanging_qddot(env, n, m, lams, trace),
+                 ref - engine.laplace_zdot_shifted(env, n, m, lams, trace)]
+    return float(np.max(np.abs(gaps)))
 
 
 def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
@@ -543,10 +539,11 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
     _require_critical(config, "yaglom")
     env = config.environment
     rows = []
-    aborted = 0
     with _Timer() as t:
         mc_horizons = [n for n in config.horizons if config.wants_mc(n)]
         mc = dict(zip(mc_horizons, yaglom_survivors(config, mc_horizons)))
+        # Aborted counts are cumulative over the one pass: the largest horizon's is the total.
+        aborted = mc[mc_horizons[-1]][1] if mc_horizons else 0
         ks_values = []
         for n in config.horizons:
             a_n = env.a(n)
@@ -560,8 +557,7 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
                              note="" if final else "informational"))
             if n not in mc:
                 continue
-            survivors, ab = mc[n]
-            aborted += ab
+            survivors, _ = mc[n]
             rows.append(_row(n, "survivors", float(survivors.size), "ge", config.min_survivors))
             if survivors.size == 0:
                 rows.append(_row(n, "ks_exp1", math.inf, "le", math.inf,

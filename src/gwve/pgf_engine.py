@@ -1,20 +1,27 @@
 """Numerical evaluation of composed generating functions and their transforms.
 
 For an environment with per-generation pgfs f_1, f_2, ... the composition
-f_{m,n}(s) = f_{m+1}(f_{m+2}(... f_n(s))) is evaluated by one backward pass
-that records every intermediate value (a `CompositionTrace`).  The trace is
-then enough to produce, in O(1) per index m,
+f_{m,n}(s) = f_{m+1}(f_{m+2}(... f_n(s))) and its first two derivatives come
+from one backward sweep (a `CompositionTrace`).  Starting from v_n = s, every
+generation l = n, ..., 1 evaluates
 
-  * f_{m,n}(s) itself,
-  * f'_{m,n}(s)  = prod_{l>m} f'_l(v_l)                (log-space prefix sums)
-  * f''_{m,n}(s) = f'_{m,n}(s)^2 * sum_{l>m} f''_l(v_l) /
-                   (f'_l(v_l)^2 * prod_{m<j<l} f'_j(v_j))   (shifted suffix sums)
+  * v_{l-1} = f_l(v_l), so that v_m = f_{m,n}(s),
+  * the factors f'_l(v_l) and f''_l(v_l),
+  * the chain rule d1_{l-1} = f'_l(v_l) d1_l and
+    d2_{l-1} = f''_l(v_l) d1_l^2 + f'_l(v_l) d2_l from d1_n = 1, d2_n = 0,
+    so that d1_m = f'_{m,n}(s) and d2_m = f''_{m,n}(s).
 
-where v_l = f_{l,n}(s).  On top of these sit the Laplace transforms of the
-plain, size-biased and pair-biased population sizes, the law of the spine
-branching generation K_n, the normalizer ratios A_{n,m} along with their
-step-function CDF, and the two-sided assembly of the spine decomposition
-identity.
+The derivatives are carried as d1 = x1 2^e and d2 = x2 4^e, rescaled by an
+exact power of two whenever they leave a wide range, so long horizons neither
+overflow nor flush them to zero; a vanishing factor f'_l(v_l) = 0 needs no
+special case.  s is a scalar or a 1-d grid, and a grid is the trailing axis of
+every array the sweep records, so one sweep serves a whole lambda grid.
+
+On top of the sweep sit the Laplace transforms of the plain, size-biased,
+pair-biased and hanging-subtree populations (lambda a scalar or a 1-d array),
+the law of the spine branching generation K_n, the normalizer ratios A_{n,m}
+with their step-function CDF, and the two sides of the spine decomposition
+identity, whose sum over m is one array expression.
 
 Quantities of the form 1 - f_{m,n}(s) (survival probabilities, conditional
 transforms) are computed by iterating the complement map u -> 1 - f(1 - u)
@@ -66,127 +73,87 @@ EXTINCT_EPS = 1e-300
 # tightly; a larger gap means a regression in a derivative code path.
 _G_CONSISTENCY_TOL = 1e-12
 
+# The sweep rescales once x1 + x2 leaves [1/_WIDE, _WIDE].  One generation's
+# factors are far too small to carry a value from there past the float range.
+_WIDE = 2.0 ** 256
+_LN2 = math.log(2.0)
+
 
 class EngineError(RuntimeError):
     """Internal consistency failure between redundant computation paths."""
 
 
-class CompositionTrace:
-    """Backward composition values v_l = f_{l,n}(s) for l = n down to 0."""
+def _out(x):
+    """A float for a scalar argument, the array itself for a grid."""
+    return float(x) if np.ndim(x) == 0 else x
 
-    def __init__(self, env: Environment, n: int, s: float):
+
+def _scaled(x, e, log_c):
+    """x * 2^e * exp(log_c), combining the exponents before rounding to a float."""
+    k = np.rint(np.where(np.isfinite(log_c), log_c, 0.0) / _LN2)
+    with np.errstate(over="ignore", under="ignore"):
+        return _out(np.ldexp(x * np.exp(log_c - k * _LN2), e + k.astype(np.int64)))
+
+
+class CompositionTrace:
+    """One backward sweep from v_n = s down to v_0 = f_{0,n}(s).
+
+    `values[m]` is f_{m,n}(s); `fp[l]` and `fpp[l]` are f'_l(v_l) and
+    f''_l(v_l) for l = 1..n (index 0 is NaN).  For a grid s each of these has
+    the grid as its last axis.
+    """
+
+    def __init__(self, env: Environment, n: int, s):
+        grid = np.asarray(s, dtype=float)
         if n < 0:
             raise ValueError("horizon must be nonnegative")
-        if not (0.0 <= s <= 1.0):
+        if grid.ndim > 1:
+            raise ValueError("pgf argument must be a scalar or a 1-d grid")
+        if not np.all((grid >= 0.0) & (grid <= 1.0)):
             raise ValueError("pgf argument must lie in [0, 1]")
         self.env = env
         self.n = n
-        self.s = float(s)
-        values = np.empty(n + 1)
-        values[n] = s
+        self.s = float(grid) if grid.ndim == 0 else grid.copy()
+        shape = (n + 1,) + grid.shape
+        self.values = values = np.empty(shape)
+        self.fp = fp = np.full(shape, math.nan)
+        self.fpp = fpp = np.full(shape, math.nan)
+        self._x1 = x1s = np.empty(shape)
+        self._x2 = x2s = np.empty(shape)
+        self._e = es = np.empty(shape, np.int64)
+        values[n], x1, x2, e = grid, 1.0, 0.0, 0
+        x1s[n], x2s[n], es[n] = x1, x2, e
+        lo, hi = 1.0 / _WIDE, _WIDE
         for l in range(n, 0, -1):
-            values[l - 1] = env.dist_at(l).pgf(values[l], 0)
-        self.values = values
-        self._deriv_ready = False
+            d = env.dist_at(l)
+            v = values[l]
+            fp[l] = a = d.pgf(v, 1)
+            fpp[l] = b = d.pgf(v, 2)
+            values[l - 1] = d.pgf(v, 0)
+            x1, x2 = a * x1, b * x1 * x1 + a * x2
+            t = x1 + x2
+            low, high = (t.min(initial=1.0), t.max(initial=1.0)) if grid.ndim else (t, t)
+            if not (lo < low and high < hi):
+                shift = np.frexp(np.maximum(x1, np.sqrt(x2)))[1]
+                x1, x2, e = np.ldexp(x1, -shift), np.ldexp(x2, -2 * shift), e + shift
+            x1s[l - 1], x2s[l - 1], es[l - 1] = x1, x2, e
 
-    def value(self, m: int) -> float:
+    def value(self, m: int):
         """f_{m,n}(s)."""
-        return float(self.values[m])
+        return _out(self.values[m])
 
-    # ------------------------------------------------------------------
+    def d1(self, m: int):
+        """f'_{m,n}(s); +inf past the float range."""
+        _check_range(m, self.n)
+        return _scaled(self._x1[m], self._e[m], 0.0)
 
-    def _prepare_derivatives(self) -> None:
-        if self._deriv_ready:
-            return
-        n = self.n
-        fp = np.empty(n + 1)   # fp[l] = f'_l(v_l), index 0 unused
-        fpp = np.empty(n + 1)  # fpp[l] = f''_l(v_l)
-        fp[0] = fpp[0] = math.nan
-        for l in range(1, n + 1):
-            d = self.env.dist_at(l)
-            v = self.values[l]
-            fp[l] = d.pgf(v, 1)
-            fpp[l] = d.pgf(v, 2)
-        zero = fp[:] == 0.0
-        zero[0] = False
-        # Zero factors contribute log 1 here and are tracked by the zero
-        # counter instead, so prefix-sum differences stay exact.
-        logs = np.log(np.where(zero | ~(fp > 0.0), 1.0, fp))
-        logs[0] = 0.0
-        # C[l] = sum_{j<=l} log f'_j(v_j) over nonzero factors only;
-        # zc[l] counts zero factors among 1..l.
-        self._C = np.concatenate([[0.0], np.cumsum(logs[1:])])
-        self._zc = np.concatenate([[0], np.cumsum(zero[1:].astype(np.int64))])
-        # Summands of the second-derivative formula, shifted by their max so
-        # the suffix sums neither overflow nor flush to zero.
-        with np.errstate(divide="ignore"):
-            w = np.where(fpp[1:] > 0.0, np.log(np.where(fpp[1:] > 0.0, fpp[1:], 1.0)), -math.inf)
-        w = w - 2.0 * logs[1:] - self._C[:-1]
-        finite = w[np.isfinite(w)]
-        self._w_shift = float(np.max(finite)) if finite.size else -math.inf
-        ew = np.exp(w - self._w_shift) if finite.size else np.zeros(n)
-        ew[~np.isfinite(w)] = 0.0
-        # suffix[m] = sum_{l>m} exp(w_l - shift)
-        self._w_suffix = np.concatenate([np.cumsum(ew[::-1])[::-1], [0.0]])
-        self._fp = fp
-        self._fpp = fpp
-        self._deriv_ready = True
-
-    def _log_d1(self, m: int) -> float:
-        """log f'_{m,n}(s), or -inf when some factor vanishes."""
-        self._prepare_derivatives()
-        if self._zc[self.n] - self._zc[m] > 0:
-            return -math.inf
-        return float(self._C[self.n] - self._C[m])
-
-    def d1(self, m: int) -> float:
-        """f'_{m,n}(s)."""
-        if not 0 <= m <= self.n:
-            raise ValueError("m must lie in [0, n]")
-        if m == self.n:
-            return 1.0
-        log = self._log_d1(m)
-        try:
-            return math.exp(log)
-        except OverflowError:
-            return math.inf
-
-    def d2(self, m: int) -> float:
-        """f''_{m,n}(s)."""
-        if not 0 <= m <= self.n:
-            raise ValueError("m must lie in [0, n]")
-        if m == self.n:
-            return 0.0
-        self._prepare_derivatives()
-        if self._zc[self.n] - self._zc[m] > 0:
-            return self._d2_chain(m)
-        log = self._log_d2(m)
-        if log == -math.inf:
-            return 0.0
-        try:
-            return math.exp(log)
-        except OverflowError:
-            return math.inf
-
-    def _log_d2(self, m: int) -> float:
-        self._prepare_derivatives()
-        ss = self._w_suffix[m]
-        if ss <= 0.0:
-            return -math.inf
-        return 2.0 * self._C[self.n] - self._C[m] + self._w_shift + math.log(ss)
-
-    def _d2_chain(self, m: int) -> float:
-        # Division-free fallback: build (f_{l,n})'', (f_{l,n})' downward.
-        # Needed only when some f'_l(v_l) = 0, which requires s = 0.
-        d1, d2 = 1.0, 0.0
-        for l in range(self.n, m, -1):
-            fp, fpp = self._fp[l], self._fpp[l]
-            d2 = fpp * d1 * d1 + fp * d2
-            d1 = fp * d1
-        return d2
+    def d2(self, m: int):
+        """f''_{m,n}(s); +inf past the float range."""
+        _check_range(m, self.n)
+        return _scaled(self._x2[m], 2 * self._e[m], 0.0)
 
 
-def composition_trace(env: Environment, n: int, s: float) -> CompositionTrace:
+def composition_trace(env: Environment, n: int, s) -> CompositionTrace:
     return CompositionTrace(env, n, s)
 
 
@@ -195,19 +162,19 @@ def _check_range(m: int, n: int) -> None:
         raise ValueError("need 0 <= m <= n")
 
 
-def compose(env: Environment, m: int, n: int, s: float, trace: CompositionTrace | None = None) -> float:
+def compose(env: Environment, m: int, n: int, s, trace: CompositionTrace | None = None):
     """f_{m,n}(s) by backward iteration."""
     _check_range(m, n)
     t = trace if trace is not None else CompositionTrace(env, n, s)
     return t.value(m)
 
-def d1_compose(env: Environment, m: int, n: int, s: float, trace: CompositionTrace | None = None) -> float:
+def d1_compose(env: Environment, m: int, n: int, s, trace: CompositionTrace | None = None):
     """f'_{m,n}(s)."""
     _check_range(m, n)
     t = trace if trace is not None else CompositionTrace(env, n, s)
     return t.d1(m)
 
-def d2_compose(env: Environment, m: int, n: int, s: float, trace: CompositionTrace | None = None) -> float:
+def d2_compose(env: Environment, m: int, n: int, s, trace: CompositionTrace | None = None):
     """f''_{m,n}(s)."""
     _check_range(m, n)
     t = trace if trace is not None else CompositionTrace(env, n, s)
@@ -234,154 +201,155 @@ def survival_prob(env: Environment, n: int) -> float:
     return one_minus_compose(env, 0, n, 0.0)
 
 
-def laplace_z(env: Environment, n: int, lam: float) -> float:
+def _lambdas(lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim > 1:
+        raise ValueError("lambda must be a scalar or a 1-d grid")
+    if not np.all(lam >= 0.0):
+        raise ValueError("lambda must be nonnegative")
+    return lam
+
+
+def _trace(env: Environment, n: int, lam: np.ndarray, trace: CompositionTrace | None) -> CompositionTrace:
+    return trace if trace is not None else CompositionTrace(env, n, np.exp(-lam))
+
+
+def laplace_z(env: Environment, n: int, lam):
     """E[exp(-lam Z_n)]."""
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    return compose(env, 0, n, math.exp(-lam))
+    return compose(env, 0, n, np.exp(-_lambdas(lam)))
 
 
-def laplace_zdot(env: Environment, n: int, lam: float, trace: CompositionTrace | None = None) -> float:
+def laplace_zdot(env: Environment, n: int, lam, trace: CompositionTrace | None = None):
     """E[exp(-lam Zdot_n)] = f'_{0,n}(e^-lam) e^-lam / mu_n."""
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    s = math.exp(-lam)
-    t = trace if trace is not None else CompositionTrace(env, n, s)
-    if n == 0:
-        return s
-    log = t._log_d1(0) - env.log_mu(n) - lam
-    return math.exp(log) if log > -math.inf else 0.0
+    lam = _lambdas(lam)
+    t = _trace(env, n, lam, trace)
+    return _scaled(t._x1[0], t._e[0], -env.log_mu(n) - lam)
 
 
-def laplace_zdot_shifted(env: Environment, n: int, m: int, lam: float, trace: CompositionTrace | None = None) -> float:
+def laplace_zdot_shifted(env: Environment, n: int, m: int, lam, trace: CompositionTrace | None = None):
     """E[exp(-lam Zdot^{(m+1)}_{n-(m+1)})] = (mu_{m+1}/mu_n) f'_{m+1,n}(e^-lam) e^-lam."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    s = math.exp(-lam)
-    t = trace if trace is not None else CompositionTrace(env, n, s)
-    log = env.log_mu(m + 1) - env.log_mu(n) + t._log_d1(m + 1) - lam
-    return math.exp(log) if log > -math.inf else 0.0
+    lam = _lambdas(lam)
+    t = _trace(env, n, lam, trace)
+    return _scaled(t._x1[m + 1], t._e[m + 1], env.log_mu(m + 1) - env.log_mu(n) - lam)
 
 
-def laplace_zddot(env: Environment, n: int, lam: float, trace: CompositionTrace | None = None) -> float:
+def laplace_zddot(env: Environment, n: int, lam, trace: CompositionTrace | None = None):
     """E[exp(-lam Zddot_n)] = f''_{0,n}(e^-lam) e^-2lam / (mu_n^2 S_n)."""
     if n < 1:
         raise ValueError("the pair-biased process needs n >= 1")
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    s_n = env.cum_nu_over_mu(n)
-    if s_n <= 0.0:
-        raise DistributionError("no pair-biased law: S_n = 0")
-    s = math.exp(-lam)
-    t = trace if trace is not None else CompositionTrace(env, n, s)
-    log = t._log_d2(0) - 2.0 * env.log_mu(n) - math.log(s_n) - 2.0 * lam
-    return math.exp(log) if log > -math.inf else 0.0
+    lam = _lambdas(lam)
+    s_n = _s_n(env, n)
+    t = _trace(env, n, lam, trace)
+    return _scaled(t._x2[0], 2 * t._e[0], -2.0 * env.log_mu(n) - math.log(s_n) - 2.0 * lam)
 
 
-def laplace_hanging_qdot(env: Environment, n: int, m: int, lam: float, trace: CompositionTrace | None = None) -> float:
+def laplace_hanging_qdot(env: Environment, n: int, m: int, lam, trace: CompositionTrace | None = None):
     """Laplace transform of the subtree grown from a shifted size-biased root,
     f'_{m+1}(f_{m+1,n}(e^-lam)) / f'_{m+1}(1)."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    t = trace if trace is not None else CompositionTrace(env, n, math.exp(-lam))
-    d = env.dist_at(m + 1)
-    return d.pgf(t.value(m + 1), 1) / d.mean()
+    t = _trace(env, n, _lambdas(lam), trace)
+    return _out(t.fp[m + 1] / env.dist_at(m + 1).mean())
 
 
-def laplace_hanging_qddot(env: Environment, n: int, m: int, lam: float, trace: CompositionTrace | None = None) -> float:
+def laplace_hanging_qddot(env: Environment, n: int, m: int, lam, trace: CompositionTrace | None = None):
     """Laplace transform of the subtree grown from a shifted pair-biased root,
     f''_{m+1}(f_{m+1,n}(e^-lam)) / (nu_{m+1} f'_{m+1}(1)^2)."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    lam = _lambdas(lam)
     d = env.dist_at(m + 1)
     if d.second_factorial() <= 0.0:
         raise DistributionError("no pair-biased law")
-    t = trace if trace is not None else CompositionTrace(env, n, math.exp(-lam))
-    return d.pgf(t.value(m + 1), 2) / (d.nu() * d.mean() ** 2)
+    t = _trace(env, n, lam, trace)
+    return _out(t.fpp[m + 1] / (d.nu() * d.mean() ** 2))
 
 
-def g_ratio(env: Environment, n: int, m: int, lam: float, trace: CompositionTrace | None = None) -> float:
-    """Ratio of the pair-biased to size-biased hanging-subtree transforms.
+def _moments(env: Environment, t: CompositionTrace, lo: int, hi: int):
+    """f'_{m+1}(1) and f''_{m+1}(1) for lo <= m < hi, as columns against t's grid."""
+    laws = [env.dist_at(m + 1) for m in range(lo, hi)]
+    shape = (-1,) + (1,) * (t.fp.ndim - 1)
+    return (np.array([d.mean() for d in laws]).reshape(shape),
+            np.array([d.second_factorial() for d in laws]).reshape(shape))
 
-    Computes both the quotient of the two transforms and its closed form
-    f'_{m+1}(1) f''_{m+1}(v) / (f'_{m+1}(v) f''_{m+1}(1)) with
-    v = f_{m+1,n}(e^-lam), and insists they agree; a mismatch indicates a
-    regression in one of the derivative paths.
+
+def _g(t: CompositionTrace, lo: int, mean: np.ndarray, sf: np.ndarray) -> np.ndarray:
+    """g(n, m, lam) for m = lo, lo + 1, ..., given f'_{m+1}(1) and f''_{m+1}(1)
+    (`_moments`); NaN where nu_{m+1} = 0.
+
+    Evaluates both the closed form f'_{m+1}(1) f''_{m+1}(v) / (f'_{m+1}(v)
+    f''_{m+1}(1)), v = f_{m+1,n}(e^-lam), and the quotient of the two hanging
+    transforms, and insists they agree; a mismatch indicates a regression in
+    one of the derivative paths.
     """
-    if not 0 <= m < n:
-        raise ValueError("need 0 <= m < n")
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    d = env.dist_at(m + 1)
-    if d.second_factorial() <= 0.0:
-        raise DistributionError("no pair-biased law")
-    t = trace if trace is not None else CompositionTrace(env, n, math.exp(-lam))
-    v = t.value(m + 1)
-    closed = (d.mean() / d.pgf(v, 1)) * (d.pgf(v, 2) / d.second_factorial())
-    quotient = laplace_hanging_qddot(env, n, m, lam, t) / laplace_hanging_qdot(env, n, m, lam, t)
-    if abs(closed - quotient) > _G_CONSISTENCY_TOL * max(1.0, abs(closed)):
+    fp, fpp = t.fp[lo + 1:lo + 1 + len(mean)], t.fpp[lo + 1:lo + 1 + len(mean)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = np.where(sf > 0.0, (mean / fp) * (fpp / sf), math.nan)
+        quotient = (fpp / (sf / (mean * mean) * mean**2)) / (fp / mean)
+    bad = np.abs(closed - quotient) > _G_CONSISTENCY_TOL * np.maximum(1.0, np.abs(closed))
+    if np.any(bad):
+        m = lo + int(np.argwhere(bad)[0][0])
         raise EngineError(
-            f"g-ratio forms disagree at n={n}, m={m}, lam={lam}: "
-            f"{closed!r} vs {quotient!r}"
+            f"g-ratio forms disagree at n={t.n}, m={m}: "
+            f"{closed[bad].flat[0]!r} vs {quotient[bad].flat[0]!r}"
         )
     return closed
 
 
-def g_gap_profile(env: Environment, n: int, lam: float, trace: CompositionTrace | None = None) -> np.ndarray:
-    """1 - g(n, m, lam) for every m in 0..n-1; NaN where nu_{m+1} = 0.
+def g_ratio(env: Environment, n: int, m: int, lam, trace: CompositionTrace | None = None):
+    """Ratio of the pair-biased to size-biased hanging-subtree transforms,
+    checked against its closed form (see `_g`)."""
+    if not 0 <= m < n:
+        raise ValueError("need 0 <= m < n")
+    lam = _lambdas(lam)
+    if env.dist_at(m + 1).second_factorial() <= 0.0:
+        raise DistributionError("no pair-biased law")
+    t = _trace(env, n, lam, trace)
+    return _out(_g(t, m, *_moments(env, t, m, m + 1))[0])
 
-    Shares one trace across all m and keeps the built-in agreement check of
-    the two g forms.
+
+def g_gap_profile(env: Environment, n: int, lam, trace: CompositionTrace | None = None) -> np.ndarray:
+    """1 - g(n, m, lam) for every m in 0..n-1 (rows), NaN where nu_{m+1} = 0.
+
+    Shares one trace across all m and keeps the agreement check of the two
+    g forms.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    t = trace if trace is not None else CompositionTrace(env, n, math.exp(-lam))
-    out = np.empty(n)
-    for m in range(n):
-        d = env.dist_at(m + 1)
-        if d.second_factorial() <= 0.0:
-            out[m] = math.nan
-            continue
-        out[m] = 1.0 - g_ratio(env, n, m, lam, t)
-    return out
+    t = _trace(env, n, _lambdas(lam), trace)
+    return 1.0 - _g(t, 0, *_moments(env, t, 0, n))
+
+
+def _s_n(env: Environment, n: int) -> float:
+    """S_n, the normalizer of K_n and of the pair-biased law."""
+    s_n = env.cum_nu_over_mu(n)
+    if not 0.0 < s_n < math.inf:
+        raise DistributionError(f"K_n and the pair-biased law are undefined: S_{n} = {s_n!r}")
+    return s_n
 
 
 def kn_pmf(env: Environment, n: int, r: int) -> float:
     """P(K_n = r) = (nu_{r+1}/mu_r) / S_n."""
     if not 0 <= r <= n - 1:
         raise ValueError("need 0 <= r <= n-1")
-    terms = env.nu_over_mu_terms(n)
-    s_n = env.cum_nu_over_mu(n)
-    if s_n <= 0.0:
-        raise DistributionError("K_n undefined: S_n = 0")
-    return float(terms[r]) / s_n
+    return float(env.nu_over_mu_terms(n)[r]) / _s_n(env, n)
 
 
 def kn_pmf_vector(env: Environment, n: int) -> np.ndarray:
     """The full law of K_n on {0, ..., n-1}."""
     if n < 1:
         raise ValueError("need n >= 1")
-    terms = env.nu_over_mu_terms(n)
-    s_n = env.cum_nu_over_mu(n)
-    if s_n <= 0.0:
-        raise DistributionError("K_n undefined: S_n = 0")
-    return terms / s_n
+    return env.nu_over_mu_terms(n) / _s_n(env, n)
 
 
 def a_ratio(env: Environment, n: int, m: int) -> float:
     """A_{n,m} = a^{(m+1)}_{n-(m+1)} / a_n = sum_{j>m} (nu_{j+1}/mu_j) / S_n."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    terms = env.nu_over_mu_terms(n)
-    return math.fsum(terms[m + 1 :].tolist()) / env.cum_nu_over_mu(n)
+    s_n = _s_n(env, n)
+    return math.fsum(env.nu_over_mu_terms(n)[m + 1 :].tolist()) / s_n
 
 
 def partition_points(env: Environment, n: int) -> np.ndarray:
@@ -389,8 +357,7 @@ def partition_points(env: Environment, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1")
     terms = env.nu_over_mu_terms(n)
-    s_n = env.cum_nu_over_mu(n)
-    pts = np.concatenate([[0.0], np.cumsum(terms[::-1]) / s_n])
+    pts = np.concatenate([[0.0], np.cumsum(terms[::-1]) / _s_n(env, n)])
     pts[-1] = 1.0
     return pts
 
@@ -428,24 +395,25 @@ def conditional_laplace_z(env: Environment, n: int, lam: float) -> float:
     return 1.0 - one_minus_compose(env, 0, n, math.exp(-lam)) / surv
 
 
-def two_spine_rhs(env: Environment, n: int, lam: float, trace: CompositionTrace | None = None) -> float:
+def two_spine_rhs(env: Environment, n: int, lam, trace: CompositionTrace | None = None):
     """Right-hand side of the spine decomposition of E[exp(-lam Zddot_n)]:
 
         E[e^{-lam Zdot_n}] * sum_m P(K_n=m) E[e^{-lam Zdot^{(m+1)}_{n-(m+1)}}] g(n,m,lam)
+
+    with every factor of the sum an array over m (rows) and the lambda grid.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
-    t = trace if trace is not None else CompositionTrace(env, n, math.exp(-lam))
+    lam = _lambdas(lam)
+    t = _trace(env, n, lam, trace)
     weights = kn_pmf_vector(env, n)
-    parts = []
-    for m in range(n):
-        if weights[m] == 0.0:
-            continue
-        parts.append(
-            weights[m]
-            * laplace_zdot_shifted(env, n, m, lam, t)
-            * g_ratio(env, n, m, lam, t)
-        )
-    return laplace_zdot(env, n, lam, t) * math.fsum(parts)
+    mean, sf = _moments(env, t, 0, n)
+    # log(mu_{m+1} / mu_n) = -sum_{l=m+2}^{n} log f'_l(1), summed from l = n down.
+    tail = np.cumsum(np.log(mean[:0:-1]), axis=0)[::-1]
+    log_mu_ratio = -np.concatenate([tail, np.zeros_like(mean[:1])])
+    shifted = _scaled(t._x1[1:], t._e[1:], log_mu_ratio - lam)
+    keep = weights > 0.0
+    terms = weights.reshape(mean.shape)[keep] * shifted[keep] * _g(t, 0, mean, sf)[keep]
+    # One exactly rounded sum per grid point.
+    sums = [math.fsum(col.tolist()) for col in terms.reshape(len(terms), -1).T]
+    return _out(laplace_zdot(env, n, lam, t) * np.reshape(sums, lam.shape))

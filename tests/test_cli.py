@@ -241,3 +241,43 @@ def test_zero_mean_environment_exit_2(command, capsys):
     spec = '{"rule":"constant","dist":{"kind":"table","pmf":[1]}}'
     assert main([command, "--env", spec]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_simulate_yaglom_final_horizon_aborts_exit_1(tmp_path):
+    # the node budget spares the n=10 replicates but aborts 1.7% of them by
+    # n=100, leaving no survivors there; the exit rule and the summary use the
+    # final horizon's (cumulative) count, and its infinite KS is written as null
+    config = write_config(tmp_path, horizons=[10, 100], replicates=20_000,
+                          node_budget=1200, seed=20201124)
+    out = tmp_path / "yag"
+    rc = main(["simulate", "yaglom", "--config", str(config), "--out", str(out), "--quiet"])
+    assert rc == 1
+    summary = json.loads((out / "yaglom_summary.json").read_text(), parse_constant=_reject_constant)
+    rows = summary["rows"]
+    assert summary["aborted"] == rows[-1]["aborted"] > 0.01 * 20_000
+    assert rows[-1]["survivors"] == 0 and rows[-1]["ks_exp1"] is None
+    assert (out / "yaglom_ks.csv").read_text().splitlines()[-1] == "100,0,inf"
+
+
+def test_simulate_empty_sample_mean_is_null(tmp_path):
+    doc_env = {"rule": "constant", "dist": {"kind": "table", "pmf": [0.0, 0.0, 1.0]}}
+    config = write_config(tmp_path, environment=doc_env, replicates=200,
+                          node_budget=100, horizons=[30])
+    out = tmp_path / "boom"
+    assert main(["simulate", "gw", "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    text = (out / "simulate_gw_n30_summary.json").read_text()
+    assert json.loads(text, parse_constant=_reject_constant)["mean"] is None
+
+
+def test_check_decomposition_s_n_overflow_exit_2(tmp_path, capsys):
+    # subcritical geometric(0.6): S_n = sum nu/mu_k overflows from n = 1800
+    doc_env = {"rule": "constant", "dist": {"kind": "geometric", "p": 0.6}}
+    config = write_config(tmp_path, environment=doc_env, horizons=[1800])
+    rc = main(["check", "decomposition", "--config", str(config),
+               "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

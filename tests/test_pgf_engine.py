@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import gwve.oracle as oracle
 import gwve.pgf_engine as en
 from gwve.environment import Environment
-from gwve.offspring import DistributionError, FiniteTable, Geometric, Poisson
+from gwve.offspring import Binomial, DistributionError, FiniteTable, Geometric, Poisson
 
 LAMBDA_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -73,7 +76,7 @@ def test_moment_consistency(e1, e2):
 
 
 def test_derivatives_at_zero_with_missing_q1():
-    # f'(0) = 0 for this law, which exercises the zero-factor fallbacks.
+    # f'(0) = 0 for this law, so the sweep meets a vanishing factor f'_n(s).
     env = Environment.constant(FiniteTable([0.5, 0.0, 0.5]))
     t = en.composition_trace(env, 4, 0.0)
     h = 1e-5
@@ -83,6 +86,15 @@ def test_derivatives_at_zero_with_missing_q1():
     assert en.d1_compose(env, 0, 4, 0.0) == pytest.approx(fd1, abs=1e-4)
     fd2 = (f(0.0) - 2 * f(h) + f(2 * h)) / h**2
     assert en.d2_compose(env, 0, 4, 0.0) == pytest.approx(fd2, abs=1e-3)
+
+
+def test_last_generation_second_derivative_exact(e3):
+    # f''_{n-1,n}(s) is the single factor f''_n(s); no cancellation may creep in
+    # from the rest of a long supercritical trace.
+    n, s = 3000, 0.5
+    t = en.composition_trace(e3, n, s)
+    expected = e3.dist_at(n).pgf(s, 2)
+    assert abs(t.d2(n - 1) - expected) <= 1e-15 * expected
 
 
 def test_range_validation(e1):
@@ -443,37 +455,104 @@ def test_zero_variance_generations():
     assert np.all(np.isnan(profile[1::2])) and not np.any(np.isnan(profile[::2]))
 
 
-def test_randomized_environment_identity_sweep():
+@pytest.mark.parametrize("env_factory,horizons", [
+    (lambda: Environment.constant(Binomial(2, 0.75)), (10, 100, 300)),
+    (lambda: Environment.constant(Geometric(0.6)), (10, 100, 1000)),
+], ids=["E3-supercritical", "geometric-subcritical"])
+def test_decomposition_identity_off_critical(env_factory, horizons):
+    env = env_factory()
+    lams = np.array([0.1, 1.0, 5.0])
+    for n in horizons:
+        t = en.composition_trace(env, n, np.exp(-lams))
+        lhs = en.laplace_zddot(env, n, lams, t)
+        rhs = en.two_spine_rhs(env, n, lams, t)
+        # a positive normal lhs, so the relative gap says something
+        assert np.all(lhs >= sys.float_info.min)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * lhs)
+
+
+def test_s_n_overflow_raises():
+    # S_n = sum_k nu/mu_k overflows for subcritical geometric(0.6) from n = 1800
+    env = Environment.constant(Geometric(0.6))
+    n = 1800
+    assert env.cum_nu_over_mu(n) == math.inf
+    for call in (lambda: en.kn_pmf(env, n, 0), lambda: en.kn_pmf_vector(env, n),
+                 lambda: en.laplace_zddot(env, n, 0.0), lambda: en.a_ratio(env, n, 0),
+                 lambda: en.partition_points(env, n)):
+        with pytest.raises(DistributionError):
+            call()
+
+
+def _assert_grid_matches_scalars(call, points):
+    """call(grid) equals [call(x) for x in grid] stacked on the last axis."""
+    got = np.asarray(call(np.array(points)))
+    want = np.stack([np.asarray(call(x)) for x in points], axis=-1)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("env_name", ["e1", "e2", "e3"])
+def test_lambda_grid_matches_scalar(env_name, request):
+    env = request.getfixturevalue(env_name)
+    lams = [0.0, 0.1, 0.7, 2.0, 5.0]
+    n, m = 9, 3
+    for f in (en.laplace_z, en.laplace_zdot, en.laplace_zddot, en.g_gap_profile, en.two_spine_rhs):
+        _assert_grid_matches_scalars(lambda x: f(env, n, x), lams)
+    for f in (en.laplace_zdot_shifted, en.laplace_hanging_qdot, en.laplace_hanging_qddot, en.g_ratio):
+        _assert_grid_matches_scalars(lambda x: f(env, n, m, x), lams)
+    # one shared trace over the grid gives the same numbers
+    t = en.composition_trace(env, n, np.exp(-np.array(lams)))
+    np.testing.assert_allclose(en.two_spine_rhs(env, n, np.array(lams), t),
+                               [en.two_spine_rhs(env, n, x) for x in lams], rtol=1e-14, atol=0.0)
+
+
+def test_s_grid_matches_scalar_with_vanishing_factor():
+    # f'(0) = 0 for this law: at s = 0 the sweep's first factor is zero
+    env = Environment.constant(FiniteTable([0.5, 0.0, 0.5]))
+    points = [0.0, 0.3, 1.0]
+    n = 6
+    for f in (en.compose, en.d1_compose, en.d2_compose):
+        for m in (0, 3, n - 1, n):
+            _assert_grid_matches_scalars(lambda s: f(env, m, n, s), points)
+    lams = [0.0, 1.0, math.inf]  # s = 1, e^-1, 0
+    for f in (en.laplace_z, en.laplace_zdot, en.laplace_zddot):
+        _assert_grid_matches_scalars(lambda x: f(env, n, x), lams)
+    for f in (en.laplace_zdot_shifted, en.laplace_hanging_qdot, en.laplace_hanging_qddot):
+        _assert_grid_matches_scalars(lambda x: f(env, n, 2, x), lams)
+
+
+def _offspring_laws():
+    tables = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=6).map(
+        lambda p: FiniteTable((np.array(p) + 0.05) / (np.array(p) + 0.05).sum()))
+    return st.one_of(
+        tables,
+        st.floats(0.25, 0.9).map(Geometric),
+        st.floats(0.3, 2.5).map(Poisson),
+        st.builds(Binomial, st.integers(1, 4), st.floats(0.2, 0.95)),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(head=st.lists(_offspring_laws(), max_size=2), cycle=st.lists(_offspring_laws(), min_size=1, max_size=3),
+       n=st.integers(1, 11), lam=st.floats(0.0, 4.0, exclude_max=True))
+def test_randomized_environment_identity_sweep(head, cycle, n, lam):
     # Broad net: random mixed environments, every family, random horizons.
     # The decomposition identity and the moment identities must hold exactly.
-    rng = np.random.default_rng(20240817)
-    from gwve.offspring import Binomial, Poisson
-
-    def random_dist():
-        kind = rng.integers(4)
-        if kind == 0:
-            probs = rng.random(int(rng.integers(2, 7))) + 0.05
-            return FiniteTable(probs / probs.sum())
-        if kind == 1:
-            return Geometric(float(rng.uniform(0.25, 0.9)))
-        if kind == 2:
-            return Poisson(float(rng.uniform(0.3, 2.5)))
-        return Binomial(int(rng.integers(1, 5)), float(rng.uniform(0.2, 0.95)))
-
-    checked = 0
-    for _ in range(25):
-        cycle = [random_dist() for _ in range(int(rng.integers(1, 4)))]
-        head = [random_dist() for _ in range(int(rng.integers(0, 3)))]
-        env = Environment(head, cycle)
-        n = int(rng.integers(1, 12))
-        lam = float(rng.uniform(0.0, 4.0))
-        assert en.d1_compose(env, 0, n, 1.0) == pytest.approx(env.mu(n), rel=1e-9)
-        assert en.d2_compose(env, 0, n, 1.0) == pytest.approx(
-            env.mu(n) ** 2 * env.cum_nu_over_mu(n), rel=1e-9
-        )
-        if env.cum_nu_over_mu(n) > 0.0:
-            lhs = en.laplace_zddot(env, n, lam)
-            rhs = en.two_spine_rhs(env, n, lam)
-            assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
-            checked += 1
-    assert checked >= 15
+    env = Environment(head, cycle)
+    assert en.d1_compose(env, 0, n, 1.0) == pytest.approx(env.mu(n), rel=1e-9)
+    assert en.d2_compose(env, 0, n, 1.0) == pytest.approx(
+        env.mu(n) ** 2 * env.cum_nu_over_mu(n), rel=1e-9
+    )
+    # every counted example checks the identity
+    assume(env.cum_nu_over_mu(n) > 0.0)
+    lhs = en.laplace_zddot(env, n, lam)
+    rhs = en.two_spine_rhs(env, n, lam)
+    assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
+    if n <= 6:
+        p = oracle.exact_pmf(env, n, cap_ceiling=oracle.DEFAULT_CAP)
+        assume(p.tail_mass <= oracle.DEFAULT_TAIL_BUDGET)
+        lams = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
+        for kind, transform in (("size_biased", en.laplace_zdot), ("pair_biased", en.laplace_zddot)):
+            biased = oracle.transform_pmf(p, kind)
+            ref = [oracle.laplace_from_pmf(biased, x) for x in lams]
+            np.testing.assert_allclose(transform(env, n, lams), ref, rtol=0.0, atol=1e-10)

@@ -134,6 +134,8 @@ class ExperimentConfig:
             raise ExperimentError("replicate count must be >= 1")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ExperimentError("seed must be an integer in [0, 2^64)")
+        if not len(self.s_grid) or not len(self.lambda_grid):
+            raise ExperimentError("evaluation grids must be nonempty")
         if any(s < 0 for s in self.s_grid) or any(l < 0 for l in self.lambda_grid):
             raise ExperimentError("evaluation grids must be nonnegative")
         if self.threads < 1 or self.chunk_size < 1:
@@ -151,6 +153,11 @@ class ExperimentConfig:
 
     def wants_mc(self, n: int) -> bool:
         return self.mc_horizons is None or n in self.mc_horizons
+
+    def chunk_sizes(self) -> list[int]:
+        """Replicate counts of the Monte Carlo chunks, in chunk order."""
+        return [min(self.chunk_size, self.replicates - start)
+                for start in range(0, self.replicates, self.chunk_size)]
 
 
 @dataclass(frozen=True)
@@ -300,10 +307,10 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons, kind: str,
         raise ValueError("horizons must be a nonempty increasing list")
     if len(hs) > 1 and kind != "gw":
         raise ValueError(f"{kind} populations need one run per horizon")
-    starts = range(0, config.replicates, config.chunk_size)
+    sizes = config.chunk_sizes()
 
     def work(idx):
-        size = min(config.chunk_size, config.replicates - starts[idx])
+        size = sizes[idx]
         rng = stream(config.seed, tag, hs[-1], idx)
         batch, out = None, []
         for n in hs:
@@ -317,9 +324,9 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons, kind: str,
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(work, range(len(starts))))
+            chunks = list(pool.map(work, range(len(sizes))))
     else:
-        chunks = [work(idx) for idx in range(len(starts))]
+        chunks = [work(idx) for idx in range(len(sizes))]
     results = []
     for per_horizon in zip(*chunks):
         xs, ks, aborted = zip(*per_horizon)
@@ -471,13 +478,16 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
             rows.append(_row(n, "tv_two_spine", tv2, "le", tv_tol, note))
             aborted += ab1 + ab2
 
-            gap = _lemma33_max_gap(env, n, config)
+            gap = _lemma33_max_gap(env, n, p, config)
             rows.append(_row(n, "lemma33_max_abs_gap", gap, "le", config.tol("lemma33_abs")))
 
-        # Branching-generation law.
+        # Branching-generation law: the two-spine sampler's first draw on each
+        # chunk's stream, with no trees grown.
         n_k = config.kn_horizon
-        _, k_draws, ab3 = collect_populations(config, "identities/kn", n_k, "two_spine")
-        aborted += ab3
+        k_draws = np.concatenate([
+            spines.sample_branch_generation(env, n_k, stream(config.seed, "identities/kn", n_k, idx),
+                                            size)
+            for idx, size in enumerate(config.chunk_sizes())])
         counts = np.bincount(k_draws, minlength=n_k)
         pval = chi_square_pvalue(counts, engine.kn_pmf_vector(env, n_k))
         rows.append(_row(n_k, "kn_chi2_pvalue", pval, "ge", config.tol("chi2_p")))
@@ -496,15 +506,15 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("transform_identities", config.seed, rows, aborted, t.elapsed)
 
 
-def _lemma33_max_gap(env: Environment, n: int, config: ExperimentConfig) -> float:
+def _lemma33_max_gap(env: Environment, n: int, p: oracle.ExactPmf, config: ExperimentConfig) -> float:
     """Worst discrepancy between the five closed-form Laplace transforms and
-    the oracle's discrete transforms at horizon n."""
+    the oracle's discrete transforms at horizon n, given the oracle law p of
+    Z_n."""
     lams = np.array(config.lambda_grid)
 
     def oracle_laplace(pmf):
         return np.array([oracle.laplace_from_pmf(pmf, lam) for lam in config.lambda_grid])
 
-    p = oracle.exact_pmf(env, n, cap=config.oracle_cap)
     trace = engine.composition_trace(env, n, np.exp(-lams))
     gaps = [oracle_laplace(oracle.transform_pmf(p, "size_biased"))
             - engine.laplace_zdot(env, n, lams, trace),

@@ -6,6 +6,14 @@ function f(s) = sum_k q(k) s^k together with the first three derivatives in
 closed form, the factorial moments at s = 1, and the two reweighted laws used
 by spine constructions: the size-biased law k*q(k)/f'(1) and the pair-biased
 law k*(k-1)*q(k)/f''(1).
+
+The geometric, Poisson and binomial families are closed under convolution,
+and so are their reweighted laws less the spine children: for geometric(p)
+the size-biased law is 1 + NegBin(2, p) and the pair-biased law 2 + NegBin(3,
+p); for Poisson(lam) they are 1 + Poisson(lam) and 2 + Poisson(lam); for
+binomial(m, p) they are 1 + Bin(m-1, p) and 2 + Bin(m-2, p).  `sum_sample`
+therefore draws the off-spine offspring of a whole generation of a spine tree
+in one draw.  Tables fall back to one draw per spine birth.
 """
 
 from __future__ import annotations
@@ -71,8 +79,17 @@ class OffspringDistribution:
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
-    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        """Draw, for every entry c of `counts`, the sum of c iid copies."""
+    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
+                   size_biased: np.ndarray | None = None,
+                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+        """Draw, for every entry c of `counts`, the sum of c iid copies.
+
+        With `size_biased` (s in {0, 1, 2}) and `pair_biased` (t in {0, 1})
+        given, each entry also adds the offspring of s size-biased and t
+        pair-biased parents, less the spine children they keep (one per
+        size-biased parent, two per pair-biased one): the off-spine part of
+        one generation of a spine tree.  Raises DistributionError when a
+        needed reweighted law does not exist."""
         raise NotImplementedError
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> "FiniteTable":
@@ -95,24 +112,50 @@ class OffspringDistribution:
         return self.second_factorial() / (m * m)
 
     def size_biased(self) -> "FiniteTable":
-        """The law k*q(k)/f'(1), materialized as a finite table."""
-        m = self.mean()
-        if m <= 0.0:
-            raise DistributionError("size-biasing a distribution degenerate at zero")
-        table = self.to_table(_REWEIGHT_TAIL_TOL)
-        k = np.arange(table.probs.size, dtype=float)
-        w = k * table.probs
-        return FiniteTable(w / math.fsum(w))
+        """The law k*q(k)/f'(1), materialized as a finite table (once per
+        instance: every law here is immutable)."""
+        if "_size_biased" not in self.__dict__:
+            self._require_reweighted(1, None)
+            table = self.to_table(_REWEIGHT_TAIL_TOL)
+            k = np.arange(table.probs.size, dtype=float)
+            w = k * table.probs
+            self._size_biased = FiniteTable(w / math.fsum(w))
+        return self._size_biased
 
     def pair_biased(self) -> "FiniteTable":
-        """The law k*(k-1)*q(k)/f''(1), materialized as a finite table."""
-        if self.second_factorial() <= 0.0:
+        """The law k*(k-1)*q(k)/f''(1), materialized as a finite table (once
+        per instance)."""
+        if "_pair_biased" not in self.__dict__:
+            self._require_reweighted(None, 1)
+            table = self.to_table(_REWEIGHT_TAIL_TOL)
+            k = np.arange(table.probs.size, dtype=float)
+            w = k * (k - 1.0) * table.probs
+            w[w == 0.0] = 0.0
+            self._pair_biased = FiniteTable(w / math.fsum(w))
+        return self._pair_biased
+
+    def _require_reweighted(self, size_biased, pair_biased) -> None:
+        """Raise unless the reweighted laws that some entry needs exist."""
+        if size_biased is not None and self.mean() <= 0.0 and np.any(size_biased):
+            raise DistributionError("size-biasing a distribution degenerate at zero")
+        if pair_biased is not None and self.second_factorial() <= 0.0 and np.any(pair_biased):
             raise DistributionError("no pair-biased law")
-        table = self.to_table(_REWEIGHT_TAIL_TOL)
-        k = np.arange(table.probs.size, dtype=float)
-        w = k * (k - 1.0) * table.probs
-        w[w == 0.0] = 0.0
-        return FiniteTable(w / math.fsum(w))
+
+    def _shape_sum(self, counts, shapes: tuple, size_biased, pair_biased):
+        """r0*c + r1*s + r2*t, the shape parameter of what `sum_sample` draws
+        for a family closed under convolution: r0, r1 and r2 are the shapes
+        of one plain birth, of one size-biased birth less its spine child and
+        of one pair-biased birth less its two."""
+        self._require_reweighted(size_biased, pair_biased)
+        r0, r1, r2 = shapes
+        total = np.asarray(counts)
+        if r0 != 1:
+            total = r0 * total
+        if size_biased is not None:
+            total = total + r1 * np.asarray(size_biased)
+        if pair_biased is not None:
+            total = total + r2 * np.asarray(pair_biased)
+        return total
 
     def shift_down(self, r: int) -> "OffspringDistribution":
         """The law of (X - r), defined only when P(X < r) = 0."""
@@ -239,11 +282,36 @@ class FiniteTable(OffspringDistribution):
         idx = np.minimum(idx, self.probs.size - 1)
         return int(idx) if size is None else idx.astype(np.int64)
 
-    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
+                   size_biased: np.ndarray | None = None,
+                   pair_biased: np.ndarray | None = None) -> np.ndarray:
         counts = np.asarray(counts)
+        spines = None
+        if size_biased is not None or pair_biased is not None:
+            spines = self._spine_births(rng, counts.shape, size_biased, pair_biased)
         drawn = rng.multinomial(counts, self.probs)
-        k = np.arange(self.probs.size, dtype=np.int64)
-        return drawn @ k
+        out = drawn @ np.arange(self.probs.size, dtype=np.int64)
+        if spines is not None:
+            out += spines
+        return out
+
+    def _spine_births(self, rng, shape, size_biased, pair_biased) -> np.ndarray:
+        """Off-spine children of the spine parents, one table draw per birth:
+        first the entries with one size-biased parent, then the pair-biased
+        births, then both parents of the entries with two."""
+        zero = np.zeros(shape, dtype=np.int64)
+        s = zero if size_biased is None else np.asarray(size_biased)
+        t = zero if pair_biased is None else np.asarray(pair_biased)
+        if s.max(initial=0) > 2 or t.max(initial=0) > 1:
+            raise ValueError("a table draws at most two size-biased and one pair-biased parent")
+        out = np.zeros(shape, dtype=np.int64)
+        two = s == 2
+        for mask, law, kept in ((s == 1, self.size_biased, 1), (t == 1, self.pair_biased, 2),
+                                (two, self.size_biased, 1), (two, self.size_biased, 1)):
+            hits = int(np.count_nonzero(mask))
+            if hits:
+                out[mask] += law().sample(rng, size=hits) - kept
+        return out
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> "FiniteTable":
         return self
@@ -304,8 +372,12 @@ class Geometric(OffspringDistribution):
         out = rng.geometric(self.p, size) - 1
         return int(out) if size is None else out.astype(np.int64)
 
-    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        counts = np.asarray(counts)
+    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
+                   size_biased: np.ndarray | None = None,
+                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+        counts = self._shape_sum(counts, (1, 2, 3), size_biased, pair_biased)
+        if counts.size and counts.min() > 0:
+            return np.asarray(rng.negative_binomial(counts, self.p), dtype=np.int64)
         out = np.zeros(counts.shape, dtype=np.int64)
         pos = counts > 0
         if np.any(pos):
@@ -372,17 +444,24 @@ class Poisson(OffspringDistribution):
         out = rng.poisson(self.lam, size)
         return int(out) if size is None else out.astype(np.int64)
 
-    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        return rng.poisson(self.lam * np.asarray(counts, dtype=float)).astype(np.int64)
+    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
+                   size_biased: np.ndarray | None = None,
+                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+        shape = self._shape_sum(counts, (1, 1, 1), size_biased, pair_biased)
+        return rng.poisson(self.lam * np.asarray(shape, dtype=float)).astype(np.int64)
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
+        # Once r = lam/(k+1) < 1, the tail beyond k is at most q(k) r/(1-r).
+        # (1 - running sum) cannot serve: it stalls at rounding level, above
+        # the tighter reweighting cuts.
         probs = [math.exp(-self.lam)]
-        cum = probs[0]
         k = 0
-        while 1.0 - cum > tail_tol:
+        while True:
+            r = self.lam / (k + 1)
+            if r < 1.0 and probs[-1] * r / (1.0 - r) <= tail_tol:
+                break
             k += 1
             probs.append(probs[-1] * self.lam / k)
-            cum += probs[-1]
         arr = np.asarray(probs)
         return FiniteTable(arr / math.fsum(arr))
 
@@ -446,8 +525,12 @@ class Binomial(OffspringDistribution):
         out = rng.binomial(self.n, self.p, size)
         return int(out) if size is None else out.astype(np.int64)
 
-    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        return rng.binomial(self.n * np.asarray(counts, dtype=np.int64), self.p).astype(np.int64)
+    def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
+                   size_biased: np.ndarray | None = None,
+                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+        trials = self._shape_sum(np.asarray(counts, dtype=np.int64), (self.n, self.n - 1, self.n - 2),
+                                 size_biased, pair_biased)
+        return rng.binomial(trials, self.p).astype(np.int64)
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
         return FiniteTable([self.pmf(k) for k in range(self.n + 1)])

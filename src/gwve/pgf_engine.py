@@ -382,7 +382,7 @@ def kolmogorov_ratio(env: Environment, n: int) -> float:
     """(a_n / mu_n) P(Z_n > 0) = (S_n / 2) P(Z_n > 0)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return 0.5 * env.cum_nu_over_mu(n) * survival_prob(env, n)
+    return 0.5 * _s_n(env, n) * survival_prob(env, n)
 
 
 def conditional_laplace_z(env: Environment, n: int, lam: float) -> float:

@@ -7,11 +7,17 @@ verification work needs (populations, parent walks, marks) and nothing else.
 
 For large horizons only the population sizes matter, so each sampler has a
 population-only companion that simulates the same law for a whole batch of
-replicates at once: per generation, the off-spine population advances by one
-exact draw of a sum of iid offspring (negative binomial for geometric laws,
-Poisson/binomial closed under summation, multinomial for tables), and the
-spine nodes contribute their reweighted offspring counts.  The batch
-samplers are what make million-replicate comparisons cheap.
+replicates at once.  Per generation, every replicate's off-spine population
+advances by one `sum_sample` draw that also covers the off-spine children of
+its spine nodes (one size-biased parent before the branching generation K,
+one pair-biased parent at K, two size-biased parents after it).  For the
+geometric, Poisson and binomial families that is a single closed-form draw
+(negative binomial, Poisson, binomial), because their reweighted laws less the
+spine children are members of the same family; tables draw each spine birth
+from the reweighted table and the rest by one multinomial.  The arena
+samplers draw every spine birth from the reweighted tables, an independent
+implementation of the same law.  The batch samplers are what make
+million-replicate comparisons cheap.
 
 The one-spine tree is the two-spine tree with no branch before the horizon,
 so the two constructions share one loop per representation: the arena loop
@@ -22,12 +28,10 @@ samplers pass K = n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .environment import Environment
-from .offspring import FiniteTable, OffspringDistribution
 from .pgf_engine import kn_pmf_vector
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "sample_gw_tree",
     "sample_one_spine",
     "sample_two_spine",
+    "sample_branch_generation",
     "PopulationBatch",
     "simulate_gw_populations",
     "simulate_one_spine_populations",
@@ -174,16 +179,6 @@ def sample_gw_tree(
     return b.finish()
 
 
-@lru_cache(maxsize=256)
-def _size_biased(dist: OffspringDistribution) -> FiniteTable:
-    return dist.size_biased()
-
-
-@lru_cache(maxsize=256)
-def _pair_biased(dist: OffspringDistribution) -> FiniteTable:
-    return dist.pair_biased()
-
-
 def sample_one_spine(
     env: Environment, n: int, rng: np.random.Generator, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> LabeledTree:
@@ -203,10 +198,17 @@ def sample_two_spine(
     replacement, then two independent lines.  Returns (tree, K)."""
     if n < 1:
         raise ValueError("the two-spine construction needs n >= 1")
-    weights = kn_pmf_vector(env, n)
-    K = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
-    K = min(K, n - 1)
+    K = sample_branch_generation(env, n, rng)
     return _spine_tree(env, n, K, rng, node_budget, MARK_BOTH), K
+
+
+def sample_branch_generation(env: Environment, n: int, rng: np.random.Generator, size=None):
+    """Draws of the branching generation K_n of the two-spine tree, by
+    inversion of one uniform each; an int when `size` is None.  This is the
+    first draw of every two-spine sampler."""
+    cdf = np.cumsum(kn_pmf_vector(env, n))
+    k = np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), n - 1)
+    return int(k) if size is None else k.astype(np.int64)
 
 
 def _spine_tree(
@@ -221,15 +223,15 @@ def _spine_tree(
     for k in range(n):
         d = env.dist_at(k + 1)
         if k <= K:  # single line: size-biased birth before K, pair-biased at K
-            c_spine = (_size_biased(d) if k < K else _pair_biased(d)).sample(rng)
+            c_spine = (d.size_biased() if k < K else d.pair_biased()).sample(rng)
             counts = np.insert(d.sample(rng, size=pop - 1), spine1_pos, c_spine)
             first = int(counts[:spine1_pos].sum())
             new1 = new2 = first + int(rng.integers(c_spine))
             while k == K and new2 == new1:  # two distinct children at the branch
                 new2 = first + int(rng.integers(c_spine))
         else:  # two independent spines
-            c1 = _size_biased(d).sample(rng)
-            c2 = _size_biased(d).sample(rng)
+            c1 = d.size_biased().sample(rng)
+            c2 = d.size_biased().sample(rng)
             c_off = d.sample(rng, size=pop - 2)
             counts = np.empty(pop, dtype=np.int64)
             plain = np.ones(pop, dtype=bool)
@@ -298,14 +300,13 @@ def simulate_gw_populations(
         pop = env.dist_at(k + 1).sum_sample(rng, pop)
         cum = cum + pop
         over = cum > node_budget
+        keep = pop > 0
         if np.any(over):
             aborted += int(np.count_nonzero(over))
             aborted_idx.append(idx[over])
-            keep = ~over
+            keep &= ~over
+        if not np.all(keep):
             pop, idx, cum = pop[keep], idx[keep], cum[keep]
-        alive = pop > 0
-        if not np.all(alive):
-            pop, idx, cum = pop[alive], idx[alive], cum[alive]
     out = np.zeros(start.x_n.size, dtype=np.int64)
     out[idx] = pop
     if aborted_idx:
@@ -337,11 +338,7 @@ def simulate_two_spine_populations(
     """Terminal populations and branching generations of pair-biased replicates."""
     if n < 1 or reps < 0:
         raise ValueError("need n >= 1 and reps >= 0")
-    weights = kn_pmf_vector(env, n)
-    cdf = np.cumsum(weights)
-    K = np.minimum(
-        np.searchsorted(cdf, rng.random(reps), side="right"), n - 1
-    ).astype(np.int64)
+    K = sample_branch_generation(env, n, rng, reps)
     return PopulationBatch(*_spine_batch(env, n, K, rng, node_budget))
 
 
@@ -352,20 +349,9 @@ def _spine_batch(env: Environment, n: int, K: np.ndarray, rng: np.random.Generat
     cum = np.ones(K.size, dtype=np.int64)
     aborted = 0
     for k in range(n):
-        d = env.dist_at(k + 1)
-        sb = _size_biased(d)
-        add = np.zeros(off.size, dtype=np.int64)
-        pre = K > k
         at = K == k
-        post = K < k
-        n_pre, n_at, n_post = int(pre.sum()), int(at.sum()), int(post.sum())
-        if n_pre:
-            add[pre] = sb.sample(rng, size=n_pre) - 1
-        if n_at:
-            add[at] = _pair_biased(d).sample(rng, size=n_at) - 2
-        if n_post:
-            add[post] = (sb.sample(rng, size=n_post) - 1) + (sb.sample(rng, size=n_post) - 1)
-        off = d.sum_sample(rng, off) + add
+        size_biased = 1 + (K < k) - at  # one parent before the branch, two after
+        off = env.dist_at(k + 1).sum_sample(rng, off, size_biased, at)
         cum = cum + off + np.where(K >= k + 1, 1, 2)
         over = cum > node_budget
         if np.any(over):

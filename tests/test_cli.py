@@ -281,3 +281,22 @@ def test_check_decomposition_s_n_overflow_exit_2(tmp_path, capsys):
                "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_constants_s_n_overflow_exit_2(capsys):
+    # subcritical geometric(0.6): S_1800 overflows, so the Kolmogorov ratio is undefined
+    spec = '{"rule":"constant","dist":{"kind":"geometric","p":0.6}}'
+    assert main(["constants", "--env", spec, "--n", "1000,1800"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "inf" not in captured.out
+
+
+@pytest.mark.parametrize("command, grid", [("decomposition", "lambda_grid"),
+                                           ("g-convergence", "s_grid")])
+def test_check_empty_grid_exit_2(tmp_path, capsys, command, grid):
+    config = write_config(tmp_path, **{grid: []})
+    out = tmp_path / "out"
+    assert main(["check", command, "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

@@ -35,6 +35,18 @@ def test_config_validation(e1):
     assert c.wants_mc(2) and not c.wants_mc(4)
 
 
+@pytest.mark.parametrize("grid", ["s_grid", "lambda_grid"])
+def test_config_rejects_empty_grids(e1, grid):
+    with pytest.raises(ex.ExperimentError, match="nonempty"):
+        ex.ExperimentConfig(e1, horizons=[2], **{grid: ()})
+
+
+def test_chunk_sizes(e1):
+    assert cfg(e1, replicates=10, chunk_size=4).chunk_sizes() == [4, 4, 2]
+    assert cfg(e1, replicates=8, chunk_size=4).chunk_sizes() == [4, 4]
+    assert cfg(e1, replicates=3, chunk_size=4).chunk_sizes() == [3]
+
+
 def test_reference_environments():
     assert ex.reference_environment("E1").classify().label == "critical"
     assert ex.reference_environment("E2").classify().label == "critical"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from gwve.offspring import (
     Binomial,
@@ -290,3 +291,70 @@ def test_sum_sample_matches_mean(dist):
     assert np.all(sums[counts == 0] == 0)
     total = counts.sum()
     assert sums.sum() / total == pytest.approx(dist.mean(), rel=5e-3)
+
+
+def _convolve_laws(laws, kmax):
+    """pmf on {0, ..., kmax} of the sum of independent draws from `laws`."""
+    out = np.zeros(kmax + 1)
+    out[0] = 1.0
+    for law in laws:
+        q = law.to_table().probs[: kmax + 1]
+        out = np.convolve(out, q)[: kmax + 1]
+    return out
+
+
+SPINE_COUNTS = [(c, s, t) for c in (0, 3) for s in (0, 1, 2) for t in (0, 1)]
+
+
+@pytest.mark.parametrize("dist", [Geometric(0.5), Poisson(1.3), Binomial(3, 0.4), Binomial(2, 0.7),
+                                  FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.3, 0.3, 0.2, 0.2])])
+def test_sum_sample_with_spines_matches_convolution(dist):
+    # every (c, s, t) combination interleaved in one call, so entries must stay aligned
+    per = 40_000
+    combos = np.array(SPINE_COUNTS * per)
+    rng = stream(6, "spine-sums", repr(dist))
+    drawn = dist.sum_sample(rng, combos[:, 0], size_biased=combos[:, 1], pair_biased=combos[:, 2])
+    assert drawn.dtype == np.int64
+    kmax = 60
+    for i, (c, s, t) in enumerate(SPINE_COUNTS):
+        x = drawn[i :: len(SPINE_COUNTS)]
+        laws = ([dist] * c + [dist.size_biased().shift_down(1)] * s
+                + [dist.pair_biased().shift_down(2)] * t)
+        exact = _convolve_laws(laws, kmax)
+        assert x.max() <= kmax
+        observed = np.bincount(x, minlength=kmax + 1)
+        # chi-square over the cells with expected count >= 5, the rest pooled
+        expected = exact * per
+        cells = expected >= 5
+        obs = np.append(observed[cells], observed[~cells].sum())
+        exp = np.append(expected[cells], per - expected[cells].sum())
+        if exp[-1] < 5:
+            obs, exp = obs[:-1], exp[:-1]
+        if obs.size == 1:  # a point mass
+            assert obs[0] == per, (c, s, t)
+            continue
+        stat = float(np.sum((obs - exp) ** 2 / exp))
+        assert chdtrc(obs.size - 1, stat) > 1e-6, (c, s, t, stat)
+
+
+def test_sum_sample_without_spines_unchanged(geo):
+    counts = np.array([0, 3, 1, 0, 7])
+    plain = geo.sum_sample(stream(7, "plain"), counts)
+    explicit = geo.sum_sample(stream(7, "plain"), counts, size_biased=np.zeros(5, dtype=np.int64),
+                              pair_biased=np.zeros(5, dtype=bool))
+    assert np.array_equal(plain, explicit)
+    assert np.all(plain[counts == 0] == 0)
+
+
+def test_sum_sample_spines_need_reweighted_laws():
+    rng = stream(8, "degenerate")
+    with pytest.raises(DistributionError, match="degenerate at zero"):
+        Geometric(1.0).sum_sample(rng, np.array([2]), size_biased=np.array([1]))
+    with pytest.raises(DistributionError, match="no pair-biased law"):
+        Binomial(1, 0.5).sum_sample(rng, np.array([2]), size_biased=np.array([0]),
+                                    pair_biased=np.array([1]))
+    with pytest.raises(DistributionError, match="no pair-biased law"):
+        FiniteTable([0.0, 1.0]).sum_sample(rng, np.array([2]), pair_biased=np.array([1]))
+    # laws that are never needed are not required
+    assert Binomial(1, 0.5).sum_sample(rng, np.array([2]), size_biased=np.array([1]),
+                                       pair_biased=np.array([0])).shape == (1,)

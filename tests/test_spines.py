@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,37 @@ def test_two_spine_branch_generation_skips_zero_variance():
     env = Environment.periodic([FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.0, 1.0])])
     batch = sp.simulate_two_spine_populations(env, 6, 20_000, stream(33, "nu0"))
     assert set(batch.k.tolist()) <= {0, 2, 4}
+
+
+@pytest.mark.parametrize("env_name", ["e1", "e2"])
+def test_branch_generation_is_the_two_spine_samplers_first_draw(env_name, request):
+    env = request.getfixturevalue(env_name)
+    k = sp.sample_branch_generation(env, 10, stream(34, "k-only"), 5000)
+    batch = sp.simulate_two_spine_populations(env, 10, 5000, stream(34, "k-only"))
+    assert batch.aborted == 0
+    assert k.dtype == np.int64
+    assert np.array_equal(k, batch.k)
+    _, k_arena = sp.sample_two_spine(env, 10, stream(34, "k-arena"))
+    assert k_arena == sp.sample_branch_generation(env, 10, stream(34, "k-arena"))
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("budget, expected", [
+    (10**7, {"two": (0, 53411, 9066, "65e0c6bbb2560f75", "e3ad447d926b90d9"),
+             "one": (0, 38226, "58610498b14a71c7")}),
+    (60, {"two": (1569, 16347, 5549, "c5e72064a1dae0ef", "43ed0c8fe24722aa"),
+          "one": (884, 19242, "72b40ec2473bbb46")}),
+])
+def test_tables_only_batches_keep_their_draws(budget, expected):
+    # values pinned from the per-spine-birth batch loop: on an environment made
+    # only of tables, each spine birth is still one reweighted-table draw, in
+    # the same order, so every population and branching generation is unchanged
+    env = Environment.periodic([FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.3, 0.3, 0.2, 0.2])])
+    two = sp.simulate_two_spine_populations(env, 8, 3000, stream(41, "tables"), node_budget=budget)
+    one = sp.simulate_one_spine_populations(env, 8, 3000, stream(41, "tables"), node_budget=budget)
+    assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
+        == expected["two"]
+    assert (one.aborted, int(one.x_n.sum()), _digest(one.x_n)) == expected["one"]

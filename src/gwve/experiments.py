@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special as _scipy_special
 
 from . import oracle, pgf_engine as engine, spines
 from .environment import Environment
@@ -140,6 +139,8 @@ class ExperimentConfig:
             raise ExperimentError("evaluation grids must be nonnegative")
         if self.threads < 1 or self.chunk_size < 1:
             raise ExperimentError("threads and chunk_size must be positive")
+        if self.kn_horizon < 1:
+            raise ExperimentError("kn_horizon must be positive")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ExperimentError(f"unknown tolerance keys: {sorted(unknown)}")
@@ -250,15 +251,40 @@ def ks_statistic(samples, cdf) -> float:
 
 
 def chi_square_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
-    """Goodness-of-fit p-value of observed category counts against probs."""
+    """Goodness-of-fit p-value of observed category counts against probs.
+
+    The chi-square tail on an integer number of degrees of freedom is the
+    closed form of Abramowitz & Stegun 26.4.4-26.4.5 (see `_chi2_sf`)."""
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(probs, dtype=float) * counts.sum()
     keep = expected > 0
     if np.any(counts[~keep] > 0):
         return 0.0  # observed mass in an impossible category
     counts, expected = counts[keep], expected[keep]
-    statistic = np.sum((counts - expected) ** 2 / expected)
-    return float(_scipy_special.chdtrc(counts.size - 1, statistic))
+    if counts.size < 2:
+        return 1.0  # a single category cannot disagree with its law
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    return _chi2_sf(counts.size - 1, statistic)
+
+
+def _chi2_sf(dof: int, x: float) -> float:
+    """P(chi^2 > x) on an integer number `dof` >= 1 of degrees of freedom.
+
+    With z = x/2 and h = (dof mod 2)/2, the tail is
+    sum_{i < dof//2} e^{-z} z^{i+h} / Gamma(i+h+1), plus erfc(sqrt z) when
+    dof is odd (Abramowitz & Stegun 26.4.4-26.4.5).  Every term is positive
+    and formed in log space, so the sum loses nothing to cancellation."""
+    z = 0.5 * x
+    if z <= 0.0:
+        return 1.0
+    if math.isinf(z):
+        return 0.0
+    log_z = math.log(z)
+    h = 0.5 * (dof % 2)
+    terms = [math.exp((i + h) * log_z - z - math.lgamma(i + h + 1.0)) for i in range(dof // 2)]
+    if h:
+        terms.append(math.erfc(math.sqrt(z)))
+    return min(1.0, math.fsum(terms))
 
 
 def simpson(f, a: float, b: float, panels: int) -> float:

@@ -82,7 +82,8 @@ class OffspringDistribution:
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
                    pair_biased: np.ndarray | None = None) -> np.ndarray:
-        """Draw, for every entry c of `counts`, the sum of c iid copies.
+        """Draw, for every entry c of `counts`, the sum of c iid copies, as an
+        int64 array with the shape of `counts` (0-d for a scalar count).
 
         With `size_biased` (s in {0, 1, 2}) and `pair_biased` (t in {0, 1})
         given, each entry also adds the offspring of s size-biased and t
@@ -290,7 +291,7 @@ class FiniteTable(OffspringDistribution):
         if size_biased is not None or pair_biased is not None:
             spines = self._spine_births(rng, counts.shape, size_biased, pair_biased)
         drawn = rng.multinomial(counts, self.probs)
-        out = drawn @ np.arange(self.probs.size, dtype=np.int64)
+        out = np.asarray(drawn @ np.arange(self.probs.size, dtype=np.int64))
         if spines is not None:
             out += spines
         return out
@@ -300,8 +301,8 @@ class FiniteTable(OffspringDistribution):
         first the entries with one size-biased parent, then the pair-biased
         births, then both parents of the entries with two."""
         zero = np.zeros(shape, dtype=np.int64)
-        s = zero if size_biased is None else np.asarray(size_biased)
-        t = zero if pair_biased is None else np.asarray(pair_biased)
+        s = zero if size_biased is None else np.broadcast_to(size_biased, shape)
+        t = zero if pair_biased is None else np.broadcast_to(pair_biased, shape)
         if s.max(initial=0) > 2 or t.max(initial=0) > 1:
             raise ValueError("a table draws at most two size-biased and one pair-biased parent")
         out = np.zeros(shape, dtype=np.int64)
@@ -448,7 +449,7 @@ class Poisson(OffspringDistribution):
                    size_biased: np.ndarray | None = None,
                    pair_biased: np.ndarray | None = None) -> np.ndarray:
         shape = self._shape_sum(counts, (1, 1, 1), size_biased, pair_biased)
-        return rng.poisson(self.lam * np.asarray(shape, dtype=float)).astype(np.int64)
+        return np.asarray(rng.poisson(self.lam * np.asarray(shape, dtype=float)), dtype=np.int64)
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
         # Once r = lam/(k+1) < 1, the tail beyond k is at most q(k) r/(1-r).
@@ -530,7 +531,7 @@ class Binomial(OffspringDistribution):
                    pair_biased: np.ndarray | None = None) -> np.ndarray:
         trials = self._shape_sum(np.asarray(counts, dtype=np.int64), (self.n, self.n - 1, self.n - 2),
                                  size_biased, pair_biased)
-        return rng.binomial(trials, self.p).astype(np.int64)
+        return np.asarray(rng.binomial(trials, self.p), dtype=np.int64)
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
         return FiniteTable([self.pmf(k) for k in range(self.n + 1)])

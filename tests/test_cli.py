@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,32 @@ def test_simulate_two_spine_summary(tmp_path):
     counts = {int(line.split(",")[0]): int(line.split(",")[1]) for line in hist[1:]}
     assert sum(counts.values()) == 200_000
     assert min(counts) >= 2
+
+
+def test_simulate_two_spine_one_generation(tmp_path):
+    # K_1 has a single category, so its chi-square p-value is 1, not NaN
+    out = tmp_path / "sim"
+    rc = main(["simulate", "two-spine", "--config", str(write_config(tmp_path)), "--n", "1",
+               "--replicates", "1000", "--out", str(out), "--quiet"])
+    assert rc == 0
+    summary = json.loads((out / "simulate_two_spine_n1_summary.json").read_text())
+    assert summary["kn_chi2_pvalue"] == 1.0
+
+
+def test_check_zero_kn_horizon_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, kn_horizon=0)
+    out = tmp_path / "out"
+    assert main(["check", "identities", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, gwve.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_simulate_gw_survival(tmp_path):

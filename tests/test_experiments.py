@@ -97,6 +97,32 @@ def test_chi_square_hand_computed():
     assert p == pytest.approx(0.52709, abs=1e-5)
 
 
+def test_chi_square_single_category():
+    assert ex.chi_square_pvalue(np.array([250]), np.array([1.0])) == 1.0
+    assert ex.chi_square_pvalue(np.array([250, 0]), np.array([1.0, 0.0])) == 1.0
+
+
+def test_chi_square_overflowing_statistic():
+    # an observation in a category of subnormal probability overflows the statistic
+    with np.errstate(over="ignore"):
+        assert ex.chi_square_pvalue(np.array([1, 10, 10]), np.array([1e-320, 0.5, 0.5])) == 0.0
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy.special import chdtrc
+
+    rng = np.random.default_rng(26)
+    for dof in range(1, 300):
+        xs = [0.0, 1e-12, 1e-3, 0.5, dof, dof + 2, 400.0, 1500.0]
+        xs += rng.uniform(0.0, 3.0 * dof + 60.0, size=20).tolist()
+        for x in xs:
+            want = float(chdtrc(dof, x))
+            got = ex._chi2_sf(dof, float(x))
+            assert abs(got - want) <= 1e-13, (dof, x, got, want)
+            if want > 1e-300:
+                assert abs(got - want) <= 1e-11 * want, (dof, x, got, want)
+
+
 def test_simpson_polynomial_exact():
     assert ex.simpson(lambda x: x**3, 0.0, 2.0, 10) == pytest.approx(4.0, abs=1e-12)
 

@@ -346,6 +346,21 @@ def test_sum_sample_without_spines_unchanged(geo):
     assert np.all(plain[counts == 0] == 0)
 
 
+@pytest.mark.parametrize("dist", [Geometric(0.5), Poisson(1.0), Binomial(2, 0.5),
+                                  FiniteTable([0.25, 0.5, 0.25])])
+@pytest.mark.parametrize("counts", [3, 0, np.array([3, 0, 2])])
+@pytest.mark.parametrize("spines", [{}, {"size_biased": 1}, {"pair_biased": 1},
+                                    {"size_biased": 2, "pair_biased": 1}])
+def test_sum_sample_returns_counts_shape(dist, counts, spines):
+    drawn = dist.sum_sample(stream(9, "scalar"), counts, **spines)
+    assert isinstance(drawn, np.ndarray)
+    assert drawn.dtype == np.int64 and drawn.shape == np.shape(counts)
+    # the same draws as the one-dimensional call with every argument spelled out
+    flat = np.atleast_1d(counts)
+    full = {k: np.full(flat.shape, v) for k, v in spines.items()}
+    assert np.array_equal(np.atleast_1d(drawn), dist.sum_sample(stream(9, "scalar"), flat, **full))
+
+
 def test_sum_sample_spines_need_reweighted_laws():
     rng = stream(8, "degenerate")
     with pytest.raises(DistributionError, match="degenerate at zero"):

@@ -34,6 +34,8 @@ from .config import (
 from .experiments import DEFAULT_SEED, ExperimentError
 from .offspring import DistributionError
 
+__all__ = ["main"]
+
 CHECKS = {
     "identities": ex.run_transform_identities,
     "decomposition": ex.run_decomposition_check,
@@ -135,6 +137,8 @@ def cmd_constants(args) -> int:
 
 def cmd_classify(args) -> int:
     env, _ = _load_environment(args)
+    if args.horizon < 10:
+        raise ConfigError("horizon", "classification needs a horizon of at least 10")
     diag = env.classify(horizon=args.horizon, tol=args.tol)
     doc = {"environment": environment_spec(env), "diagnostics": diag.as_dict()}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out, args.quiet)
@@ -183,7 +187,7 @@ def cmd_simulate(args) -> int:
     if not isinstance(n, int) or n < 1:
         raise ConfigError("n", "horizon must be a positive integer")
     kind = args.kind.replace("-", "_")
-    x, k_draws, aborted = ex.collect_populations(config, f"simulate/{kind}", n, kind)
+    x, k_draws, aborted = ex.collect_populations(config, f"simulate/{kind}", [n], kind)[0]
     abort_fraction = aborted / config.replicates
     hist = np.bincount(x)
     hist_path = out_dir / f"simulate_{kind}_n{n}_histogram.csv"
@@ -212,11 +216,10 @@ def cmd_simulate(args) -> int:
         summary["kn_chi2_pvalue"] = ex.chi_square_pvalue(counts, engine.kn_pmf_vector(env, n))
     if n <= 8:
         try:
-            exact = oracle.exact_pmf(env, n, cap=config.oracle_cap)
-            law = {"gw": exact,
-                   "one_spine": oracle.transform_pmf(exact, "size_biased"),
-                   "two_spine": oracle.transform_pmf(exact, "pair_biased")}[kind]
-            summary["tv_vs_oracle"] = oracle.tv_distance(oracle.empirical_pmf(x, cap=exact.cap), law)
+            law = oracle.exact_pmf(env, n, cap=config.oracle_cap)
+            if kind != "gw":
+                law = oracle.transform_pmf(law, "size_biased" if kind == "one_spine" else "pair_biased")
+            summary["tv_vs_oracle"] = oracle.tv_distance(oracle.empirical_pmf(x, cap=law.cap), law)
         except oracle.TailBudgetError:
             summary["tv_vs_oracle"] = None
     summary_path = out_dir / f"simulate_{kind}_n{n}_summary.json"
@@ -229,6 +232,8 @@ def cmd_simulate(args) -> int:
 
 def _simulate_yaglom(config, out_dir: Path, quiet: bool) -> int:
     horizons = [n for n in config.horizons if config.wants_mc(n)]
+    if not horizons:
+        raise ConfigError("mc_horizons", "simulate yaglom needs at least one Monte Carlo horizon")
     rows, report_lines = [], ["n,survivors,ks_exp1"]
     for n, (survivors, aborted) in zip(horizons, ex.yaglom_survivors(config, horizons)):
         sample_path = out_dir / f"yaglom_samples_n{n}.csv"
@@ -245,7 +250,7 @@ def _simulate_yaglom(config, out_dir: Path, quiet: bool) -> int:
             print(f"yaglom n={n}: survivors={survivors.size} ks={ks:.5f} -> {sample_path}")
     (out_dir / "yaglom_ks.csv").write_text("\n".join(report_lines) + "\n")
     # Aborted counts are cumulative over the one pass: the largest horizon's is the total.
-    aborted = rows[-1]["aborted"] if rows else 0
+    aborted = rows[-1]["aborted"]
     summary = {
         "kind": "yaglom",
         "seed": config.seed,

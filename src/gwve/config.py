@@ -12,6 +12,7 @@ Environment specs wrap them:
     {"rule": "constant", "dist": {...}}
     {"rule": "periodic", "cycle": [{...}, {...}]}
     {"rule": "explicit", "head": [{...}], "tail": {...}}
+    {"rule": "general", "head": [{...}], "cycle": [{...}, {...}]}
 
 Experiment config files are JSON documents with an "environment" field plus
 any of: horizons, replicates, seed, s_grid, lambda_grid, tolerances,
@@ -92,6 +93,15 @@ def dist_spec(d: OffspringDistribution) -> dict:
     raise TypeError(f"cannot serialize {type(d)!r}")
 
 
+def _dist_list(spec: dict, field: str, context: str) -> list[OffspringDistribution]:
+    """A "head" list (possibly empty) or a nonempty "cycle" list of laws."""
+    items = _require(spec, field, context)
+    if not isinstance(items, list) or (field == "cycle" and not items):
+        raise ConfigError(f"{context}.{field}",
+                          "must be a nonempty list" if field == "cycle" else "must be a list")
+    return [parse_dist(d, f"{context}.{field}[{i}]") for i, d in enumerate(items)]
+
+
 def parse_environment(spec: dict, context: str = "environment") -> Environment:
     if not isinstance(spec, dict):
         raise ConfigError(context, "must be an object with a 'rule' tag")
@@ -99,20 +109,12 @@ def parse_environment(spec: dict, context: str = "environment") -> Environment:
     if rule == "constant":
         return Environment.constant(parse_dist(_require(spec, "dist", context), f"{context}.dist"))
     if rule == "periodic":
-        cycle = _require(spec, "cycle", context)
-        if not isinstance(cycle, list) or not cycle:
-            raise ConfigError(f"{context}.cycle", "must be a nonempty list")
-        return Environment.periodic(
-            [parse_dist(d, f"{context}.cycle[{i}]") for i, d in enumerate(cycle)]
-        )
+        return Environment.periodic(_dist_list(spec, "cycle", context))
     if rule == "explicit":
-        head = _require(spec, "head", context)
-        if not isinstance(head, list):
-            raise ConfigError(f"{context}.head", "must be a list")
-        return Environment.explicit(
-            [parse_dist(d, f"{context}.head[{i}]") for i, d in enumerate(head)],
-            parse_dist(_require(spec, "tail", context), f"{context}.tail"),
-        )
+        return Environment.explicit(_dist_list(spec, "head", context),
+                                    parse_dist(_require(spec, "tail", context), f"{context}.tail"))
+    if rule == "general":
+        return Environment(_dist_list(spec, "head", context), _dist_list(spec, "cycle", context))
     raise ConfigError(f"{context}.rule", f"unknown rule {rule!r}")
 
 

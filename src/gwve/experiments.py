@@ -311,24 +311,23 @@ def gamma3_cdf(x):
 # Chunked Monte Carlo driver.
 
 
-def collect_populations(config: ExperimentConfig, tag: str, horizons, kind: str,
+def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int], kind: str,
                         survivors_only: bool = False):
     """Terminal populations (and branch generations, for two-spine runs)
-    over all replicates, plus the aborted-replicate count.
+    over all replicates, plus the aborted-replicate count: one (x, k,
+    aborted) triple per horizon of the increasing list `horizons`.
 
     `kind` is "gw", "one_spine" or "two_spine".  Replicates are drawn in
     chunks with a stream per (seed, tag, largest horizon, chunk) and merged in
-    chunk order.  `horizons` is one horizon, giving one (x, k, aborted)
-    triple, or an increasing list of them, giving one triple per horizon: each
-    chunk is then simulated once, to the largest horizon, and hands over its
-    batch at every horizon on the way (plain runs only, since the law of the
-    branching generation depends on the horizon).  `survivors_only` reduces
-    each chunk to its nonzero populations before the merge."""
+    chunk order.  Each chunk is simulated once, to the largest horizon, and
+    hands over its batch at every horizon on the way (plain runs only, since
+    the law of the branching generation depends on the horizon).
+    `survivors_only` reduces each chunk to its nonzero populations before the
+    merge."""
     sampler = getattr(spines, f"simulate_{kind}_populations", None)
     if sampler is None:
         raise ValueError(f"unknown population kind {kind!r}")
-    single = isinstance(horizons, (int, np.integer))
-    hs = [horizons] if single else list(horizons)
+    hs = list(horizons)
     if not hs or any(b <= a for a, b in zip(hs, hs[1:])):
         raise ValueError("horizons must be a nonempty increasing list")
     if len(hs) > 1 and kind != "gw":
@@ -358,7 +357,7 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons, kind: str,
         xs, ks, aborted = zip(*per_horizon)
         k = None if ks[0] is None else np.concatenate(ks)
         results.append((np.concatenate(xs), k, sum(aborted)))
-    return results[0] if single else results
+    return results
 
 
 def yaglom_survivors(config: ExperimentConfig, horizons: list[int]):
@@ -430,12 +429,9 @@ def run_uniform_limit(config: ExperimentConfig) -> ExperimentReport:
     with _Timer() as t:
         sups = []
         for n in config.horizons:
-            pts = engine.partition_points(config.environment, n)
             # Midpoint grid: avoids sitting exactly on the partition atoms.
             y = (np.arange(config.y_grid_size) + 0.5) / config.y_grid_size
-            idx = np.searchsorted(pts, y, side="right") - 1
-            cdf_vals = pts[np.minimum(idx + 1, n)]
-            sup = float(np.max(np.abs(cdf_vals - y)))
+            sup = float(np.max(np.abs(engine.a_kn_cdf(config.environment, n, y) - y)))
             norm = engine.partition_norm(config.environment, n)
             sups.append(sup)
             final = n == config.horizons[-1]
@@ -495,11 +491,11 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
             sb = oracle.transform_pmf(p, "size_biased")
             pb = oracle.transform_pmf(p, "pair_biased")
 
-            x1, _, ab1 = collect_populations(config, "identities/one", n, "one_spine")
+            x1, _, ab1 = collect_populations(config, "identities/one", [n], "one_spine")[0]
             tv1 = oracle.tv_distance(oracle.empirical_pmf(x1, cap=p.cap), sb)
             rows.append(_row(n, "tv_one_spine", tv1, "le", tv_tol, note))
 
-            x2, _, ab2 = collect_populations(config, "identities/two", n, "two_spine")
+            x2, _, ab2 = collect_populations(config, "identities/two", [n], "two_spine")[0]
             tv2 = oracle.tv_distance(oracle.empirical_pmf(x2, cap=p.cap), pb)
             rows.append(_row(n, "tv_two_spine", tv2, "le", tv_tol, note))
             aborted += ab1 + ab2
@@ -634,7 +630,7 @@ def run_exponential_characterization(config: ExperimentConfig) -> ExperimentRepo
                              config.tol("closed_form")))
         n = config.horizons[-1]
         if config.wants_mc(n):
-            x, _, ab = collect_populations(config, "exponential", n, "two_spine")
+            x, _, ab = collect_populations(config, "exponential", [n], "two_spine")[0]
             aborted += ab
             ks = ks_statistic(x / env.a(n), gamma3_cdf)
             rows.append(_row(n, "ks_pair_biased_gamma3", ks, "le", config.tol("ks")))

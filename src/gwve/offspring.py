@@ -46,15 +46,41 @@ class DistributionError(ValueError):
     """Raised when an operation is undefined for the given distribution."""
 
 
+def _on_floats(formula, x, *args):
+    """formula(x, *args) with x as float64: an array stays an array, and a
+    scalar goes in as a numpy scalar (far cheaper than a 0-d array) and comes
+    back as a float."""
+    x = np.asarray(x, dtype=float)
+    return formula(x, *args) if x.ndim else float(formula(x[()], *args))
+
+
 class OffspringDistribution:
-    """Common interface for one generation's offspring law."""
+    """Common interface for one generation's offspring law.
+
+    A family supplies only its formulas: `_key` (its parameters, which define
+    equality and the hash), `_pmf(k)` for k >= 0, `_pgf(s, order)` and
+    `_branch_survival(u)` on a float64 array or numpy scalar, and
+    `_draw(rng, size)`.  The public methods here check and convert the
+    arguments, and return a float for a scalar argument."""
+
+    _key: tuple
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._key == self._key
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._key))
 
     def pmf(self, k: int) -> float:
-        raise NotImplementedError
+        if k < 0:
+            raise ValueError("support is the nonnegative integers")
+        return self._pmf(k)
 
     def pgf(self, s, order: int = 0):
         """Evaluate f(s), f'(s), f''(s) or f'''(s); accepts scalars or arrays."""
-        raise NotImplementedError
+        if order not in (0, 1, 2, 3):
+            raise ValueError("order must be in {0, 1, 2, 3}")
+        return _on_floats(self._pgf, s, order)
 
     def mean(self) -> float:
         """f'(1)."""
@@ -74,10 +100,12 @@ class OffspringDistribution:
         If each child's lineage independently survives with probability u,
         this is the probability that at least one lineage survives.
         """
-        raise NotImplementedError
+        return _on_floats(self._branch_survival, u)
 
     def sample(self, rng: np.random.Generator, size=None):
-        raise NotImplementedError
+        """One draw as an int, or an int64 array of the given size."""
+        out = self._draw(rng, size)
+        return int(out) if size is None else out.astype(np.int64)
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
@@ -220,6 +248,7 @@ class FiniteTable(OffspringDistribution):
         last = int(np.max(np.nonzero(p)[0])) if np.any(p > 0) else 0
         self.probs = p[: last + 1].copy()
         self.probs.setflags(write=False)
+        self._key = tuple(self.probs.tolist())
         self._cdf = np.cumsum(self.probs)
         k = np.arange(self.probs.size, dtype=float)
         self._moments = (
@@ -236,26 +265,12 @@ class FiniteTable(OffspringDistribution):
     def __repr__(self) -> str:
         return f"FiniteTable({np.round(self.probs, 12).tolist()})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteTable) and self.probs.shape == other.probs.shape \
-            and bool(np.all(self.probs == other.probs))
-
-    def __hash__(self) -> int:
-        return hash(self.probs.tobytes())
-
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("support is the nonnegative integers")
+    def _pmf(self, k: int) -> float:
         return float(self.probs[k]) if k < self.probs.size else 0.0
 
-    def pgf(self, s, order: int = 0):
-        if order not in (0, 1, 2, 3):
-            raise ValueError("order must be in {0, 1, 2, 3}")
+    def _pgf(self, s, order):
         c = self._dcoefs[order]
-        if c.size == 0:
-            return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
-        out = np.polynomial.polynomial.polyval(s, c)
-        return out if np.ndim(s) else float(out)
+        return np.polynomial.polynomial.polyval(s, c) if c.size else np.zeros_like(s)
 
     def mean(self) -> float:
         return self._moments[0]
@@ -266,22 +281,16 @@ class FiniteTable(OffspringDistribution):
     def third_factorial(self) -> float:
         return self._moments[2]
 
-    def branch_survival(self, u):
-        u_arr = np.asarray(u, dtype=float)
+    def _branch_survival(self, u):
         k = np.arange(1, self.probs.size, dtype=float)
-        if k.size == 0:
-            return np.zeros_like(u_arr) if np.ndim(u) else 0.0
         # 1 - (1-u)^k, stable for u near 0; k >= 1 so u = 1 is fine too.
         with np.errstate(divide="ignore"):
-            terms = -np.expm1(np.multiply.outer(np.log1p(-u_arr), k))
-        out = terms @ self.probs[1:]
-        return out if np.ndim(u) else float(out)
+            terms = -np.expm1(np.multiply.outer(np.log1p(-u), k))
+        return terms @ self.probs[1:]
 
-    def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random(size)
-        idx = np.searchsorted(self._cdf, u, side="right")
-        idx = np.minimum(idx, self.probs.size - 1)
-        return int(idx) if size is None else idx.astype(np.int64)
+    def _draw(self, rng, size):
+        idx = np.searchsorted(self._cdf, rng.random(size), side="right")
+        return np.minimum(idx, self.probs.size - 1)
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
@@ -332,27 +341,17 @@ class Geometric(OffspringDistribution):
         if not (0.0 < p <= 1.0):
             raise DistributionError("geometric parameter must satisfy 0 < p <= 1")
         self.p = float(p)
+        self._key = (self.p,)
 
     def __repr__(self) -> str:
         return f"Geometric(p={self.p!r})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Geometric) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("geometric", self.p))
-
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("support is the nonnegative integers")
+    def _pmf(self, k: int) -> float:
         return self.p * (1.0 - self.p) ** k
 
-    def pgf(self, s, order: int = 0):
-        if order not in (0, 1, 2, 3):
-            raise ValueError("order must be in {0, 1, 2, 3}")
+    def _pgf(self, s, order):
         q = 1.0 - self.p
-        out = math.factorial(order) * self.p * q**order / (1.0 - q * np.asarray(s, dtype=float)) ** (order + 1)
-        return out if np.ndim(s) else float(out)
+        return math.factorial(order) * self.p * q**order / (1.0 - q * s) ** (order + 1)
 
     def mean(self) -> float:
         return (1.0 - self.p) / self.p
@@ -363,15 +362,12 @@ class Geometric(OffspringDistribution):
     def third_factorial(self) -> float:
         return 6.0 * (1.0 - self.p) ** 3 / self.p**3
 
-    def branch_survival(self, u):
+    def _branch_survival(self, u):
         q = 1.0 - self.p
-        u_arr = np.asarray(u, dtype=float)
-        out = q * u_arr / (self.p + q * u_arr)
-        return out if np.ndim(u) else float(out)
+        return q * u / (self.p + q * u)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        out = rng.geometric(self.p, size) - 1
-        return int(out) if size is None else out.astype(np.int64)
+    def _draw(self, rng, size):
+        return rng.geometric(self.p, size) - 1
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
@@ -406,26 +402,16 @@ class Poisson(OffspringDistribution):
         if not (lam > 0.0 and math.isfinite(lam)):
             raise DistributionError("poisson parameter must be positive and finite")
         self.lam = float(lam)
+        self._key = (self.lam,)
 
     def __repr__(self) -> str:
         return f"Poisson(lam={self.lam!r})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poisson) and self.lam == other.lam
-
-    def __hash__(self) -> int:
-        return hash(("poisson", self.lam))
-
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("support is the nonnegative integers")
+    def _pmf(self, k: int) -> float:
         return math.exp(k * math.log(self.lam) - self.lam - math.lgamma(k + 1))
 
-    def pgf(self, s, order: int = 0):
-        if order not in (0, 1, 2, 3):
-            raise ValueError("order must be in {0, 1, 2, 3}")
-        out = self.lam**order * np.exp(self.lam * (np.asarray(s, dtype=float) - 1.0))
-        return out if np.ndim(s) else float(out)
+    def _pgf(self, s, order):
+        return self.lam**order * np.exp(self.lam * (s - 1.0))
 
     def mean(self) -> float:
         return self.lam
@@ -436,14 +422,11 @@ class Poisson(OffspringDistribution):
     def third_factorial(self) -> float:
         return self.lam**3
 
-    def branch_survival(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        out = -np.expm1(-self.lam * u_arr)
-        return out if np.ndim(u) else float(out)
+    def _branch_survival(self, u):
+        return -np.expm1(-self.lam * u)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        out = rng.poisson(self.lam, size)
-        return int(out) if size is None else out.astype(np.int64)
+    def _draw(self, rng, size):
+        return rng.poisson(self.lam, size)
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
@@ -481,32 +464,21 @@ class Binomial(OffspringDistribution):
             raise DistributionError("binomial parameter must satisfy 0 < p <= 1")
         self.n = int(n)
         self.p = float(p)
+        self._key = (self.n, self.p)
 
     def __repr__(self) -> str:
         return f"Binomial(n={self.n}, p={self.p!r})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Binomial) and self.n == other.n and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("binomial", self.n, self.p))
-
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("support is the nonnegative integers")
+    def _pmf(self, k: int) -> float:
         if k > self.n:
             return 0.0
         return math.comb(self.n, k) * self.p**k * (1.0 - self.p) ** (self.n - k)
 
-    def pgf(self, s, order: int = 0):
-        if order not in (0, 1, 2, 3):
-            raise ValueError("order must be in {0, 1, 2, 3}")
+    def _pgf(self, s, order):
         if order > self.n:
-            return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
+            return np.zeros_like(s)
         falling = math.prod(range(self.n - order + 1, self.n + 1))
-        base = 1.0 - self.p + self.p * np.asarray(s, dtype=float)
-        out = falling * self.p**order * base ** (self.n - order)
-        return out if np.ndim(s) else float(out)
+        return falling * self.p**order * (1.0 - self.p + self.p * s) ** (self.n - order)
 
     def mean(self) -> float:
         return self.n * self.p
@@ -517,14 +489,11 @@ class Binomial(OffspringDistribution):
     def third_factorial(self) -> float:
         return self.n * (self.n - 1) * (self.n - 2) * self.p**3
 
-    def branch_survival(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        out = -np.expm1(self.n * np.log1p(-self.p * u_arr))
-        return out if np.ndim(u) else float(out)
+    def _branch_survival(self, u):
+        return -np.expm1(self.n * np.log1p(-self.p * u))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        out = rng.binomial(self.n, self.p, size)
-        return int(out) if size is None else out.astype(np.int64)
+    def _draw(self, rng, size):
+        return rng.binomial(self.n, self.p, size)
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,

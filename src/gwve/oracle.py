@@ -71,21 +71,11 @@ class ExactPmf:
         k = np.arange(self.probs.size, dtype=float)
         return math.fsum((k * (k - 1.0) * self.probs).tolist())
 
-    def laplace_tail_bound(self, lam: float) -> float:
-        """Upper bound on the tail's contribution to the Laplace transform."""
-        return self.tail_mass * math.exp(-lam * (self.cap + 1))
-
     def check_budget(self, budget: float = DEFAULT_TAIL_BUDGET) -> None:
         if self.tail_mass > budget:
             raise TailBudgetError(
                 f"tail mass {self.tail_mass!r} exceeds budget {budget!r}"
             )
-
-    def csv_rows(self):
-        """(k, probability) rows followed by a trailing tail-mass row."""
-        for k, p in enumerate(self.probs):
-            yield k, float(p)
-        yield "tail", self.tail_mass
 
 
 def _step(probs: np.ndarray, tail: float, q: np.ndarray, cap: int) -> tuple[np.ndarray, float]:

@@ -17,11 +17,12 @@ overflow nor flush them to zero; a vanishing factor f'_l(v_l) = 0 needs no
 special case.  s is a scalar or a 1-d grid, and a grid is the trailing axis of
 every array the sweep records, so one sweep serves a whole lambda grid.
 
-On top of the sweep sit the Laplace transforms of the plain, size-biased,
-pair-biased and hanging-subtree populations (lambda a scalar or a 1-d array),
-the law of the spine branching generation K_n, the normalizer ratios A_{n,m}
-with their step-function CDF, and the two sides of the spine decomposition
-identity, whose sum over m is one array expression.
+On top of the sweep sit the Laplace transforms of the size-biased,
+pair-biased and hanging-subtree populations (lambda a scalar or a 1-d array;
+the plain one is `compose(env, 0, n, exp(-lambda))`), the law of the spine
+branching generation K_n, the partition points A_{n,m} with the step CDF of
+A_{n,K_n} over a scalar or an array of y, and the two sides of the spine
+decomposition identity, whose sum over m is one array expression.
 
 Quantities of the form 1 - f_{m,n}(s) (survival probabilities, conditional
 transforms) are computed by iterating the complement map u -> 1 - f(1 - u)
@@ -47,7 +48,6 @@ __all__ = [
     "d2_compose",
     "one_minus_compose",
     "survival_prob",
-    "laplace_z",
     "laplace_zdot",
     "laplace_zddot",
     "laplace_zdot_shifted",
@@ -55,9 +55,7 @@ __all__ = [
     "laplace_hanging_qddot",
     "g_ratio",
     "g_gap_profile",
-    "kn_pmf",
     "kn_pmf_vector",
-    "a_ratio",
     "partition_points",
     "partition_norm",
     "a_kn_cdf",
@@ -214,11 +212,6 @@ def _trace(env: Environment, n: int, lam: np.ndarray, trace: CompositionTrace | 
     return trace if trace is not None else CompositionTrace(env, n, np.exp(-lam))
 
 
-def laplace_z(env: Environment, n: int, lam):
-    """E[exp(-lam Z_n)]."""
-    return compose(env, 0, n, np.exp(-_lambdas(lam)))
-
-
 def laplace_zdot(env: Environment, n: int, lam, trace: CompositionTrace | None = None):
     """E[exp(-lam Zdot_n)] = f'_{0,n}(e^-lam) e^-lam / mu_n."""
     lam = _lambdas(lam)
@@ -330,30 +323,16 @@ def _s_n(env: Environment, n: int) -> float:
     return s_n
 
 
-def kn_pmf(env: Environment, n: int, r: int) -> float:
-    """P(K_n = r) = (nu_{r+1}/mu_r) / S_n."""
-    if not 0 <= r <= n - 1:
-        raise ValueError("need 0 <= r <= n-1")
-    return float(env.nu_over_mu_terms(n)[r]) / _s_n(env, n)
-
-
 def kn_pmf_vector(env: Environment, n: int) -> np.ndarray:
-    """The full law of K_n on {0, ..., n-1}."""
+    """The law of K_n on {0, ..., n-1}: P(K_n = r) = (nu_{r+1}/mu_r) / S_n."""
     if n < 1:
         raise ValueError("need n >= 1")
     return env.nu_over_mu_terms(n) / _s_n(env, n)
 
 
-def a_ratio(env: Environment, n: int, m: int) -> float:
-    """A_{n,m} = a^{(m+1)}_{n-(m+1)} / a_n = sum_{j>m} (nu_{j+1}/mu_j) / S_n."""
-    if not 0 <= m < n:
-        raise ValueError("need 0 <= m < n")
-    s_n = _s_n(env, n)
-    return math.fsum(env.nu_over_mu_terms(n)[m + 1 :].tolist()) / s_n
-
-
 def partition_points(env: Environment, n: int) -> np.ndarray:
-    """The points 0 = Pi_0 <= ... <= Pi_n = 1 with Pi_k = A_{n,n-k-1}."""
+    """The points 0 = Pi_0 <= ... <= Pi_n = 1 with Pi_k = A_{n,n-k-1}, where
+    A_{n,m} = a^{(m+1)}_{n-(m+1)} / a_n = sum_{j>m} (nu_{j+1}/mu_j) / S_n."""
     if n < 1:
         raise ValueError("need n >= 1")
     terms = env.nu_over_mu_terms(n)
@@ -367,15 +346,14 @@ def partition_norm(env: Environment, n: int) -> float:
     return float(np.max(kn_pmf_vector(env, n)))
 
 
-def a_kn_cdf(env: Environment, n: int, y: float) -> float:
-    """P(A_{n,K_n} <= y): the step function through the partition points."""
-    if not 0.0 <= y <= 1.0:
+def a_kn_cdf(env: Environment, n: int, y):
+    """P(A_{n,K_n} <= y), the step function through the partition points, for
+    a scalar y or an array of them."""
+    y = np.asarray(y, dtype=float)
+    if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError("y must lie in [0, 1]")
-    if y >= 1.0:
-        return 1.0
     pts = partition_points(env, n)
-    l = int(np.searchsorted(pts, y, side="right")) - 1
-    return float(pts[l + 1])
+    return _out(pts[np.minimum(np.searchsorted(pts, y, side="right"), n)])
 
 
 def kolmogorov_ratio(env: Environment, n: int) -> float:

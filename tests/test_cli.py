@@ -57,6 +57,11 @@ def test_classify_labels(capsys):
     assert doc["diagnostics"]["label"] == "supercritical"
 
 
+def test_classify_short_horizon_exit_2(capsys):
+    assert main(["classify", "--env", E1_SPEC, "--horizon", "5"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_check_decomposition_pass(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -148,6 +153,20 @@ def test_simulate_gw_survival(tmp_path):
     )
     phat = survived / summary["completed"]
     assert abs(phat - 0.25) < 3 * (0.25 * 0.75 / 100_000) ** 0.5
+
+
+@pytest.mark.parametrize("kind", ["gw", "one-spine"])
+def test_simulate_without_pair_biased_law(tmp_path, kind):
+    # f''(1) = 0: the pair-biased law does not exist, and neither run needs it
+    env = {"rule": "constant", "dist": {"kind": "table", "pmf": [0.5, 0.5]}}
+    config = write_config(tmp_path, environment=env, replicates=20_000)
+    out = tmp_path / "sim"
+    assert main(["simulate", kind, "--config", str(config), "--n", "3",
+                 "--out", str(out), "--quiet"]) == 0
+    name = kind.replace("-", "_")
+    summary = json.loads((out / f"simulate_{name}_n3_summary.json").read_text())
+    assert isinstance(summary["tv_vs_oracle"], float)
+    assert 0.0 <= summary["tv_vs_oracle"] < 0.02
 
 
 def test_simulate_yaglom_outputs(tmp_path):
@@ -254,6 +273,15 @@ def test_simulate_yaglom_rejects_horizon_flag_exit_2(tmp_path, capsys):
                "--out", str(tmp_path / "yag"), "--quiet"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_yaglom_without_mc_horizons_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, horizons=[20], replicates=1000, mc_horizons=[])
+    out = tmp_path / "yag"
+    rc = main(["simulate", "yaglom", "--config", str(config), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "yaglom_ks.csv").exists()
 
 
 def test_negative_seed_exit_2(tmp_path, capsys):

@@ -250,8 +250,8 @@ def test_reports_reproducible_and_thread_invariant(tmp_path, e2):
 def test_collection_is_thread_invariant(e1):
     a = cfg(e1, horizons=[5], replicates=100_000, chunk_size=1 << 20)
     b = cfg(e1, horizons=[5], replicates=100_000, chunk_size=1 << 20, threads=3)
-    xa, _, _ = ex.collect_populations(a, "t", 5, "gw")
-    xb, _, _ = ex.collect_populations(b, "t", 5, "gw")
+    xa, _, _ = ex.collect_populations(a, "t", [5], "gw")[0]
+    xb, _, _ = ex.collect_populations(b, "t", [5], "gw")[0]
     assert np.array_equal(xa, xb)
 
 

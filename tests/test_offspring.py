@@ -75,6 +75,37 @@ def test_pgf_rejects_bad_order(geo):
         geo.pgf(0.5, 4)
 
 
+FAMILIES = [Geometric(0.5), Poisson(1.0), Binomial(2, 0.5), Binomial(1, 0.3),
+            FiniteTable([0.25, 0.5, 0.25]), FiniteTable([1.0])]
+
+
+@pytest.mark.parametrize("dist", FAMILIES)
+def test_scalar_in_float_out_array_in_array_out(dist):
+    grid = np.array([0.0, 0.3, 1.0])
+    for order in range(4):
+        assert isinstance(dist.pgf(0.3, order), float)
+        out = dist.pgf(grid, order)
+        assert isinstance(out, np.ndarray) and out.shape == grid.shape
+        assert out.tolist() == [dist.pgf(s, order) for s in grid.tolist()]
+    assert isinstance(dist.branch_survival(0.2), float)
+    assert dist.branch_survival(grid).tolist() == [dist.branch_survival(u) for u in grid.tolist()]
+    assert type(dist.sample(np.random.default_rng(0))) is int
+    assert dist.sample(np.random.default_rng(0), size=3).dtype == np.int64
+    with pytest.raises(ValueError):
+        dist.pmf(-1)
+
+
+def test_equality_and_hash_follow_the_parameters():
+    assert FiniteTable([-0.0, 1.0]) == FiniteTable([0.0, 1.0])
+    assert hash(FiniteTable([-0.0, 1.0])) == hash(FiniteTable([0.0, 1.0]))
+    assert FiniteTable([0.5, 0.5, 0.0]) == FiniteTable([0.5, 0.5])
+    assert Geometric(0.5) == Geometric(0.5) and hash(Geometric(0.5)) == hash(Geometric(0.5))
+    assert Binomial(2, 0.5) != Binomial(3, 0.5)
+    assert Poisson(1.0) != Geometric(1.0)
+    assert FiniteTable([1.0]) != Geometric(1.0)  # the same law, but another family
+    assert len({Geometric(0.5), Geometric(0.5), Poisson(0.5)}) == 2
+
+
 def test_pgf_derivatives_match_finite_differences():
     h = 1e-6
     for dist in (Geometric(0.4), Poisson(1.2), Binomial(4, 0.3), FiniteTable([0.2, 0.3, 0.5])):

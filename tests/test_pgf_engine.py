@@ -18,6 +18,11 @@ def lf_compose(n, s):
     return (n - (n - 1) * s) / ((n + 1) - n * s)
 
 
+def _laplace_z(env, n, lam):
+    """E[exp(-lam Z_n)] = f_{0,n}(e^-lam), for a scalar or a grid lambda."""
+    return en.compose(env, 0, n, np.exp(-np.asarray(lam, dtype=float)))
+
+
 # ----------------------------------------------------------------------
 # composition and derivatives
 
@@ -103,7 +108,7 @@ def test_range_validation(e1):
     with pytest.raises(ValueError):
         en.compose(e1, 0, 2, 1.5)
     with pytest.raises(ValueError):
-        en.laplace_z(e1, 2, -0.1)
+        en.laplace_zdot(e1, 2, -0.1)
 
 
 # ----------------------------------------------------------------------
@@ -131,9 +136,9 @@ def test_one_minus_compose_matches_direct(e2):
 
 
 def test_laplace_z(e1):
-    assert en.laplace_z(e1, 5, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert en.laplace_z(e1, 2, math.log(2)) == pytest.approx(0.75, abs=1e-14)
-    assert en.laplace_z(e1, 0, 1.3) == pytest.approx(math.exp(-1.3), abs=1e-15)
+    assert _laplace_z(e1, 5, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert _laplace_z(e1, 2, math.log(2)) == pytest.approx(0.75, abs=1e-14)
+    assert _laplace_z(e1, 0, 1.3) == pytest.approx(math.exp(-1.3), abs=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +200,7 @@ def test_laplace_normalization_at_zero(e1, e2, lam):
         return
     for env in (e1, e2):
         for n in (1, 3, 17):
-            assert en.laplace_z(env, n, 0.0) == pytest.approx(1.0, abs=1e-12)
+            assert _laplace_z(env, n, 0.0) == pytest.approx(1.0, abs=1e-12)
             assert en.laplace_zdot(env, n, 0.0) == pytest.approx(1.0, abs=1e-12)
             assert en.laplace_zddot(env, n, 0.0) == pytest.approx(1.0, abs=1e-12)
             for m in range(n):
@@ -208,7 +213,7 @@ def test_laplace_monotone_in_lambda(e1, e2):
     grid = np.linspace(0.0, 5.0, 11)
     for env in (e1, e2):
         n = 7
-        for op in (en.laplace_z, en.laplace_zdot, en.laplace_zddot):
+        for op in (_laplace_z, en.laplace_zdot, en.laplace_zddot):
             vals = [op(env, n, lam) for lam in grid]
             assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
@@ -220,33 +225,36 @@ def test_laplace_monotone_in_lambda(e1, e2):
 def test_kn_pmf_constant_uniform(e1):
     for n in (1, 5, 10):
         for r in range(n):
-            assert en.kn_pmf(e1, n, r) == pytest.approx(1.0 / n, abs=1e-13)
+            assert en.kn_pmf_vector(e1, n)[r] == pytest.approx(1.0 / n, abs=1e-13)
 
 
 def test_kn_pmf_e2(e2):
-    assert en.kn_pmf(e2, 2, 0) == pytest.approx(0.8, abs=1e-13)
-    assert en.kn_pmf(e2, 2, 1) == pytest.approx(0.2, abs=1e-13)
+    assert en.kn_pmf_vector(e2, 2)[0] == pytest.approx(0.8, abs=1e-13)
+    assert en.kn_pmf_vector(e2, 2)[1] == pytest.approx(0.2, abs=1e-13)
 
 
 def test_kn_pmf_sums_to_one(e1, e2):
     for env in (e1, e2):
         for n in (1, 7, 33):
             assert math.fsum(en.kn_pmf_vector(env, n).tolist()) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        en.kn_pmf(e1, 5, 5)
+
+
+def _a_ratio(env, n, m):
+    """A_{n,m}, read off the partition: Pi_k = A_{n,n-k-1}."""
+    return en.partition_points(env, n)[n - m - 1]
 
 
 def test_a_ratio_values(e1):
-    assert en.a_ratio(e1, 5, 2) == pytest.approx(0.4, abs=1e-13)
-    assert en.a_ratio(e1, 5, 4) == 0.0
+    assert _a_ratio(e1, 5, 2) == pytest.approx(0.4, abs=1e-13)
+    assert _a_ratio(e1, 5, 4) == 0.0
     for n in (4, 9):
         for m in range(n):
-            assert en.a_ratio(e1, n, m) == pytest.approx((n - 1 - m) / n, abs=1e-13)
+            assert _a_ratio(e1, n, m) == pytest.approx((n - 1 - m) / n, abs=1e-13)
 
 
 def test_a_ratio_strictly_decreasing_in_m(e2):
     n = 12
-    vals = [en.a_ratio(e2, n, m) for m in range(n)]
+    vals = [_a_ratio(e2, n, m) for m in range(n)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -254,7 +262,7 @@ def test_a_ratio_cross_check_via_shift(e1, e2):
     for env in (e1, e2):
         for n in (5, 12):
             for m in range(n - 1):
-                lhs = en.a_ratio(env, n, m) * env.a(n)
+                lhs = _a_ratio(env, n, m) * env.a(n)
                 rhs = env.shift(m + 1).a(n - (m + 1))
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -265,9 +273,17 @@ def test_a_kn_cdf_step_values(e1):
     assert en.a_kn_cdf(e1, 10, 1.0) == 1.0
 
 
+def test_a_kn_cdf_array_matches_scalars(e2):
+    ys = [0.0, 0.05, 0.5, 0.999, 1.0]
+    _assert_grid_matches_scalars(lambda y: en.a_kn_cdf(e2, 7, y), ys)
+    assert isinstance(en.a_kn_cdf(e2, 7, 0.5), float)
+
+
 def test_a_kn_cdf_y_validation(e1):
     with pytest.raises(ValueError):
         en.a_kn_cdf(e1, 5, 1.5)
+    with pytest.raises(ValueError):
+        en.a_kn_cdf(e1, 5, np.array([0.5, -0.1]))
 
 
 def test_partition_norm(e1, e2):
@@ -476,8 +492,7 @@ def test_s_n_overflow_raises():
     env = Environment.constant(Geometric(0.6))
     n = 1800
     assert env.cum_nu_over_mu(n) == math.inf
-    for call in (lambda: en.kn_pmf(env, n, 0), lambda: en.kn_pmf_vector(env, n),
-                 lambda: en.laplace_zddot(env, n, 0.0), lambda: en.a_ratio(env, n, 0),
+    for call in (lambda: en.kn_pmf_vector(env, n), lambda: en.laplace_zddot(env, n, 0.0),
                  lambda: en.partition_points(env, n)):
         with pytest.raises(DistributionError):
             call()
@@ -496,7 +511,7 @@ def test_lambda_grid_matches_scalar(env_name, request):
     env = request.getfixturevalue(env_name)
     lams = [0.0, 0.1, 0.7, 2.0, 5.0]
     n, m = 9, 3
-    for f in (en.laplace_z, en.laplace_zdot, en.laplace_zddot, en.g_gap_profile, en.two_spine_rhs):
+    for f in (_laplace_z, en.laplace_zdot, en.laplace_zddot, en.g_gap_profile, en.two_spine_rhs):
         _assert_grid_matches_scalars(lambda x: f(env, n, x), lams)
     for f in (en.laplace_zdot_shifted, en.laplace_hanging_qdot, en.laplace_hanging_qddot, en.g_ratio):
         _assert_grid_matches_scalars(lambda x: f(env, n, m, x), lams)
@@ -515,7 +530,7 @@ def test_s_grid_matches_scalar_with_vanishing_factor():
         for m in (0, 3, n - 1, n):
             _assert_grid_matches_scalars(lambda s: f(env, m, n, s), points)
     lams = [0.0, 1.0, math.inf]  # s = 1, e^-1, 0
-    for f in (en.laplace_z, en.laplace_zdot, en.laplace_zddot):
+    for f in (_laplace_z, en.laplace_zdot, en.laplace_zddot):
         _assert_grid_matches_scalars(lambda x: f(env, n, x), lams)
     for f in (en.laplace_zdot_shifted, en.laplace_hanging_qdot, en.laplace_hanging_qddot):
         _assert_grid_matches_scalars(lambda x: f(env, n, 2, x), lams)

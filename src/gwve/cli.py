@@ -140,8 +140,11 @@ def cmd_classify(args) -> int:
     if args.horizon < 10:
         raise ConfigError("horizon", "classification needs a horizon of at least 10")
     diag = env.classify(horizon=args.horizon, tol=args.tol)
-    doc = {"environment": environment_spec(env), "diagnostics": diag.as_dict()}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out, args.quiet)
+    # JSON has no NaN or infinity: a diagnostic with no finite value is null.
+    diagnostics = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for key, v in diag.as_dict().items()}
+    doc = {"environment": environment_spec(env), "diagnostics": diagnostics}
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", args.out, args.quiet)
     return 0
 
 
@@ -187,14 +190,14 @@ def cmd_simulate(args) -> int:
     if not isinstance(n, int) or n < 1:
         raise ConfigError("n", "horizon must be a positive integer")
     kind = args.kind.replace("-", "_")
-    x, k_draws, aborted = ex.collect_populations(config, f"simulate/{kind}", [n], kind)[0]
+    run = ex.collect_populations(config, f"simulate/{kind}", [n], kind)[0]
+    aborted, completed = run.aborted, run.completed
     abort_fraction = aborted / config.replicates
-    hist = np.bincount(x)
     hist_path = out_dir / f"simulate_{kind}_n{n}_histogram.csv"
     lines = ["k,count,frequency"]
-    for k, c in enumerate(hist):
+    for k, c in enumerate(run.counts):
         if c:
-            lines.append(f"{k},{int(c)},{c / x.size!r}")
+            lines.append(f"{k},{int(c)},{float(c / completed)!r}")
     hist_path.write_text("\n".join(lines) + "\n")
 
     summary = {
@@ -202,30 +205,32 @@ def cmd_simulate(args) -> int:
         "n": n,
         "seed": config.seed,
         "replicates": config.replicates,
-        "completed": int(x.size),
+        "completed": completed,
         "aborted": aborted,
         "abort_fraction": abort_fraction,
-        "mean": float(x.mean()) if x.size else None,
+        "mean": float(np.arange(run.counts.size) @ run.counts) / completed if completed else None,
     }
-    if k_draws is not None:
+    if run.k_counts is not None:
         k_path = out_dir / f"simulate_{kind}_n{n}_kn_histogram.csv"
-        counts = np.bincount(k_draws, minlength=n)
         k_path.write_text(
-            "\n".join(["k,count"] + [f"{i},{int(c)}" for i, c in enumerate(counts)]) + "\n"
+            "\n".join(["k,count"] + [f"{i},{int(c)}" for i, c in enumerate(run.k_counts)]) + "\n"
         )
-        summary["kn_chi2_pvalue"] = ex.chi_square_pvalue(counts, engine.kn_pmf_vector(env, n))
-    if n <= 8:
+        summary["kn_chi2_pvalue"] = ex.chi_square_pvalue(run.k_counts, engine.kn_pmf_vector(env, n))
+    if n <= 8 and not completed:
+        summary["tv_vs_oracle"] = None  # every replicate aborted: no sample to compare
+    elif n <= 8:
         try:
             law = oracle.exact_pmf(env, n, cap=config.oracle_cap)
             if kind != "gw":
                 law = oracle.transform_pmf(law, "size_biased" if kind == "one_spine" else "pair_biased")
-            summary["tv_vs_oracle"] = oracle.tv_distance(oracle.empirical_pmf(x, cap=law.cap), law)
+            summary["tv_vs_oracle"] = oracle.tv_distance(oracle.histogram_pmf(run.counts, cap=law.cap),
+                                                         law)
         except oracle.TailBudgetError:
             summary["tv_vs_oracle"] = None
     summary_path = out_dir / f"simulate_{kind}_n{n}_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if not args.quiet:
-        print(f"simulated {args.kind} at n={n}: {x.size} replicates, {aborted} aborted")
+        print(f"simulated {args.kind} at n={n}: {completed} replicates, {aborted} aborted")
         print(f"histogram: {hist_path}  summary: {summary_path}")
     return 0 if abort_fraction <= 0.01 else 1
 

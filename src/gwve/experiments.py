@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ __all__ = [
     "ReportRow",
     "reference_environment",
     "ks_statistic",
+    "ks_statistic_counts",
     "chi_square_pvalue",
     "simpson",
     "run_decomposition_check",
@@ -53,6 +55,7 @@ __all__ = [
     "run_transform_identities",
     "run_yaglom",
     "run_exponential_characterization",
+    "Collected",
     "collect_populations",
     "yaglom_survivors",
 ]
@@ -102,6 +105,14 @@ def reference_environment(name: str) -> Environment:
 # Config and report containers.
 
 
+def _available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class ExperimentConfig:
     environment: Environment
@@ -113,7 +124,7 @@ class ExperimentConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
     mc_horizons: list[int] | None = None  # None: Monte Carlo at every horizon
     min_survivors: int = 1000
-    threads: int = 1
+    threads: int = field(default_factory=_available_cores)
     chunk_size: int = 1 << 17
     node_budget: int = spines.DEFAULT_NODE_BUDGET
     oracle_cap: int = oracle.DEFAULT_CAP
@@ -250,6 +261,27 @@ def ks_statistic(samples, cdf) -> float:
     return max(d_plus, d_minus)
 
 
+def ks_statistic_counts(values, counts, cdf) -> float:
+    """`ks_statistic` of the sample that holds counts[j] copies of values[j],
+    for strictly increasing values, computed without expanding the sample.
+
+    Within a run of ties the sorted-sample extremes sit at its last index
+    (d_plus) and its first (d_minus), so both maxima are taken over the
+    cumulative counts, with the same arithmetic as on the expanded sample."""
+    v = np.asarray(values, dtype=float)
+    c = np.asarray(counts)
+    keep = c > 0
+    v, c = v[keep], c[keep]
+    if v.size == 0:
+        raise ValueError("need at least one sample")
+    f = np.asarray(cdf(v), dtype=float)
+    upper = np.cumsum(c).astype(float)
+    size = float(upper[-1])
+    d_plus = float(np.max(upper / size - f))
+    d_minus = float(np.max(f - (upper - c) / size))
+    return max(d_plus, d_minus)
+
+
 def chi_square_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
     """Goodness-of-fit p-value of observed category counts against probs.
 
@@ -311,19 +343,50 @@ def gamma3_cdf(x):
 # Chunked Monte Carlo driver.
 
 
+@dataclass(frozen=True)
+class Collected:
+    """One horizon of a `collect_populations` run.
+
+    `aborted` counts the replicates lost to the node budget.  A plain
+    collection carries histograms of the completed replicates:
+    `counts[x]` replicates ended with population x and, for two-spine runs,
+    `k_counts[k]` branched at generation k.  A survivors-only collection
+    carries instead the nonzero populations in replicate order."""
+
+    aborted: int
+    counts: np.ndarray | None = None
+    k_counts: np.ndarray | None = None
+    survivors: np.ndarray | None = None
+
+    @property
+    def completed(self) -> int:
+        return int(self.counts.sum())
+
+
+def _sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise sum of two histograms of possibly different lengths."""
+    if a.size < b.size:
+        a, b = b, a
+    total = a.copy()
+    total[: b.size] += b
+    return total
+
+
 def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int], kind: str,
-                        survivors_only: bool = False):
-    """Terminal populations (and branch generations, for two-spine runs)
-    over all replicates, plus the aborted-replicate count: one (x, k,
-    aborted) triple per horizon of the increasing list `horizons`.
+                        survivors_only: bool = False) -> list[Collected]:
+    """Terminal-population histograms (and branch-generation histograms, for
+    two-spine runs) over all replicates, one `Collected` per horizon of the
+    increasing list `horizons`.
 
     `kind` is "gw", "one_spine" or "two_spine".  Replicates are drawn in
-    chunks with a stream per (seed, tag, largest horizon, chunk) and merged in
-    chunk order.  Each chunk is simulated once, to the largest horizon, and
-    hands over its batch at every horizon on the way (plain runs only, since
-    the law of the branching generation depends on the horizon).
-    `survivors_only` reduces each chunk to its nonzero populations before the
-    merge."""
+    chunks with a stream per (seed, tag, largest horizon, chunk); each chunk
+    is reduced to its histograms inside its worker and the histograms are
+    summed in chunk order, so memory depends on the chunk size and thread
+    count, not on the replicate count.  Each chunk is simulated once, to the
+    largest horizon, and is reduced at every horizon on the way (plain runs
+    only, since the law of the branching generation depends on the horizon).
+    `survivors_only` keeps instead each chunk's nonzero populations, merged
+    in replicate order."""
     sampler = getattr(spines, f"simulate_{kind}_populations", None)
     if sampler is None:
         raise ValueError(f"unknown population kind {kind!r}")
@@ -343,21 +406,30 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
                 batch = sampler(config.environment, n, size, rng, config.node_budget)
             else:
                 batch = sampler(config.environment, n, size, rng, config.node_budget, start=batch)
-            x = batch.x_n[batch.x_n > 0] if survivors_only else batch.x_n
-            out.append((x, batch.k, batch.aborted))
+            if survivors_only:
+                out.append((batch.aborted, batch.x_n[batch.x_n > 0]))
+            else:
+                k = None if batch.k is None else np.bincount(batch.k, minlength=n)
+                out.append((batch.aborted, np.bincount(batch.x_n), k))
         return out
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(work, range(len(sizes))))
-    else:
-        chunks = [work(idx) for idx in range(len(sizes))]
-    results = []
-    for per_horizon in zip(*chunks):
-        xs, ks, aborted = zip(*per_horizon)
-        k = None if ks[0] is None else np.concatenate(ks)
-        results.append((np.concatenate(xs), k, sum(aborted)))
-    return results
+    def merged(chunks):
+        """Per horizon, the chunks' results combined in chunk order."""
+        if survivors_only:
+            return [Collected(sum(part[0] for part in parts),
+                              survivors=np.concatenate([part[1] for part in parts]))
+                    for parts in zip(*chunks)]
+        totals = None
+        for chunk in chunks:  # summed as they arrive, so no chunk's histograms are kept
+            totals = chunk if totals is None else [
+                (a0 + a1, _sum_counts(x0, x1), None if k0 is None else _sum_counts(k0, k1))
+                for (a0, x0, k0), (a1, x1, k1) in zip(totals, chunk)]
+        return [Collected(*total) for total in totals]
+
+    if config.threads > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=min(config.threads, len(sizes))) as pool:
+            return merged(pool.map(work, range(len(sizes))))
+    return merged(map(work, range(len(sizes))))
 
 
 def yaglom_survivors(config: ExperimentConfig, horizons: list[int]):
@@ -366,8 +438,8 @@ def yaglom_survivors(config: ExperimentConfig, horizons: list[int]):
     if not horizons:
         return []
     results = collect_populations(config, "yaglom", horizons, "gw", survivors_only=True)
-    return [(x / config.environment.a(n), aborted)
-            for n, (x, _, aborted) in zip(horizons, results)]
+    return [(r.survivors / config.environment.a(n), r.aborted)
+            for n, r in zip(horizons, results)]
 
 
 def _require_critical(config: ExperimentConfig, experiment: str) -> None:
@@ -491,26 +563,25 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
             sb = oracle.transform_pmf(p, "size_biased")
             pb = oracle.transform_pmf(p, "pair_biased")
 
-            x1, _, ab1 = collect_populations(config, "identities/one", [n], "one_spine")[0]
-            tv1 = oracle.tv_distance(oracle.empirical_pmf(x1, cap=p.cap), sb)
+            one = collect_populations(config, "identities/one", [n], "one_spine")[0]
+            tv1 = oracle.tv_distance(oracle.histogram_pmf(one.counts, cap=p.cap), sb)
             rows.append(_row(n, "tv_one_spine", tv1, "le", tv_tol, note))
 
-            x2, _, ab2 = collect_populations(config, "identities/two", [n], "two_spine")[0]
-            tv2 = oracle.tv_distance(oracle.empirical_pmf(x2, cap=p.cap), pb)
+            two = collect_populations(config, "identities/two", [n], "two_spine")[0]
+            tv2 = oracle.tv_distance(oracle.histogram_pmf(two.counts, cap=p.cap), pb)
             rows.append(_row(n, "tv_two_spine", tv2, "le", tv_tol, note))
-            aborted += ab1 + ab2
+            aborted += one.aborted + two.aborted
 
             gap = _lemma33_max_gap(env, n, p, config)
             rows.append(_row(n, "lemma33_max_abs_gap", gap, "le", config.tol("lemma33_abs")))
 
         # Branching-generation law: the two-spine sampler's first draw on each
-        # chunk's stream, with no trees grown.
+        # chunk's stream, with no trees grown, counted chunk by chunk.
         n_k = config.kn_horizon
-        k_draws = np.concatenate([
-            spines.sample_branch_generation(env, n_k, stream(config.seed, "identities/kn", n_k, idx),
-                                            size)
-            for idx, size in enumerate(config.chunk_sizes())])
-        counts = np.bincount(k_draws, minlength=n_k)
+        counts = sum(
+            np.bincount(spines.sample_branch_generation(
+                env, n_k, stream(config.seed, "identities/kn", n_k, idx), size), minlength=n_k)
+            for idx, size in enumerate(config.chunk_sizes()))
         pval = chi_square_pvalue(counts, engine.kn_pmf_vector(env, n_k))
         rows.append(_row(n_k, "kn_chi2_pvalue", pval, "ge", config.tol("chi2_p")))
 
@@ -630,8 +701,8 @@ def run_exponential_characterization(config: ExperimentConfig) -> ExperimentRepo
                              config.tol("closed_form")))
         n = config.horizons[-1]
         if config.wants_mc(n):
-            x, _, ab = collect_populations(config, "exponential", [n], "two_spine")[0]
-            aborted += ab
-            ks = ks_statistic(x / env.a(n), gamma3_cdf)
+            two = collect_populations(config, "exponential", [n], "two_spine")[0]
+            aborted += two.aborted
+            ks = ks_statistic_counts(np.arange(two.counts.size) / env.a(n), two.counts, gamma3_cdf)
             rows.append(_row(n, "ks_pair_biased_gamma3", ks, "le", config.tol("ks")))
     return ExperimentReport("exponential_characterization", config.seed, rows, aborted, t.elapsed)

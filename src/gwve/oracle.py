@@ -28,6 +28,7 @@ __all__ = [
     "laplace_from_pmf",
     "tv_distance",
     "empirical_pmf",
+    "histogram_pmf",
 ]
 
 DEFAULT_CAP = 4096
@@ -88,15 +89,20 @@ def _step(probs: np.ndarray, tail: float, q: np.ndarray, cap: int) -> tuple[np.n
         rev_cum = np.cumsum(probs[occupied][::-1])[::-1]
         keep = occupied[rev_cum > _STATE_MASS_CUT]
         tail += math.fsum(probs[occupied[rev_cum <= _STATE_MASS_CUT]].tolist())
+        # a is q^{*j} cut at the cap; cut is the mass the cuts have removed
+        # from it, accumulated as each convolution overflows.
         a = np.ones(1)
+        cut = 0.0
         j_prev = 0
         for j in keep:
             for _ in range(j - j_prev):
-                a = np.convolve(a, q)[: cap + 1]
+                a = np.convolve(a, q)
+                if a.size > cap + 1:
+                    cut += math.fsum(a[cap + 1 :].tolist())
+                    a = a[: cap + 1]
             j_prev = int(j)
-            kept = math.fsum(a.tolist())
             new[: a.size] += probs[j] * a
-            tail += probs[j] * max(0.0, 1.0 - kept)
+            tail += probs[j] * cut
     return new, tail
 
 
@@ -174,13 +180,22 @@ def empirical_pmf(samples: np.ndarray, cap: int | None = None) -> ExactPmf:
 
     With a cap, observations above it become tail mass.
     """
-    samples = np.asarray(samples)
-    if samples.size == 0:
+    return histogram_pmf(np.bincount(np.asarray(samples).astype(np.int64)), cap)
+
+
+def histogram_pmf(counts: np.ndarray, cap: int | None = None) -> ExactPmf:
+    """The ExactPmf of a sample given as its histogram, `counts[k]`
+    observations of k; the same law `empirical_pmf` gives on the sample.
+
+    With a cap, observations above it become tail mass.
+    """
+    counts = np.asarray(counts)
+    size = int(counts.sum())
+    if size == 0:
         raise ValueError("need at least one sample")
-    counts = np.bincount(samples.astype(np.int64))
     if cap is not None and counts.size > cap + 1:
-        tail = counts[cap + 1 :].sum() / samples.size
+        tail = counts[cap + 1 :].sum() / size
         counts = counts[: cap + 1]
     else:
         tail = 0.0
-    return ExactPmf(counts / samples.size, float(tail))
+    return ExactPmf(counts / size, float(tail))

@@ -94,15 +94,14 @@ def test_criterion_3_spine_sampler_correctness():
             p = orc.exact_pmf(env, n)
             sb = orc.transform_pmf(p, "size_biased")
             pb = orc.transform_pmf(p, "pair_biased")
-            x1, _, _ = ex.collect_populations(cfg, "acc3/one", [n], "one_spine")[0]
-            x2, _, _ = ex.collect_populations(cfg, "acc3/two", [n], "two_spine")[0]
-            tv1 = orc.tv_distance(orc.empirical_pmf(x1, cap=sb.cap), sb)
-            tv2 = orc.tv_distance(orc.empirical_pmf(x2, cap=pb.cap), pb)
+            one = ex.collect_populations(cfg, "acc3/one", [n], "one_spine")[0]
+            two = ex.collect_populations(cfg, "acc3/two", [n], "two_spine")[0]
+            tv1 = orc.tv_distance(orc.histogram_pmf(one.counts, cap=sb.cap), sb)
+            tv2 = orc.tv_distance(orc.histogram_pmf(two.counts, cap=pb.cap), pb)
             ok &= tv1 < 0.005 and tv2 < 0.005
             details.append(f"{name} n={n} tv1={tv1:.4f} tv2={tv2:.4f}")
-        _, kdraws, _ = ex.collect_populations(cfg, "acc3/kn", [10], "two_spine")[0]
-        pval = ex.chi_square_pvalue(np.bincount(kdraws, minlength=10),
-                                    en.kn_pmf_vector(env, 10))
+        kn = ex.collect_populations(cfg, "acc3/kn", [10], "two_spine")[0]
+        pval = ex.chi_square_pvalue(kn.k_counts, en.kn_pmf_vector(env, 10))
         ok &= pval > 0.001
         details.append(f"{name} K chi2 p={pval:.3f}")
     report("criterion 3 (spine samplers, TV < 0.005, chi2 p > 0.001)", ok, "; ".join(details))
@@ -203,8 +202,8 @@ def test_criterion_8_exponential_characterization():
         worst = max(worst, abs(lhs - rhs))
     ok &= worst <= 1e-12
     cfg = ex.ExperimentConfig(E1, horizons=[500], replicates=200_000, seed=SEED)
-    x, _, _ = ex.collect_populations(cfg, "exponential", [500], "two_spine")[0]
-    ks = ex.ks_statistic(x / E1.a(500), ex.gamma3_cdf)
+    two = ex.collect_populations(cfg, "exponential", [500], "two_spine")[0]
+    ks = ex.ks_statistic_counts(np.arange(two.counts.size) / E1.a(500), two.counts, ex.gamma3_cdf)
     ok &= ks < 0.02
     report(
         "criterion 8 (exponential characterization)",

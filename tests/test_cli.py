@@ -57,6 +57,16 @@ def test_classify_labels(capsys):
     assert doc["diagnostics"]["label"] == "supercritical"
 
 
+@pytest.mark.parametrize("spec, horizon, key", [
+    ('{"rule":"constant","dist":{"kind":"table","pmf":[0,1]}}', "10", "sup_regularity_ratio"),
+    ('{"rule":"constant","dist":{"kind":"geometric","p":0.1}}', "10000", "mu_final"),
+])
+def test_classify_writes_non_finite_diagnostics_as_null(capsys, spec, horizon, key):
+    assert main(["classify", "--env", spec, "--horizon", horizon]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["diagnostics"][key] is None
+
+
 def test_classify_short_horizon_exit_2(capsys):
     assert main(["classify", "--env", E1_SPEC, "--horizon", "5"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -113,6 +123,9 @@ def test_simulate_two_spine_summary(tmp_path):
     counts = {int(line.split(",")[0]): int(line.split(",")[1]) for line in hist[1:]}
     assert sum(counts.values()) == 200_000
     assert min(counts) >= 2
+    for line in hist[1:]:
+        k, count, frequency = line.split(",")
+        assert float(frequency) == int(count) / 200_000
 
 
 def test_simulate_two_spine_one_generation(tmp_path):
@@ -329,6 +342,16 @@ def test_simulate_empty_sample_mean_is_null(tmp_path):
     assert main(["simulate", "gw", "--config", str(config), "--out", str(out), "--quiet"]) == 1
     text = (out / "simulate_gw_n30_summary.json").read_text()
     assert json.loads(text, parse_constant=_reject_constant)["mean"] is None
+
+
+def test_simulate_all_aborted_at_oracle_horizon_exit_1(tmp_path):
+    doc_env = {"rule": "constant", "dist": {"kind": "table", "pmf": [0.0, 0.0, 1.0]}}
+    config = write_config(tmp_path, environment=doc_env, replicates=200,
+                          node_budget=100, horizons=[6])
+    out = tmp_path / "boom"
+    assert main(["simulate", "gw", "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "simulate_gw_n6_summary.json").read_text())
+    assert summary["completed"] == 0 and summary["tv_vs_oracle"] is None
 
 
 def test_check_decomposition_s_n_overflow_exit_2(tmp_path, capsys):

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gwve.experiments as ex
+from gwve import spines
+from gwve.streams import stream
 
 
 def cfg(env, **kw):
@@ -74,6 +78,18 @@ def test_ks_statistic_detects_wrong_distribution():
     rng = np.random.default_rng(5)
     wrong = rng.exponential(0.5, size=10_000)  # Exp(2) against Exp(1)
     assert ex.ks_statistic(wrong, ex.exp1_cdf) > 0.1
+
+
+@pytest.mark.parametrize("cdf", [ex.exp1_cdf, ex.gamma3_cdf])
+def test_ks_statistic_counts_matches_expanded_sample(e2, cdf):
+    rng = np.random.default_rng(5)
+    for trial in range(150):
+        n = int(rng.integers(1, 500))
+        a_n = e2.a(n)
+        x = rng.geometric(1.0 / (1.0 + rng.uniform(0.5, 3.0) * a_n), int(rng.integers(1, 3000)))
+        counts = np.bincount(x)
+        assert ex.ks_statistic_counts(np.arange(counts.size) / a_n, counts, cdf) \
+            == ex.ks_statistic(x / a_n, cdf)
 
 
 def test_ks_statistic_empty_rejected():
@@ -250,9 +266,9 @@ def test_reports_reproducible_and_thread_invariant(tmp_path, e2):
 def test_collection_is_thread_invariant(e1):
     a = cfg(e1, horizons=[5], replicates=100_000, chunk_size=1 << 20)
     b = cfg(e1, horizons=[5], replicates=100_000, chunk_size=1 << 20, threads=3)
-    xa, _, _ = ex.collect_populations(a, "t", [5], "gw")[0]
-    xb, _, _ = ex.collect_populations(b, "t", [5], "gw")[0]
-    assert np.array_equal(xa, xb)
+    ra = ex.collect_populations(a, "t", [5], "gw")[0]
+    rb = ex.collect_populations(b, "t", [5], "gw")[0]
+    assert np.array_equal(ra.counts, rb.counts)
 
 
 @pytest.mark.parametrize("kind", ["one_spine", "two_spine"])
@@ -277,3 +293,59 @@ def test_g_convergence_skips_zero_variance_generations(e1):
     skipped = [row for row in r.rows if row.statistic == "skipped_nu_zero_generations"]
     assert skipped[0].value > 0
     assert r.all_pass  # decreasing and below tolerance once the horizon is long enough
+
+
+@pytest.mark.parametrize("kind", ["gw", "two_spine"])
+def test_collection_reduces_chunks_to_histograms(e2, kind):
+    c = cfg(e2, horizons=[6], replicates=2_500, chunk_size=1_000, threads=2)
+    batches = [getattr(spines, f"simulate_{kind}_populations")(e2, 6, size, stream(99, "t", 6, idx))
+               for idx, size in enumerate(c.chunk_sizes())]
+    x = np.concatenate([b.x_n for b in batches])
+    got = ex.collect_populations(c, "t", [6], kind)[0]
+    assert np.array_equal(got.counts, np.bincount(x)) and got.completed == x.size
+    assert got.aborted == sum(b.aborted for b in batches) and got.survivors is None
+    if kind == "two_spine":
+        k = np.concatenate([b.k for b in batches])
+        assert np.array_equal(got.k_counts, np.bincount(k, minlength=6))
+    else:
+        assert got.k_counts is None
+        alive = ex.collect_populations(c, "t", [6], kind, survivors_only=True)[0]
+        assert np.array_equal(alive.survivors, x[x > 0]) and alive.counts is None
+    with pytest.raises(TypeError):
+        x, k, aborted = got  # a histogram result, not the old (x, k, aborted) samples
+
+
+def test_spine_collection_memory_does_not_grow_with_replicates(e1):
+    chunk = 1 << 14
+    ex.collect_populations(cfg(e1, replicates=chunk, chunk_size=chunk, threads=1),
+                           "mem", [20], "two_spine")  # fill the environment's caches
+    peaks = []
+    for chunks in (2, 8):
+        c = cfg(e1, replicates=chunks * chunk, chunk_size=chunk, threads=1)
+        tracemalloc.start()
+        try:
+            ex.collect_populations(c, "mem", [20], "two_spine")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_chunk = 2 * 8 * chunk  # populations and branching generations, int64 each
+    assert peaks[1] - peaks[0] < one_chunk
+
+
+def test_threads_default_to_available_cores(e1):
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert ex.ExperimentConfig(e1, horizons=[2]).threads == cores
+
+
+def test_pool_starts_no_more_workers_than_chunks(e1, monkeypatch):
+    started = []
+
+    class Pool(ex.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", Pool)
+    ex.collect_populations(cfg(e1, replicates=300, chunk_size=100, threads=8), "t", [5], "gw")
+    ex.collect_populations(cfg(e1, replicates=100, chunk_size=100, threads=8), "t", [5], "gw")
+    assert started == [3]

@@ -143,12 +143,24 @@ def test_empirical_pmf_cap_overflow():
     assert p.tail_mass == pytest.approx(0.25)
     with pytest.raises(ValueError):
         orc.empirical_pmf(np.array([]))
+    h = orc.histogram_pmf(np.array([1, 2, 0, 0, 0, 0, 0, 0, 0, 1]), cap=3)
+    assert np.array_equal(h.probs, p.probs) and h.tail_mass == p.tail_mass
+    with pytest.raises(ValueError):
+        orc.histogram_pmf(np.zeros(3, dtype=np.int64))
 
 
 def test_exact_pmf_entries_sum_with_tail(e2):
     p = orc.exact_pmf(e2, 6)
     total = math.fsum(p.probs.tolist()) + p.tail_mass
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_truncating_cap_tail_is_the_missing_mass(e2, n):
+    # the cap cuts the convolution powers; their overflow is the tail
+    p = orc.exact_pmf(e2, n, cap=8, cap_ceiling=8)
+    assert p.cap == 8 and p.tail_mass > 1e-6
+    assert abs(p.tail_mass - (1.0 - math.fsum(p.probs.tolist()))) <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -187,7 +187,7 @@ def cmd_simulate(args) -> int:
 
     env = config.environment
     n = args.n if args.n is not None else doc.get("n", config.horizons[-1])
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError("n", "horizon must be a positive integer")
     kind = args.kind.replace("-", "_")
     run = ex.collect_populations(config, f"simulate/{kind}", [n], kind)[0]

@@ -148,6 +148,33 @@ _CONFIG_FIELDS = {
     "mc_horizons", "min_survivors", "threads", "chunk_size", "node_budget",
     "oracle_cap", "assume_critical", "y_grid_size", "kn_horizon",
 }
+_INT_FIELDS = {
+    "replicates", "seed", "threads", "chunk_size", "node_budget", "oracle_cap",
+    "min_survivors", "y_grid_size", "kn_horizon",
+}
+
+
+def _is_int(value) -> bool:
+    """JSON integers only: a bool is a Python int, but `true` is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(doc: dict) -> None:
+    """Raise on a config field of the wrong JSON type, before any is used."""
+    for key in _INT_FIELDS & doc.keys():
+        if not _is_int(doc[key]):
+            raise ConfigError(key, f"must be an integer, not {doc[key]!r}")
+    for key in ("horizons", "mc_horizons"):
+        value = doc.get(key)
+        if value is not None and not (isinstance(value, list) and all(map(_is_int, value))):
+            raise ConfigError(key, f"must be a list of integers, not {value!r}")
+    tolerances = doc.get("tolerances")
+    if tolerances is not None:
+        if not isinstance(tolerances, dict):
+            raise ConfigError("tolerances", "must be an object")
+        for key, value in tolerances.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"tolerances.{key}", f"must be a number, not {value!r}")
 
 
 def build_experiment_config(doc: dict, **overrides) -> ExperimentConfig:
@@ -163,10 +190,8 @@ def build_experiment_config(doc: dict, **overrides) -> ExperimentConfig:
             raise ConfigError(key, "unknown config field")
         kwargs[key] = value
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    _check_types(kwargs)
     kwargs.setdefault("horizons", [10, 100, 1000])
-    if "tolerances" in kwargs and kwargs["tolerances"] is not None:
-        if not isinstance(kwargs["tolerances"], dict):
-            raise ConfigError("tolerances", "must be an object")
     try:
         return ExperimentConfig(environment=env, **kwargs)
     except ExperimentError as exc:

@@ -13,7 +13,10 @@ the size-biased law is 1 + NegBin(2, p) and the pair-biased law 2 + NegBin(3,
 p); for Poisson(lam) they are 1 + Poisson(lam) and 2 + Poisson(lam); for
 binomial(m, p) they are 1 + Bin(m-1, p) and 2 + Bin(m-2, p).  `sum_sample`
 therefore draws the off-spine offspring of a whole generation of a spine tree
-in one draw.  Tables fall back to one draw per spine birth.
+in one draw.  Tables draw it by inverting one uniform through the cached CDF
+of the convolved law when an entry has fewer than 32 plain parents (fewer
+for tables with many atoms); larger entries draw their plain births by one
+multinomial and add the spine births by the same inversion.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ TABLE_TAIL_TOL = 1e-15
 _REWEIGHT_TAIL_TOL = 1e-18
 
 _PMF_SUM_TOL = 1e-12
+
+# Tables draw the off-spine sum of an entry with fewer plain parents than
+# this by one inversion of a cached CDF (see `FiniteTable._inversion_tables`),
+# with a lower cutoff where the cache would hold more than about
+# _INVERT_ATOMS atoms.
+_INVERT_BELOW = 32
+_INVERT_ATOMS = 1 << 16
 
 
 class DistributionError(ValueError):
@@ -295,33 +305,80 @@ class FiniteTable(OffspringDistribution):
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
                    pair_biased: np.ndarray | None = None) -> np.ndarray:
-        counts = np.asarray(counts)
-        spines = None
-        if size_biased is not None or pair_biased is not None:
-            spines = self._spine_births(rng, counts.shape, size_biased, pair_biased)
-        drawn = rng.multinomial(counts, self.probs)
-        out = np.asarray(drawn @ np.arange(self.probs.size, dtype=np.int64))
-        if spines is not None:
-            out += spines
-        return out
-
-    def _spine_births(self, rng, shape, size_biased, pair_biased) -> np.ndarray:
-        """Off-spine children of the spine parents, one table draw per birth:
-        first the entries with one size-biased parent, then the pair-biased
-        births, then both parents of the entries with two."""
-        zero = np.zeros(shape, dtype=np.int64)
-        s = zero if size_biased is None else np.broadcast_to(size_biased, shape)
-        t = zero if pair_biased is None else np.broadcast_to(pair_biased, shape)
-        if s.max(initial=0) > 2 or t.max(initial=0) > 1:
+        # One uniform per entry, searched at 2*(C*(2s + t) + c) + u among the
+        # cached CDFs (see `_inversion_tables`).  Counts c >= C look up
+        # C*(2s + t), the spine births alone, and add their plain births by
+        # one multinomial.
+        shape = np.shape(counts)
+        c = np.asarray(counts, dtype=np.int64).reshape(-1)
+        s = 0 if size_biased is None else np.asarray(size_biased)
+        t = 0 if pair_biased is None else np.asarray(pair_biased)
+        if np.max(s, initial=0) > 2 or np.max(t, initial=0) > 1:
             raise ValueError("a table draws at most two size-biased and one pair-biased parent")
-        out = np.zeros(shape, dtype=np.int64)
-        two = s == 2
-        for mask, law, kept in ((s == 1, self.size_biased, 1), (t == 1, self.pair_biased, 2),
-                                (two, self.size_biased, 1), (two, self.size_biased, 1)):
-            hits = int(np.count_nonzero(mask))
-            if hits:
-                out[mask] += law().sample(rng, size=hits) - kept
-        return out
+        self._require_reweighted(size_biased, pair_biased)
+        below, keys, values = self._inversion_tables()
+        big = c >= below
+        entry = np.where(big, 0, c)
+        if size_biased is not None or pair_biased is not None:
+            entry += np.broadcast_to(below * (2 * s + t), shape).reshape(-1)
+        entry <<= 1
+        x = rng.random(c.size)
+        x += entry
+        del entry  # per-row temporaries go once read, to keep a chunk's peak memory down
+        out = values[np.searchsorted(keys, x, side="right")]
+        del x
+        if big.any():
+            out[big] += rng.multinomial(c[big], self.probs) @ np.arange(self.probs.size)
+        return out.reshape(shape)
+
+    def _inversion_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(C, keys, values) for the one-uniform draw of `sum_sample`.
+
+        C is _INVERT_BELOW, or less for a table with so many atoms that the
+        cache, about 3 K C^2 atoms for K table atoms, would pass
+        _INVERT_ATOMS.  Entry e = C*(2s + t) + c, for c < C, s <= 2 and
+        t <= 1, is the law of c plain births plus s size-biased and t
+        pair-biased ones less their spine children, q^{*c} * (sb - 1)^{*s} *
+        (pb - 2)^{*t}.  Its CDF is stored as 2e + cdf, cut after the first
+        atom that reaches 2e + 1 (and before the atoms that stay at 2e, which
+        no uniform selects), then a guard 2e + 1.5; `values` holds the atom
+        each position draws, the largest one for the guard.  A uniform u in
+        [0, 1) searched as 2e + u therefore lands inside entry e even when
+        the sum rounds up to 2e + 1.  Combos whose reweighted law does not
+        exist hold a point mass that `sum_sample` never reaches:
+        `_require_reweighted` raises first.
+
+        Built once per instance and published by one assignment, so threads
+        that race on the first call build equal tables and never see a
+        partial one."""
+        tables = self.__dict__.get("_inversion")
+        if tables is not None:
+            return tables
+        below = max(1, min(_INVERT_BELOW, math.isqrt(_INVERT_ATOMS // (3 * self.probs.size))))
+        point = np.ones(1)
+        spine_laws = (self.size_biased().probs[1:] if self.mean() > 0.0 else point,
+                      self.pair_biased().probs[2:] if self.second_factorial() > 0.0 else point)
+        keys, values = [], []
+        for s in range(3):
+            for t in range(2):
+                pmf = point
+                for law in [spine_laws[0]] * s + [spine_laws[1]] * t:
+                    pmf = np.convolve(pmf, law)
+                for c in range(below):
+                    if c:
+                        pmf = np.convolve(pmf, self.probs)
+                    offset = 2.0 * len(keys)
+                    keyed = offset + np.cumsum(pmf)
+                    lo = np.searchsorted(keyed, offset, side="right")
+                    hi = min(np.searchsorted(keyed, offset + 1.0), keyed.size - 1) + 1
+                    keys.append(np.append(keyed[lo:hi], offset + 1.5))
+                    values.append(np.append(np.arange(lo, hi), hi - 1))
+        keys, values = np.concatenate(keys), np.concatenate(values)
+        keys.setflags(write=False)
+        values.setflags(write=False)
+        tables = (below, keys, values)
+        self._inversion = tables
+        return tables
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> "FiniteTable":
         return self

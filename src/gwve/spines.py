@@ -13,16 +13,18 @@ its spine nodes (one size-biased parent before the branching generation K,
 one pair-biased parent at K, two size-biased parents after it).  For the
 geometric, Poisson and binomial families that is a single closed-form draw
 (negative binomial, Poisson, binomial), because their reweighted laws less the
-spine children are members of the same family; tables draw each spine birth
-from the reweighted table and the rest by one multinomial.  The arena
-samplers draw every spine birth from the reweighted tables, an independent
-implementation of the same law.  The batch samplers are what make
-million-replicate comparisons cheap.
+spine children are members of the same family; tables invert one uniform
+through a cached CDF of the convolved law (a multinomial adds the plain births
+of large entries).  The arena samplers draw every spine birth from the
+reweighted tables, an independent implementation of the same law.  The batch
+samplers are what make million-replicate comparisons cheap.
 
 The one-spine tree is the two-spine tree with no branch before the horizon,
 so the two constructions share one loop per representation: the arena loop
 and the batch loop both take the branching generation K, and the one-spine
-samplers pass K = n.
+samplers pass K = n, one scalar for the whole batch.  Since that tree never
+branches, its law up to generation k does not depend on n, and a one-spine
+batch continues to a later horizon the way a plain batch does.
 """
 
 from __future__ import annotations
@@ -259,15 +261,29 @@ def _spine_tree(
 @dataclass
 class PopulationBatch:
     """Final-generation populations of the completed replicates, and their
-    branching generations for two-spine runs.  Plain runs also keep the
-    horizon reached and the node counts of their surviving replicates (in
-    replicate order), which is what continuing them to a later horizon needs."""
+    branching generations for two-spine runs.  Plain and one-spine runs also
+    keep the horizon reached and the node counts of their live replicates
+    (in replicate order), which is what continuing them to a later horizon
+    needs."""
 
     x_n: np.ndarray
     aborted: int
     k: np.ndarray | None = None
     n: int | None = None
     nodes: np.ndarray | None = None
+
+
+def _start_batch(start: PopulationBatch | None, n: int, reps: int) -> PopulationBatch:
+    """`start`, checked to be a continuable batch of `reps` replicates that
+    stopped at a horizon <= n, or the one-node batch at generation 0."""
+    if n < 0 or reps < 0:
+        raise ValueError("need n >= 0 and reps >= 0")
+    if start is None:
+        return PopulationBatch(np.ones(reps, dtype=np.int64), 0, n=0,
+                               nodes=np.ones(reps, dtype=np.int64))
+    if start.n is None or start.n > n or start.x_n.size + start.aborted != reps:
+        raise ValueError("can only continue a batch of the same replicates to a later horizon")
+    return start
 
 
 def simulate_gw_populations(
@@ -283,13 +299,7 @@ def simulate_gw_populations(
     `start` continues an earlier batch of the same replicates from its horizon
     on the same generator; the draws, and so the result, are those of a single
     run to n.  Aborted counts are cumulative from generation 0."""
-    if n < 0 or reps < 0:
-        raise ValueError("need n >= 0 and reps >= 0")
-    if start is None:
-        start = PopulationBatch(np.ones(reps, dtype=np.int64), 0, n=0,
-                                nodes=np.ones(reps, dtype=np.int64))
-    elif start.n is None or start.n > n or start.x_n.size + start.aborted != reps:
-        raise ValueError("can only continue a plain batch of the same replicates to a later horizon")
+    start = _start_batch(start, n, reps)
     idx = np.flatnonzero(start.x_n)
     pop, cum = start.x_n[idx], start.nodes
     aborted = start.aborted
@@ -320,12 +330,17 @@ def simulate_one_spine_populations(
     reps: int,
     rng: np.random.Generator,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    start: PopulationBatch | None = None,
 ) -> PopulationBatch:
-    """Terminal populations of size-biased replicates (spine included)."""
-    if n < 0 or reps < 0:
-        raise ValueError("need n >= 0 and reps >= 0")
-    x_n, aborted, _ = _spine_batch(env, n, np.full(reps, n, dtype=np.int64), rng, node_budget)
-    return PopulationBatch(x_n, aborted)
+    """Terminal populations of size-biased replicates (spine included).
+
+    The tree never branches before the horizon, so its law up to any
+    generation does not depend on n, and `start` continues an earlier batch
+    exactly as for `simulate_gw_populations`."""
+    start = _start_batch(start, n, reps)
+    off, cum, aborted, _ = _spine_batch(env, start.n, n, n, start.x_n - 1, start.nodes,
+                                        rng, node_budget)
+    return PopulationBatch(off + 1, start.aborted + aborted, n=n, nodes=cum)
 
 
 def simulate_two_spine_populations(
@@ -339,16 +354,21 @@ def simulate_two_spine_populations(
     if n < 1 or reps < 0:
         raise ValueError("need n >= 1 and reps >= 0")
     K = sample_branch_generation(env, n, rng, reps)
-    return PopulationBatch(*_spine_batch(env, n, K, rng, node_budget))
+    off, _, aborted, K = _spine_batch(env, 0, n, K, np.zeros(reps, dtype=np.int64),
+                                      np.ones(reps, dtype=np.int64), rng, node_budget)
+    return PopulationBatch(off + np.where(K < n, 2, 1), aborted, k=K)
 
 
-def _spine_batch(env: Environment, n: int, K: np.ndarray, rng: np.random.Generator, node_budget: int):
-    """(terminal populations, aborted count, branching generations of the
-    completed replicates) for spine replicates branching at K (none at K = n)."""
-    off = np.zeros(K.size, dtype=np.int64)
-    cum = np.ones(K.size, dtype=np.int64)
+def _spine_batch(env: Environment, k0: int, n: int, K, off: np.ndarray, cum: np.ndarray,
+                 rng: np.random.Generator, node_budget: int):
+    """Advance spine replicates branching at generation K from generation k0
+    to n: `off` holds their off-spine populations and `cum` their node counts.
+    K is an array, one per replicate, or a scalar shared by all (K >= n for
+    no branch before n).  Returns the off-spine populations and node counts
+    of the replicates within the budget, the number aborted and K, narrowed
+    to the replicates kept when it is an array."""
     aborted = 0
-    for k in range(n):
+    for k in range(k0, n):
         at = K == k
         size_biased = 1 + (K < k) - at  # one parent before the branch, two after
         off = env.dist_at(k + 1).sum_sample(rng, off, size_biased, at)
@@ -357,5 +377,7 @@ def _spine_batch(env: Environment, n: int, K: np.ndarray, rng: np.random.Generat
         if np.any(over):
             aborted += int(np.count_nonzero(over))
             keep = ~over
-            off, cum, K = off[keep], cum[keep], K[keep]
-    return off + np.where(K < n, 2, 1), aborted, K
+            off, cum = off[keep], cum[keep]
+            if np.ndim(K):
+                K = K[keep]
+    return off, cum, aborted, K

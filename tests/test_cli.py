@@ -381,3 +381,29 @@ def test_check_empty_grid_exit_2(tmp_path, capsys, command, grid):
     assert main(["check", command, "--config", str(config), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", True),
+    ("replicates", 1000.5),
+    ("replicates", True),
+    ("seed", "1234"),
+    ("threads", True),
+    ("chunk_size", 100.5),
+    ("node_budget", "x"),
+    ("oracle_cap", 8.5),
+    ("min_survivors", 10.0),
+    ("y_grid_size", False),
+    ("kn_horizon", "10"),
+    ("horizons", [True, 3]),
+    ("horizons", 3),
+    ("mc_horizons", [1.0]),
+    ("tolerances", {"tv": "x"}),
+    ("tolerances", {"tv": True}),
+])
+def test_wrongly_typed_config_field_exit_2(tmp_path, capsys, field, value):
+    config = write_config(tmp_path, **{"replicates": 1000, field: value})
+    out = tmp_path / "out"
+    assert main(["simulate", "gw", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

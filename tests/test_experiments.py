@@ -271,11 +271,24 @@ def test_collection_is_thread_invariant(e1):
     assert np.array_equal(ra.counts, rb.counts)
 
 
-@pytest.mark.parametrize("kind", ["one_spine", "two_spine"])
+@pytest.mark.parametrize("kind", ["two_spine"])
 def test_collection_rejects_several_spine_horizons(e1, kind):
     # the law of the branching generation depends on the horizon
     with pytest.raises(ValueError):
         ex.collect_populations(cfg(e1, replicates=100), "t", [5, 10], kind)
+
+
+def test_one_spine_collection_continues_across_horizons(e2):
+    from gwve import oracle
+
+    c = cfg(e2, replicates=200_000, chunk_size=50_000, threads=2)
+    runs = ex.collect_populations(c, "t", [2, 4, 6], "one_spine")
+    single = ex.collect_populations(c, "t", [6], "one_spine")[0]
+    assert np.array_equal(runs[-1].counts, single.counts) and runs[-1].aborted == single.aborted == 0
+    for n, run in zip([2, 4], runs):
+        assert run.completed == c.replicates and run.k_counts is None
+        law = oracle.transform_pmf(oracle.exact_pmf(e2, n), "size_biased")
+        assert oracle.tv_distance(oracle.histogram_pmf(run.counts, cap=law.cap), law) < 0.01
 
 
 def test_collection_rejects_unordered_horizons(e1):

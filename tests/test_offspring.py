@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from gwve.offspring import (
     FiniteTable,
     Geometric,
     Poisson,
+    _INVERT_ATOMS,
+    _INVERT_BELOW,
 )
 from gwve.streams import stream
 
@@ -351,21 +354,102 @@ def test_sum_sample_with_spines_matches_convolution(dist):
         x = drawn[i :: len(SPINE_COUNTS)]
         laws = ([dist] * c + [dist.size_biased().shift_down(1)] * s
                 + [dist.pair_biased().shift_down(2)] * t)
-        exact = _convolve_laws(laws, kmax)
-        assert x.max() <= kmax
-        observed = np.bincount(x, minlength=kmax + 1)
-        # chi-square over the cells with expected count >= 5, the rest pooled
-        expected = exact * per
-        cells = expected >= 5
-        obs = np.append(observed[cells], observed[~cells].sum())
-        exp = np.append(expected[cells], per - expected[cells].sum())
-        if exp[-1] < 5:
-            obs, exp = obs[:-1], exp[:-1]
-        if obs.size == 1:  # a point mass
-            assert obs[0] == per, (c, s, t)
-            continue
-        stat = float(np.sum((obs - exp) ** 2 / exp))
-        assert chdtrc(obs.size - 1, stat) > 1e-6, (c, s, t, stat)
+        _assert_chi_square(x, _convolve_laws(laws, kmax), (c, s, t))
+
+
+def _assert_chi_square(x, exact, label):
+    """Chi-square of the draws x against the pmf `exact` on {0, ..., kmax},
+    over the cells with expected count >= 5, the rest pooled."""
+    per = x.size
+    assert x.max() < exact.size, label
+    observed = np.bincount(x, minlength=exact.size)
+    expected = exact * per
+    cells = expected >= 5
+    obs = np.append(observed[cells], observed[~cells].sum())
+    exp = np.append(expected[cells], per - expected[cells].sum())
+    if exp[-1] < 5:
+        obs, exp = obs[:-1], exp[:-1]
+    if obs.size == 1:  # a point mass
+        assert obs[0] == per, label
+        return
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    assert chdtrc(obs.size - 1, stat) > 1e-6, (label, stat)
+
+
+@pytest.mark.parametrize("probs", [[0.25, 0.5, 0.25], [0.5, 0.0, 0.3, 0.2], [1.0], [0.0, 1.0],
+                                   np.full(100, 0.01)])
+def test_table_sum_sample_matches_exact_convolution(probs):
+    # counts on both sides of the inversion cutoff, crossed with every spine
+    # combo whose reweighted laws exist, interleaved in one call
+    dist = FiniteTable(probs)
+    cut, keys, values = dist._inversion_tables()
+    assert keys.size == values.size <= 2 * _INVERT_ATOMS
+    assert (cut == _INVERT_BELOW) == (len(probs) < 10)  # fewer for many atoms
+    counts = (0, 1, cut - 1, cut, cut + 1) + ((1000,) if len(probs) < 10 else ())
+    spine_laws = []
+    if dist.mean() > 0:
+        spine_laws.append(dist.size_biased().probs[1:])
+    if dist.second_factorial() > 0:
+        spine_laws.append(dist.pair_biased().probs[2:])
+    combos = [(c, s, t) for c in counts for s in range(3) for t in range(2)
+              if (s == 0 or len(spine_laws) > 0) and (t == 0 or len(spine_laws) > 1)]
+    per = 20_000
+    rows = np.array(combos * per)
+    drawn = dist.sum_sample(stream(10, "table-exact", repr(dist)), rows[:, 0],
+                            size_biased=rows[:, 1], pair_biased=rows[:, 2])
+    plain = {0: np.ones(1)}
+    for c in range(1, max(counts) + 1):
+        plain[c] = np.convolve(plain[c - 1], dist.probs)
+    for i, (c, s, t) in enumerate(combos):
+        exact = plain[c]
+        for law in spine_laws[:1] * s + spine_laws[1:] * t:
+            exact = np.convolve(exact, law)
+        x = drawn[i :: len(combos)]
+        assert np.all(exact[x] > 0), (c, s, t)  # no draw lands on an impossible atom
+        _assert_chi_square(x, exact, (c, s, t))
+    if len(spine_laws) < 2:
+        with pytest.raises(DistributionError):
+            dist.sum_sample(stream(10, "x"), np.array([3, 40]), pair_biased=np.array([0, 1]))
+    if not spine_laws:
+        with pytest.raises(DistributionError):
+            dist.sum_sample(stream(10, "x"), np.array([3, 40]), size_biased=np.array([0, 2]))
+
+
+@pytest.mark.parametrize("counts", [np.zeros(0, dtype=np.int64), np.array([[0, 3, 40], [1, 31, 2]])])
+def test_table_sum_sample_empty_and_2d(counts):
+    dist = FiniteTable([0.3, 0.3, 0.2, 0.2])
+    spines = {"size_biased": np.ones(counts.shape, dtype=np.int64), "pair_biased": True}
+    drawn = dist.sum_sample(stream(11, "shape"), counts, **spines)
+    assert drawn.dtype == np.int64 and drawn.shape == counts.shape
+    flat = dist.sum_sample(stream(11, "shape"), counts.reshape(-1),
+                           size_biased=np.ones(counts.size, dtype=np.int64),
+                           pair_biased=np.ones(counts.size, dtype=bool))
+    assert np.array_equal(drawn.reshape(-1), flat)
+
+
+def test_table_first_use_races_to_the_same_draws():
+    # pool threads share one table; both may build its CDF cache at once
+    counts = np.arange(5000) % 40
+    size_biased = np.arange(5000) % 3
+
+    def draws(dist, i):
+        return dist.sum_sample(stream(12, "race", i), counts, size_biased, size_biased == 1)
+
+    serial = [draws(FiniteTable([0.2, 0.3, 0.1, 0.4]), i) for i in range(2)]
+    shared = FiniteTable([0.2, 0.3, 0.1, 0.4])
+    barrier = threading.Barrier(2)
+    raced = [None, None]
+
+    def run(i):
+        barrier.wait()
+        raced[i] = draws(shared, i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert all(np.array_equal(a, b) for a, b in zip(raced, serial))
 
 
 def test_sum_sample_without_spines_unchanged(geo):

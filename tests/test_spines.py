@@ -241,6 +241,20 @@ def test_gw_batch_continuation_matches_single_runs(env_name, request):
         assert np.count_nonzero(batch.x_n) > 0
 
 
+def test_one_spine_batch_continuation_matches_single_runs(e2):
+    # as for plain batches, with aborts behind every continuation
+    reps, budget = 4000, 60
+    rng = stream(21, "continue")
+    batch = None
+    for n in (3, 6, 9):
+        batch = sp.simulate_one_spine_populations(e2, n, reps, rng, node_budget=budget, start=batch)
+        single = sp.simulate_one_spine_populations(e2, n, reps, stream(21, "continue"),
+                                                   node_budget=budget)
+        assert 0 < batch.aborted < reps and batch.k is None
+        assert np.array_equal(batch.x_n, single.x_n) and batch.aborted == single.aborted
+        assert np.array_equal(batch.nodes, single.nodes)
+
+
 def test_gw_batch_continuation_rejects_mismatched_start(e1):
     batch = sp.simulate_gw_populations(e1, 10, 100, stream(20, "c"))
     with pytest.raises(ValueError):
@@ -272,15 +286,16 @@ def _digest(a):
 
 
 @pytest.mark.parametrize("budget, expected", [
-    (10**7, {"two": (0, 53411, 9066, "65e0c6bbb2560f75", "e3ad447d926b90d9"),
-             "one": (0, 38226, "58610498b14a71c7")}),
-    (60, {"two": (1569, 16347, 5549, "c5e72064a1dae0ef", "43ed0c8fe24722aa"),
-          "one": (884, 19242, "72b40ec2473bbb46")}),
+    (10**7, {"two": (0, 53929, 9066, "31b70a57aaeb55ce", "e3ad447d926b90d9"),
+             "one": (0, 38944, "7c37955fc3b787ac")}),
+    (60, {"two": (1568, 16403, 5495, "81654c61cbf3d769", "5ea08dc586dc4307"),
+          "one": (887, 19459, "d163849e15963dcb")}),
 ])
 def test_tables_only_batches_keep_their_draws(budget, expected):
-    # values pinned from the per-spine-birth batch loop: on an environment made
-    # only of tables, each spine birth is still one reweighted-table draw, in
-    # the same order, so every population and branching generation is unchanged
+    # pins the batch samplers' draws on an environment made only of tables,
+    # where every generation's off-spine sum is one inversion of a cached
+    # convolved CDF, with and without budget aborts: a change to the table
+    # draw, its stream order or the abort bookkeeping shows here
     env = Environment.periodic([FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.3, 0.3, 0.2, 0.2])])
     two = sp.simulate_two_spine_populations(env, 8, 3000, stream(41, "tables"), node_budget=budget)
     one = sp.simulate_one_spine_populations(env, 8, 3000, stream(41, "tables"), node_budget=budget)

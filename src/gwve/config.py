@@ -159,6 +159,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """JSON numbers only, so not `true` either."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_types(doc: dict) -> None:
     """Raise on a config field of the wrong JSON type, before any is used."""
     for key in _INT_FIELDS & doc.keys():
@@ -168,12 +173,18 @@ def _check_types(doc: dict) -> None:
         value = doc.get(key)
         if value is not None and not (isinstance(value, list) and all(map(_is_int, value))):
             raise ConfigError(key, f"must be a list of integers, not {value!r}")
+    for key in ("s_grid", "lambda_grid"):
+        value = doc.get(key)
+        if value is not None and not (isinstance(value, list) and all(map(_is_number, value))):
+            raise ConfigError(key, f"must be a list of numbers, not {value!r}")
+    if not isinstance(doc.get("assume_critical", False), bool):
+        raise ConfigError("assume_critical", f"must be true or false, not {doc['assume_critical']!r}")
     tolerances = doc.get("tolerances")
     if tolerances is not None:
         if not isinstance(tolerances, dict):
             raise ConfigError("tolerances", "must be an object")
         for key, value in tolerances.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"tolerances.{key}", f"must be a number, not {value!r}")
 
 

@@ -13,10 +13,11 @@ its spine nodes (one size-biased parent before the branching generation K,
 one pair-biased parent at K, two size-biased parents after it).  For the
 geometric, Poisson and binomial families that is a single closed-form draw
 (negative binomial, Poisson, binomial), because their reweighted laws less the
-spine children are members of the same family; tables invert one uniform
-through a cached CDF of the convolved law (a multinomial adds the plain births
-of large entries).  The arena samplers draw every spine birth from the
-reweighted tables, an independent implementation of the same law.  The batch
+spine children are members of the same family; tables read one uniform in a
+cached alias table of the convolved law, in constant time per replicate (a
+multinomial adds the plain births of large entries).  The arena samplers draw
+every spine birth from the reweighted tables, an independent implementation
+of the same law.  The batch
 samplers are what make million-replicate comparisons cheap.
 
 The one-spine tree is the two-spine tree with no branch before the horizon,

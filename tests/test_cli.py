@@ -400,6 +400,12 @@ def test_check_empty_grid_exit_2(tmp_path, capsys, command, grid):
     ("mc_horizons", [1.0]),
     ("tolerances", {"tv": "x"}),
     ("tolerances", {"tv": True}),
+    ("assume_critical", "false"),
+    ("assume_critical", 0),
+    ("s_grid", [0.5, "1"]),
+    ("s_grid", 0.5),
+    ("lambda_grid", [True, 0.5]),
+    ("lambda_grid", {"0": 1.0}),
 ])
 def test_wrongly_typed_config_field_exit_2(tmp_path, capsys, field, value):
     config = write_config(tmp_path, **{"replicates": 1000, field: value})

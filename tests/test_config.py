@@ -1,6 +1,6 @@
 import pytest
 
-from gwve.config import ConfigError, environment_spec, parse_environment
+from gwve.config import ConfigError, build_experiment_config, environment_spec, parse_environment
 from gwve.environment import Environment
 from gwve.experiments import reference_environment
 from gwve.offspring import Binomial, FiniteTable, Geometric, Poisson
@@ -39,3 +39,13 @@ def test_general_rule_needs_a_cycle():
         parse_environment({"rule": "general", "head": head, "cycle": []})
     with pytest.raises(ConfigError, match="head"):
         parse_environment({"rule": "general", "head": {}, "cycle": head})
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_well_typed_grids_and_flag_are_accepted(flag):
+    # JSON integers are numbers too; only the wrongly typed values exit 2
+    config = build_experiment_config({
+        "environment": {"rule": "constant", "dist": {"kind": "geometric", "p": 0.5}},
+        "horizons": [2], "s_grid": [0, 0.5, 1], "lambda_grid": [1, 2.5], "assume_critical": flag})
+    assert config.assume_critical is flag
+    assert list(config.s_grid) == [0, 0.5, 1] and list(config.lambda_grid) == [1, 2.5]

@@ -415,6 +415,75 @@ def test_table_sum_sample_matches_exact_convolution(probs):
             dist.sum_sample(stream(10, "x"), np.array([3, 40]), size_biased=np.array([0, 2]))
 
 
+TABLE_LAWS = [[0.25, 0.5, 0.25], [0.5, 0.0, 0.3, 0.2], [1.0], [0.0, 1.0], np.full(100, 0.01)]
+
+
+def _alias_entries(dist):
+    """((c, s, t), column slice, exact law) of every entry of the table's
+    alias cache, e = C*(2s + t) + c; a missing reweighted law stands as the
+    point mass at 0 that the cache holds for it."""
+    cut, prob, _ = dist._inversion_tables()
+    width = prob.size // (6 * cut)
+    point = np.ones(1)
+    sb = dist.size_biased().probs[1:] if dist.mean() > 0 else point
+    pb = dist.pair_biased().probs[2:] if dist.second_factorial() > 0 else point
+    for s in range(3):
+        for t in range(2):
+            law = point
+            for spine in [sb] * s + [pb] * t:
+                law = np.convolve(law, spine)
+            for c in range(cut):
+                if c:
+                    law = np.convolve(law, dist.probs)
+                e = cut * (2 * s + t) + c
+                yield (c, s, t), slice(e * width, (e + 1) * width), law
+
+
+@pytest.mark.parametrize("probs", TABLE_LAWS)
+def test_table_alias_columns_rebuild_the_exact_convolution(probs):
+    # column j of an entry gives mass prob_j / W to atom j and (1 - prob_j) / W
+    # to its alias; per entry these add up to the exact law, summed exactly
+    dist = FiniteTable(probs)
+    cut, prob, alias = dist._inversion_tables()
+    width = prob.size // (6 * cut)
+    assert prob.size == alias.size == 6 * cut * width and width & (width - 1) == 0
+    assert not prob.flags.writeable and not alias.flags.writeable
+    for label, cols, law in _alias_entries(dist):
+        assert law.size <= width, label
+        atoms = np.concatenate([np.arange(width), alias[cols]])
+        mass = np.concatenate([prob[cols], 1.0 - prob[cols]]) / width
+        assert np.all((mass >= 0.0) & (atoms >= 0) & (atoms < width)), label
+        rebuilt = np.array([math.fsum(mass[atoms == j]) for j in range(width)])
+        exact = np.zeros(width)
+        exact[:law.size] = law
+        assert np.max(np.abs(rebuilt - exact)) <= 1e-15, label
+
+
+class _ConstantUniforms:
+    """A generator stub whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("probs", TABLE_LAWS)
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+def test_table_extreme_uniforms_draw_inside_their_entry(probs, u):
+    # the first and last uniform read the first and last column of an entry,
+    # and draw an atom of that entry's law, never one of a neighbouring entry
+    dist = FiniteTable(probs)
+    entries = [(label, law) for label, _, law in _alias_entries(dist)
+               if (label[1] == 0 or dist.mean() > 0) and (label[2] == 0 or dist.second_factorial() > 0)]
+    rows = np.array([label for label, _ in entries])
+    drawn = dist.sum_sample(_ConstantUniforms(u), rows[:, 0], size_biased=rows[:, 1],
+                            pair_biased=rows[:, 2])
+    for x, (label, law) in zip(drawn, entries):
+        assert x < law.size and law[x] > 0, label
+
+
 @pytest.mark.parametrize("counts", [np.zeros(0, dtype=np.int64), np.array([[0, 3, 40], [1, 31, 2]])])
 def test_table_sum_sample_empty_and_2d(counts):
     dist = FiniteTable([0.3, 0.3, 0.2, 0.2])

@@ -5,7 +5,7 @@ Subcommands
 constants   print (n, mu_n, S_n, a_n, survival, kolmogorov_ratio) rows
 classify    regime diagnostics for an environment
 check       run a named verification experiment; exit 0 iff every row passes
-simulate    Monte Carlo runs that emit histogram/sample CSVs plus a summary
+simulate    Monte Carlo runs that emit histogram CSVs plus a summary
 
 Exit codes: 0 success, 1 experiment/simulation failure, 2 usage or config
 error.  Reruns with the same seed produce byte-identical CSV bodies; wall
@@ -43,6 +43,7 @@ CHECKS = {
     "g-convergence": ex.run_g_convergence,
     "kolmogorov": ex.run_kolmogorov,
     "exponential": ex.run_exponential_characterization,
+    "yaglom": ex.run_yaglom,
 }
 
 SIMULATE_KINDS = ("gw", "one-spine", "two-spine", "yaglom")
@@ -240,19 +241,17 @@ def _simulate_yaglom(config, out_dir: Path, quiet: bool) -> int:
     if not horizons:
         raise ConfigError("mc_horizons", "simulate yaglom needs at least one Monte Carlo horizon")
     rows, report_lines = [], ["n,survivors,ks_exp1"]
-    for n, (survivors, aborted) in zip(horizons, ex.yaglom_survivors(config, horizons)):
+    for n, (run, survivors, ks) in zip(horizons, ex.yaglom_ks(config, horizons)):
+        # the survivors' histogram: Z_n = k for k >= 1, nonzero rows only
         sample_path = out_dir / f"yaglom_samples_n{n}.csv"
-        sample_path.write_text(
-            "\n".join(["z_over_a"] + [repr(float(v)) for v in survivors]) + "\n"
-        )
-        ks = ex.ks_statistic(survivors, ex.exp1_cdf) if survivors.size else math.inf
-        report_lines.append(f"{n},{survivors.size},{ks!r}")
+        sample_path.write_text("\n".join(
+            ["k,count"] + [f"{k},{int(c)}" for k, c in enumerate(run.counts) if k and c]) + "\n")
+        report_lines.append(f"{n},{survivors},{ks!r}")
         rows.append({"n": n, "requested": config.replicates,
-                     "completed": config.replicates - aborted, "aborted": aborted,
-                     "survivors": int(survivors.size),
-                     "ks_exp1": ks if math.isfinite(ks) else None})
+                     "completed": run.completed, "aborted": run.aborted,
+                     "survivors": survivors, "ks_exp1": ks if math.isfinite(ks) else None})
         if not quiet:
-            print(f"yaglom n={n}: survivors={survivors.size} ks={ks:.5f} -> {sample_path}")
+            print(f"yaglom n={n}: survivors={survivors} ks={ks:.5f} -> {sample_path}")
     (out_dir / "yaglom_ks.csv").write_text("\n".join(report_lines) + "\n")
     # Aborted counts are cumulative over the one pass: the largest horizon's is the total.
     aborted = rows[-1]["aborted"]

@@ -9,11 +9,12 @@ live only in the summary metadata, never in the CSV.
 
 The Yaglom Monte Carlo runs in one pass: each chunk, on the stream
 (seed, "yaglom", largest Monte Carlo horizon, chunk), is simulated once to
-that horizon and reduced to its survivors at every Monte Carlo horizon on the
-way.  The horizons therefore share their random numbers; each horizon's
-sample still has the exact law of Z_n given survival, so its KS distance is
-valid on its own, and the largest horizon's sample is the one a run at that
-horizon alone would draw.
+that horizon and reduced to its population histogram at every Monte Carlo
+horizon on the way; the survivors are the histogram's entries at k >= 1.  The
+horizons therefore share their random numbers; each horizon's survivors still
+have the exact law of Z_n given survival, so their KS distance is valid on its
+own, and the largest horizon's histogram is the one a run at that horizon
+alone would draw.
 
 Monte Carlo pass criteria only bind on rows that meet their minimum-sample
 thresholds; thinner rows are still reported, flagged as informational.
@@ -44,7 +45,6 @@ __all__ = [
     "ExperimentReport",
     "ReportRow",
     "reference_environment",
-    "ks_statistic",
     "ks_statistic_counts",
     "chi_square_pvalue",
     "simpson",
@@ -57,7 +57,7 @@ __all__ = [
     "run_exponential_characterization",
     "Collected",
     "collect_populations",
-    "yaglom_survivors",
+    "yaglom_ks",
 ]
 
 DEFAULT_SEED = 20201124
@@ -249,21 +249,10 @@ class _Timer:
 # Statistics helpers.
 
 
-def ks_statistic(samples, cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov distance of samples to a given CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise ValueError("need at least one sample")
-    f = np.asarray(cdf(x), dtype=float)
-    i = np.arange(1, x.size + 1, dtype=float)
-    d_plus = float(np.max(i / x.size - f))
-    d_minus = float(np.max(f - (i - 1.0) / x.size))
-    return max(d_plus, d_minus)
-
-
 def ks_statistic_counts(values, counts, cdf) -> float:
-    """`ks_statistic` of the sample that holds counts[j] copies of values[j],
-    for strictly increasing values, computed without expanding the sample.
+    """Two-sided Kolmogorov-Smirnov distance to a given CDF of the sample
+    that holds counts[j] copies of values[j], for strictly increasing values,
+    computed without expanding the sample.
 
     Within a run of ties the sorted-sample extremes sit at its last index
     (d_plus) and its first (d_minus), so both maxima are taken over the
@@ -347,16 +336,13 @@ def gamma3_cdf(x):
 class Collected:
     """One horizon of a `collect_populations` run.
 
-    `aborted` counts the replicates lost to the node budget.  A plain
-    collection carries histograms of the completed replicates:
-    `counts[x]` replicates ended with population x and, for two-spine runs,
-    `k_counts[k]` branched at generation k.  A survivors-only collection
-    carries instead the nonzero populations in replicate order."""
+    `aborted` counts the replicates lost to the node budget.  The histograms
+    cover the completed replicates: `counts[x]` of them ended with population
+    x and, for two-spine runs, `k_counts[k]` branched at generation k."""
 
     aborted: int
-    counts: np.ndarray | None = None
+    counts: np.ndarray
     k_counts: np.ndarray | None = None
-    survivors: np.ndarray | None = None
 
     @property
     def completed(self) -> int:
@@ -372,8 +358,8 @@ def _sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int], kind: str,
-                        survivors_only: bool = False) -> list[Collected]:
+def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
+                        kind: str) -> list[Collected]:
     """Terminal-population histograms (and branch-generation histograms, for
     two-spine runs) over all replicates, one `Collected` per horizon of the
     increasing list `horizons`.
@@ -385,9 +371,7 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     count, not on the replicate count.  Each chunk is simulated once, to the
     largest horizon, and is reduced at every horizon on the way: plain and
     one-spine runs take several horizons, two-spine runs one, since the law
-    of their branching generation depends on the horizon.  `survivors_only`
-    keeps instead each chunk's nonzero populations, merged in replicate
-    order."""
+    of their branching generation depends on the horizon."""
     sampler = getattr(spines, f"simulate_{kind}_populations", None)
     if sampler is None:
         raise ValueError(f"unknown population kind {kind!r}")
@@ -407,19 +391,12 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
                 batch = sampler(config.environment, n, size, rng, config.node_budget)
             else:
                 batch = sampler(config.environment, n, size, rng, config.node_budget, start=batch)
-            if survivors_only:
-                out.append((batch.aborted, batch.x_n[batch.x_n > 0]))
-            else:
-                k = None if batch.k is None else np.bincount(batch.k, minlength=n)
-                out.append((batch.aborted, np.bincount(batch.x_n), k))
+            k = None if batch.k is None else np.bincount(batch.k, minlength=n)
+            out.append((batch.aborted, np.bincount(batch.x_n), k))
         return out
 
     def merged(chunks):
-        """Per horizon, the chunks' results combined in chunk order."""
-        if survivors_only:
-            return [Collected(sum(part[0] for part in parts),
-                              survivors=np.concatenate([part[1] for part in parts]))
-                    for parts in zip(*chunks)]
+        """Per horizon, the chunks' histograms summed in chunk order."""
         totals = None
         for chunk in chunks:  # summed as they arrive, so no chunk's histograms are kept
             totals = chunk if totals is None else [
@@ -433,14 +410,20 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     return merged(map(work, range(len(sizes))))
 
 
-def yaglom_survivors(config: ExperimentConfig, horizons: list[int]):
-    """(survivors' Z_n/a_n, aborted-replicate count) at each horizon, from one
-    pass over the Yaglom run's replicates to the largest horizon."""
+def yaglom_ks(config: ExperimentConfig, horizons: list[int]) -> list[tuple[Collected, int, float]]:
+    """(collection, survivor count, KS distance of the survivors' Z_n/a_n to
+    Exp(1), inf with no survivors) at each horizon, from one pass over the
+    Yaglom run's replicates to the largest horizon."""
     if not horizons:
         return []
-    results = collect_populations(config, "yaglom", horizons, "gw", survivors_only=True)
-    return [(r.survivors / config.environment.a(n), r.aborted)
-            for n, r in zip(horizons, results)]
+    out = []
+    for n, run in zip(horizons, collect_populations(config, "yaglom", horizons, "gw")):
+        alive = run.counts[1:]
+        survivors = int(alive.sum())
+        ks = math.inf if not survivors else ks_statistic_counts(
+            np.arange(1, run.counts.size) / config.environment.a(n), alive, exp1_cdf)
+        out.append((run, survivors, ks))
+    return out
 
 
 def _require_critical(config: ExperimentConfig, experiment: str) -> None:
@@ -647,9 +630,9 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
     rows = []
     with _Timer() as t:
         mc_horizons = [n for n in config.horizons if config.wants_mc(n)]
-        mc = dict(zip(mc_horizons, yaglom_survivors(config, mc_horizons)))
+        mc = dict(zip(mc_horizons, yaglom_ks(config, mc_horizons)))
         # Aborted counts are cumulative over the one pass: the largest horizon's is the total.
-        aborted = mc[mc_horizons[-1]][1] if mc_horizons else 0
+        aborted = mc[mc_horizons[-1]][0].aborted if mc_horizons else 0
         ks_values = []
         for n in config.horizons:
             a_n = env.a(n)
@@ -663,15 +646,14 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
                              note="" if final else "informational"))
             if n not in mc:
                 continue
-            survivors, _ = mc[n]
-            rows.append(_row(n, "survivors", float(survivors.size), "ge", config.min_survivors))
-            if survivors.size == 0:
+            _, survivors, ks = mc[n]
+            rows.append(_row(n, "survivors", float(survivors), "ge", config.min_survivors))
+            if survivors == 0:
                 rows.append(_row(n, "ks_exp1", math.inf, "le", math.inf,
                                  note="no survivors; excluded from pass criteria"))
                 continue
-            ks = ks_statistic(survivors, exp1_cdf)
             mc_final = n == mc_horizons[-1]
-            if survivors.size >= config.min_survivors:
+            if survivors >= config.min_survivors:
                 ks_values.append(ks)
                 rows.append(_row(n, "ks_exp1", ks, "le",
                                  config.tol("ks") if mc_final else math.inf,

@@ -27,7 +27,6 @@ __all__ = [
     "transform_pmf",
     "laplace_from_pmf",
     "tv_distance",
-    "empirical_pmf",
     "histogram_pmf",
 ]
 
@@ -175,17 +174,9 @@ def tv_distance(p, q) -> float:
     return 0.5 * math.fsum(np.abs(a - b).tolist()) + 0.5 * abs(p.tail_mass - q.tail_mass)
 
 
-def empirical_pmf(samples: np.ndarray, cap: int | None = None) -> ExactPmf:
-    """Empirical histogram of integer samples as an ExactPmf.
-
-    With a cap, observations above it become tail mass.
-    """
-    return histogram_pmf(np.bincount(np.asarray(samples).astype(np.int64)), cap)
-
-
 def histogram_pmf(counts: np.ndarray, cap: int | None = None) -> ExactPmf:
-    """The ExactPmf of a sample given as its histogram, `counts[k]`
-    observations of k; the same law `empirical_pmf` gives on the sample.
+    """The empirical law, as an ExactPmf, of a sample given as its
+    histogram: `counts[k]` observations of k.
 
     With a cap, observations above it become tail mass.
     """

@@ -4,9 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_experiments import ks_expanded
 
+import gwve.experiments as ex
 from gwve.cli import main
+from gwve.config import build_experiment_config
 
 E1_SPEC = '{"rule":"constant","dist":{"kind":"geometric","p":0.5}}'
 
@@ -97,10 +101,21 @@ def test_check_failure_exit_1(tmp_path):
     assert main(["check", "kolmogorov", "--config", str(config), "--out", str(out), "--quiet"]) == 1
 
 
-def test_check_precondition_exit_2(tmp_path):
+def test_check_precondition_exit_2(tmp_path, capsys):
     doc_env = {"rule": "constant", "dist": {"kind": "binomial", "n": 2, "p": 0.75}}
     config = write_config(tmp_path, environment=doc_env)
-    assert main(["check", "kolmogorov", "--config", str(config), "--quiet"]) == 2
+    for name in ("kolmogorov", "yaglom"):
+        assert main(["check", name, "--config", str(config), "--quiet"]) == 2
+        assert "requires a critical environment" in capsys.readouterr().err
+
+
+def test_check_yaglom_writes_the_runner_report(tmp_path):
+    config = write_config(tmp_path, horizons=[20, 50], replicates=100_000,
+                          tolerances={"ks": 0.06, "yaglom_exact": 0.06})
+    out = tmp_path / "chk"
+    assert main(["check", "yaglom", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    expected = ex.run_yaglom(build_experiment_config(json.loads(config.read_text())))
+    assert (out / "yaglom.csv").read_text() == expected.to_csv_text()
 
 
 def test_g_convergence_single_horizon_config_error(tmp_path):
@@ -189,15 +204,23 @@ def test_simulate_yaglom_outputs(tmp_path):
     ks_lines = (out / "yaglom_ks.csv").read_text().splitlines()
     assert ks_lines[0] == "n,survivors,ks_exp1"
     assert len(ks_lines) == 3
-    samples = (out / "yaglom_samples_n50.csv").read_text().splitlines()
-    n50 = ks_lines[2].split(",")
-    assert int(n50[1]) == len(samples) - 1
     summary = json.loads((out / "yaglom_summary.json").read_text())
     assert summary["seed"] == 1234
+    e1 = ex.reference_environment("E1")
     for row, line in zip(summary["rows"], ks_lines[1:]):
+        n, survivors, ks = line.split(",")
         assert row["requested"] == 150_000
         assert row["completed"] + row["aborted"] == row["requested"]
-        assert row["survivors"] == int(line.split(",")[1])
+        assert row["survivors"] == int(survivors) > 0
+        # the sample file is the survivors' histogram: nonzero rows at k >= 1
+        hist = (out / f"yaglom_samples_n{n}.csv").read_text().splitlines()
+        assert hist[0] == "k,count"
+        k, counts = np.array([[int(v) for v in r.split(",")] for r in hist[1:]]).T
+        assert np.all(k >= 1) and np.all(np.diff(k) > 0) and np.all(counts > 0)
+        assert counts.sum() == int(survivors)
+        # the KS distance, recomputed on the expanded sample, is the CSV's exactly
+        assert ks_expanded(np.repeat(k, counts) / e1.a(int(n)), ex.exp1_cdf) == float(ks)
+        assert row["ks_exp1"] == float(ks)
 
 
 def test_simulate_yaglom_deterministic_and_one_pass(tmp_path):

@@ -63,21 +63,30 @@ def test_reference_environments():
 # statistics helpers
 
 
+def ks_expanded(samples, cdf) -> float:
+    """Reference KS distance over the sorted, expanded sample."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    f = np.asarray(cdf(x), dtype=float)
+    i = np.arange(1, x.size + 1, dtype=float)
+    return max(float(np.max(i / x.size - f)), float(np.max(f - (i - 1.0) / x.size)))
+
+
 def test_ks_statistic_single_point_at_median():
-    ks = ex.ks_statistic([math.log(2)], ex.exp1_cdf)
+    ks = ex.ks_statistic_counts([math.log(2)], [1], ex.exp1_cdf)
     assert ks == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ks_statistic_exact_quantiles():
     m = 200
     qs = -np.log(1 - (np.arange(1, m + 1) - 0.5) / m)
-    assert ex.ks_statistic(qs, ex.exp1_cdf) <= 1.0 / m
+    assert ex.ks_statistic_counts(qs, np.ones(m, dtype=np.int64), ex.exp1_cdf) <= 1.0 / m
 
 
 def test_ks_statistic_detects_wrong_distribution():
     rng = np.random.default_rng(5)
     wrong = rng.exponential(0.5, size=10_000)  # Exp(2) against Exp(1)
-    assert ex.ks_statistic(wrong, ex.exp1_cdf) > 0.1
+    values, counts = np.unique(wrong, return_counts=True)
+    assert ex.ks_statistic_counts(values, counts, ex.exp1_cdf) > 0.1
 
 
 @pytest.mark.parametrize("cdf", [ex.exp1_cdf, ex.gamma3_cdf])
@@ -89,12 +98,13 @@ def test_ks_statistic_counts_matches_expanded_sample(e2, cdf):
         x = rng.geometric(1.0 / (1.0 + rng.uniform(0.5, 3.0) * a_n), int(rng.integers(1, 3000)))
         counts = np.bincount(x)
         assert ex.ks_statistic_counts(np.arange(counts.size) / a_n, counts, cdf) \
-            == ex.ks_statistic(x / a_n, cdf)
+            == ks_expanded(x / a_n, cdf)
 
 
 def test_ks_statistic_empty_rejected():
-    with pytest.raises(ValueError):
-        ex.ks_statistic([], ex.exp1_cdf)
+    for values, counts in (([], []), ([1.0, 2.0], [0, 0])):
+        with pytest.raises(ValueError):
+            ex.ks_statistic_counts(values, counts, ex.exp1_cdf)
 
 
 def test_chi_square_uniform():
@@ -316,14 +326,14 @@ def test_collection_reduces_chunks_to_histograms(e2, kind):
     x = np.concatenate([b.x_n for b in batches])
     got = ex.collect_populations(c, "t", [6], kind)[0]
     assert np.array_equal(got.counts, np.bincount(x)) and got.completed == x.size
-    assert got.aborted == sum(b.aborted for b in batches) and got.survivors is None
+    assert got.aborted == sum(b.aborted for b in batches)
     if kind == "two_spine":
         k = np.concatenate([b.k for b in batches])
         assert np.array_equal(got.k_counts, np.bincount(k, minlength=6))
     else:
+        # the survivors the Yaglom run reads are the histogram's entries at k >= 1
         assert got.k_counts is None
-        alive = ex.collect_populations(c, "t", [6], kind, survivors_only=True)[0]
-        assert np.array_equal(alive.survivors, x[x > 0]) and alive.counts is None
+        assert np.array_equal(got.counts[1:], np.bincount(x[x > 0])[1:])
     with pytest.raises(TypeError):
         x, k, aborted = got  # a histogram result, not the old (x, k, aborted) samples
 

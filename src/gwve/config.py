@@ -61,19 +61,29 @@ def _require(spec: dict, field: str, context: str):
     return spec[field]
 
 
+def _typed(spec: dict, field: str, context: str, ok, what: str):
+    value = _require(spec, field, context)
+    if not ok(value):
+        raise ConfigError(f"{context}.{field}", f"must be {what}, not {value!r}")
+    return value
+
+
 def parse_dist(spec: dict, context: str = "dist") -> OffspringDistribution:
     if not isinstance(spec, dict):
         raise ConfigError(context, "must be an object with a 'kind' tag")
     kind = _require(spec, "kind", context)
     try:
         if kind == "geometric":
-            return Geometric(float(_require(spec, "p", context)))
+            return Geometric(float(_typed(spec, "p", context, _is_number, "a number")))
         if kind == "table":
-            return FiniteTable(_require(spec, "pmf", context))
+            return FiniteTable(_typed(spec, "pmf", context,
+                                      lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                                      "a list of numbers"))
         if kind == "poisson":
-            return Poisson(float(_require(spec, "lambda", context)))
+            return Poisson(float(_typed(spec, "lambda", context, _is_number, "a number")))
         if kind == "binomial":
-            return Binomial(int(_require(spec, "n", context)), float(_require(spec, "p", context)))
+            return Binomial(_typed(spec, "n", context, _is_int, "an integer"),
+                            float(_typed(spec, "p", context, _is_number, "a number")))
     except (DistributionError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -13,13 +13,16 @@ the size-biased law is 1 + NegBin(2, p) and the pair-biased law 2 + NegBin(3,
 p); for Poisson(lam) they are 1 + Poisson(lam) and 2 + Poisson(lam); for
 binomial(m, p) they are 1 + Bin(m-1, p) and 2 + Bin(m-2, p).  `sum_sample`
 therefore draws the off-spine offspring of a whole generation of a spine tree
-in one draw.  Tables draw it from one uniform read in a cached Walker alias
-table of the convolved law (Walker, ACM TOMS 3, 1977; Vose, IEEE TSE 17,
-1991) when an entry has fewer than 32 plain parents (fewer for tables with
-many atoms): two gathers per entry, 40-50 ns on a 2-core Xeon against
-130-150 ns for a binary search over cached CDFs.  Larger entries draw their
-plain births by one multinomial and add the spine births from the same alias
-table.
+in one draw.  Tables and geometric laws draw it from one uniform read in a
+cached Walker alias table of the convolved law (Walker, ACM TOMS 3, 1977;
+Vose, IEEE TSE 17, 1991), one kernel for both: two gathers per row, 25-50 ns
+on a 2-core Xeon against 130-150 ns for a binary search over cached CDFs and
+90-150 ns for numpy's negative binomial (a gamma, then a Poisson draw).  A
+table's entry is its count of plain parents, below 32 (fewer for tables with
+many atoms); larger counts draw their plain births by one multinomial and add
+the spine births from the same alias table.  A geometric law's entry is the
+shape r of NegBin(r, p), below 32 (fewer for small p); larger shapes keep
+numpy's draw.  Poisson and binomial laws keep their closed-form numpy draws.
 """
 
 from __future__ import annotations
@@ -47,11 +50,14 @@ _REWEIGHT_TAIL_TOL = 1e-18
 
 _PMF_SUM_TOL = 1e-12
 
-# Tables draw the off-spine sum of an entry with fewer plain parents than
-# this from a cached alias table (see `FiniteTable._inversion_tables`), with a
-# lower cutoff where the cache would hold more than _INVERT_ATOMS columns.
+# Tables and geometric laws draw the off-spine sum of a row whose entry is
+# below this (plain parents for a table, the NegBin shape for a geometric law)
+# from a cached alias table (see `_alias_laws`), with a lower cutoff where the
+# cache would hold more than _INVERT_ATOMS columns.
 _INVERT_BELOW = 32
 _INVERT_ATOMS = 1 << 16
+# Every alias entry splits its unit mass into this many integer units.
+_ALIAS_UNITS = 1 << 61
 
 
 class DistributionError(ValueError):
@@ -66,38 +72,114 @@ def _on_floats(formula, x, *args):
     return formula(x, *args) if x.ndim else float(formula(x[()], *args))
 
 
-def _alias_columns(pmf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walker alias columns (prob, alias) of `pmf` padded with zeros to
-    `width` atoms: atom j is drawn with probability prob[j] / width from its
-    own column and (1 - prob[k]) / width from every column k with alias[k] = j.
+def _entry_keys(columns: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """Search keys that sort as the pairs (entry, value), for columns of
+    entries of `width` columns each and values below 2^62: numpy orders
+    complex numbers by real part, then imaginary part, and both parts here
+    are integers below 2^53, so exact."""
+    high = (columns // width) * float(1 << 31) + (values >> 31)
+    return high + 1j * (values & ((1 << 31) - 1))
+
+
+def _alias_columns(pmfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker alias columns (prob, alias) of every row of `pmfs`, an
+    (entries x W) array of laws on {0, ..., W-1} with W a power of two, laid
+    out entry after entry: column e*W + j holds atom j of entry e, which is
+    drawn with probability prob[e*W + j] / W from its own column and
+    (1 - prob[e*W + k]) / W from every column e*W + k with alias[e*W + k] = j.
 
     The pairing is that of Vose's sweep, in which each column short of mass
-    1/width is topped up by the current large atom, and a large atom that
-    falls short becomes a short column topped up by the next one.  It is
-    computed from cumulative shortfalls and surpluses, in integer units of
-    1/(width * scale), so every column and every atom's mass is exact up to
-    the rounding of the pmf to those units."""
-    scale = 1 << (62 - width.bit_length())  # width * scale <= 2^62
-    q = np.zeros(width, dtype=np.int64)
-    q[:pmf.size] = np.rint(pmf * float(width * scale))
-    q[np.argmax(q)] += width * scale - int(q.sum())
-    small, large = np.flatnonzero(q < scale), np.flatnonzero(q >= scale)
-    short = np.cumsum(scale - q[small])
-    surplus = np.cumsum(q[large] - scale)
-    prob = np.ones(width)
-    alias = np.arange(width, dtype=np.int64)
-    # A short column is topped up by the first large atom whose surplus
-    # covers the shortfall of the columns before it.
+    1/W is topped up by the current large atom, and a large atom that falls
+    short becomes a short column topped up by the next one.  It is computed
+    for all entries at once from each entry's cumulative shortfalls and
+    surpluses, in integer units of 1/_ALIAS_UNITS, so every column and every
+    atom's mass is exact up to the rounding of the pmf to those units; an
+    entry's rounding remainder goes to its largest atom."""
+    entries, width = pmfs.shape
+    scale = _ALIAS_UNITS // width
+    q = np.rint(pmfs * float(_ALIAS_UNITS)).astype(np.int64)
+    q[np.arange(entries), np.argmax(q, axis=1)] += _ALIAS_UNITS - q.sum(axis=1)
+    is_small = q < scale
+    short = np.where(is_small, scale - q, 0).cumsum(axis=1).reshape(-1)
+    surplus = np.where(is_small, 0, q - scale).cumsum(axis=1).reshape(-1)
+    q = q.reshape(-1)
+    small, large = np.flatnonzero(is_small), np.flatnonzero(~is_small)
+    short, surplus = short[small], surplus[large]
+    prob = np.ones(q.size)
+    alias = np.arange(q.size, dtype=np.int64) & (width - 1)
+    # A short column is topped up by the first large atom of its entry whose
+    # surplus covers the shortfall of the entry's columns before it.
     prob[small] = q[small] / scale
-    alias[small] = large[np.searchsorted(surplus, short - (scale - q[small]))]
-    # Large atom m falls short at the column that takes the shortfall past its
-    # cumulative surplus, unless no column does.
-    at = np.searchsorted(short, surplus[:-1], side="right")
-    falls = at < short.size
-    m = large[:-1][falls]
-    prob[m] = (scale - (short[at[falls]] - surplus[:-1][falls])) / scale
-    alias[m] = large[1:][falls]
+    top_up = np.searchsorted(_entry_keys(large, surplus, width),
+                             _entry_keys(small, short - (scale - q[small]), width))
+    alias[small] = large[top_up] & (width - 1)
+    # A large atom other than its entry's last falls short at the column that
+    # takes the entry's shortfall past its cumulative surplus, unless no
+    # column does.
+    inner = large[:-1] // width == large[1:] // width
+    m, after, surplus = large[:-1][inner], large[1:][inner], surplus[:-1][inner]
+    at = np.searchsorted(_entry_keys(small, short, width), _entry_keys(m, surplus, width),
+                         side="right")
+    falls = np.append(small // width, -1)[at] == m // width
+    m, at = m[falls], at[falls]
+    prob[m] = (scale - (short[at] - surplus[falls])) / scale
+    alias[m] = after[falls] & (width - 1)
     return prob, alias
+
+
+def _alias_draw(rng: np.random.Generator, col: np.ndarray, prob: np.ndarray,
+                alias: np.ndarray, width: int) -> np.ndarray:
+    """One atom per row from the alias tables (prob, alias) of entries of
+    `width` columns (see `_alias_columns`), as an int64 array; `col` holds
+    each row's first column e*W and is overwritten.
+
+    One uniform u per row: u*W picks column e*W + floor(u*W), and its
+    fractional part the column's atom or its alias.  W is a power of two, so
+    u*W is exact, its integer part is below W and its fractional part is
+    exact too.  The rows' work reuses three buffers: a fresh megabyte
+    temporary can cost as much in page faults as the pass that fills it."""
+    x = rng.random(col.size)
+    x *= width
+    j = x.astype(np.int64)
+    x -= j
+    col += j
+    stay = x < np.take(prob, col, out=j.view(np.float64), mode="clip")
+    out = np.take(alias, col, out=x.view(np.int64), mode="clip")
+    np.bitwise_and(col, width - 1, out=out, where=stay)  # the column's own atom
+    return out
+
+
+def _negbin_width(p: float, r: int, atoms: int) -> float:
+    """The power of two above the cut of NegBin(r, p), or inf if the cut is
+    not below `atoms`.  The cut is the first atom K at which the tail bound
+    pmf(K) rho / (1 - rho) is below one alias unit, 1/_ALIAS_UNITS = 2^-61,
+    where rho = pmf(K + 1) / pmf(K) = (K + r) (1-p) / (K + 1) < 1: the ratios
+    fall with k, so the tail beyond K is below that bound.  A p so small
+    that p^r underflows has rho >= 1 on every atom below `atoms`."""
+    k = np.arange(atoms)
+    rho = (k + r) * (1.0 - p) / (k + 1)
+    pmf = p**r * np.cumprod(np.append(1.0, rho[:-1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = np.flatnonzero((rho < 1.0) & (pmf * rho / (1.0 - rho) < 1.0 / _ALIAS_UNITS))
+    return 1 << int(cut[0]).bit_length() if cut.size else math.inf
+
+
+def _negbin_pmfs(p: float, entries: int, atoms: int) -> np.ndarray:
+    """(entries x atoms) array whose row r is the NegBin(r, p) pmf
+    C(k + r - 1, k) p^r (1-p)^k on k < atoms (row 0 is the point mass at 0).
+
+    The binomial coefficient is a product over r, not over k, so every value
+    is within about r + 3 roundings of exact at any k, but for the rounding
+    delta of 1 - p, which scales atom k by about (1 + delta)^k.  Each row is
+    divided by its exact sum, which takes out the bulk of that skew."""
+    k = np.arange(atoms, dtype=float)
+    j = np.arange(1, entries - 1, dtype=float)[:, None]
+    ways = np.cumprod(np.vstack([np.ones(atoms), (k + j) / j]), axis=0)[:entries - 1]
+    pmfs = np.zeros((entries, atoms))
+    pmfs[0, 0] = 1.0
+    pmfs[1:] = ways * p ** np.arange(1.0, entries)[:, None] * (1.0 - p) ** k
+    pmfs /= np.array([math.fsum(row) for row in pmfs])[:, None]
+    return pmfs
 
 
 class OffspringDistribution:
@@ -107,7 +189,8 @@ class OffspringDistribution:
     equality and the hash), `_pmf(k)` for k >= 0, `_pgf(s, order)` and
     `_branch_survival(u)` on a float64 array or numpy scalar, and
     `_draw(rng, size)`.  The public methods here check and convert the
-    arguments, and return a float for a scalar argument."""
+    arguments, and return a float for a scalar argument.  Families whose
+    `sum_sample` reads an alias table also supply `_alias_laws()`."""
 
     _key: tuple
 
@@ -208,6 +291,22 @@ class OffspringDistribution:
             w[w == 0.0] = 0.0
             self._pair_biased = FiniteTable(w / math.fsum(w))
         return self._pair_biased
+
+    def _inversion_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(C, prob, alias): the Walker alias columns (see `_alias_columns`)
+        of the entries `_alias_laws` gives, read by `sum_sample`.
+
+        Built once per instance and published by one assignment, so threads
+        that race on the first call build equal tables and never see a
+        partial one."""
+        tables = self.__dict__.get("_inversion")
+        if tables is None:
+            below, laws = self._alias_laws()
+            prob, alias = _alias_columns(laws)
+            prob.setflags(write=False)
+            alias.setflags(write=False)
+            tables = self._inversion = (below, prob, alias)
+        return tables
 
     def _require_reweighted(self, size_biased, pair_biased) -> None:
         """Raise unless the reweighted laws that some entry needs exist."""
@@ -341,11 +440,9 @@ class FiniteTable(OffspringDistribution):
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
                    pair_biased: np.ndarray | None = None) -> np.ndarray:
-        # One uniform u per entry, read in the alias table of entry
-        # e = C*(2s + t) + c (see `_inversion_tables`): u*W picks column
-        # e*W + floor(u*W), and its fractional part the column's atom or its
-        # alias.  Counts c >= C read entry C*(2s + t), the spine births alone,
-        # and add their plain births by one multinomial.
+        # One draw per row from the alias table of entry e = C*(2s + t) + c
+        # (see `_alias_laws`).  Counts c >= C read entry C*(2s + t), the
+        # spine births alone, and add their plain births by one multinomial.
         shape = np.shape(counts)
         c = np.asarray(counts, dtype=np.int64).reshape(-1)
         s = 0 if size_biased is None else np.asarray(size_biased)
@@ -359,48 +456,23 @@ class FiniteTable(OffspringDistribution):
         if size_biased is not None or pair_biased is not None:
             col += np.broadcast_to(below * (2 * s + t), shape).reshape(-1)
         col *= width
-        # W is a power of two, so u*W is exact, its integer part is below W
-        # and its fractional part is exact too.  The rows' work reuses three
-        # buffers: a fresh megabyte temporary can cost as much in page faults
-        # as the pass that fills it.
-        x = rng.random(c.size)
-        x *= width
-        j = x.astype(np.int64)
-        x -= j
-        col += j
-        stay = x < np.take(prob, col, out=j.view(np.float64), mode="clip")
-        out = np.take(alias, col, out=x.view(np.int64), mode="clip")
-        np.bitwise_and(col, width - 1, out=out, where=stay)  # the column's own atom
-        del col, j, stay
+        out = _alias_draw(rng, col, prob, alias, width)
+        del col
         big = c >= below
         if big.any():
             out[big] += rng.multinomial(c[big], self.probs) @ np.arange(self.probs.size)
         return out.reshape(shape)
 
-    def _inversion_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(C, prob, alias): Walker alias tables for the one-uniform draw of
-        `sum_sample`.
-
-        Entry e = C*(2s + t) + c, for c < C, s <= 2 and t <= 1, is the law of
-        c plain births plus s size-biased and t pair-biased ones less their
-        spine children, q^{*c} * (sb - 1)^{*s} * (pb - 2)^{*t}.  Every entry
-        is padded with zero-mass atoms to one width W, the power of two at or
-        above the largest entry's atom count, and takes columns e*W to
-        e*W + W - 1 of `prob` and `alias`: column e*W + j draws atom j with
-        probability prob[e*W + j], else atom alias[e*W + j], and entry e's
-        law is the average of its W columns.  Zero-mass atoms have
-        probability 0, so they always give way to their alias.  C is
+    def _alias_laws(self) -> tuple[int, np.ndarray]:
+        """(C, laws): row e = C*(2s + t) + c of `laws`, for c < C, s <= 2 and
+        t <= 1, is the law of c plain births plus s size-biased and t
+        pair-biased ones less their spine children, q^{*c} * (sb - 1)^{*s} *
+        (pb - 2)^{*t}, padded with zero-mass atoms to one width W, the power
+        of two at or above the largest entry's atom count.  C is
         _INVERT_BELOW, or less for a table with so many atoms that the 6*C*W
         columns would pass _INVERT_ATOMS.  Combos whose reweighted law does
         not exist hold a point mass that `sum_sample` never reaches:
-        `_require_reweighted` raises first.
-
-        Built once per instance and published by one assignment, so threads
-        that race on the first call build equal tables and never see a
-        partial one."""
-        tables = self.__dict__.get("_inversion")
-        if tables is not None:
-            return tables
+        `_require_reweighted` raises first."""
         point = np.ones(1)
         spine_laws = (self.size_biased().probs[1:] if self.mean() > 0.0 else point,
                       self.pair_biased().probs[2:] if self.second_factorial() > 0.0 else point)
@@ -413,8 +485,8 @@ class FiniteTable(OffspringDistribution):
         below = _INVERT_BELOW
         while below > 1 and 6 * below * padded(below) > _INVERT_ATOMS:
             below -= 1
-        width = padded(below)
-        columns = []
+        laws = np.zeros((6 * below, padded(below)))
+        rows = iter(laws)
         for s in range(3):
             for t in range(2):
                 pmf = point
@@ -423,13 +495,8 @@ class FiniteTable(OffspringDistribution):
                 for c in range(below):
                     if c:
                         pmf = np.convolve(pmf, self.probs)
-                    columns.append(_alias_columns(pmf, width))
-        prob, alias = (np.concatenate(part) for part in zip(*columns))
-        prob.setflags(write=False)
-        alias.setflags(write=False)
-        tables = (below, prob, alias)
-        self._inversion = tables
-        return tables
+                    next(rows)[:pmf.size] = pmf
+        return below, laws
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> "FiniteTable":
         return self
@@ -480,14 +547,47 @@ class Geometric(OffspringDistribution):
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
                    pair_biased: np.ndarray | None = None) -> np.ndarray:
-        counts = self._shape_sum(counts, (1, 2, 3), size_biased, pair_biased)
-        if counts.size and counts.min() > 0:
-            return np.asarray(rng.negative_binomial(counts, self.p), dtype=np.int64)
-        out = np.zeros(counts.shape, dtype=np.int64)
-        pos = counts > 0
-        if np.any(pos):
-            out[pos] = rng.negative_binomial(counts[pos], self.p)
-        return out
+        # The shape r = c + 2s + 3t: NegBin(r, p) is one draw from the alias
+        # table of entry r (see `_alias_laws`).  Shapes r >= C read entry
+        # C - 1 and draw anew with numpy, after every row's uniform.  Where
+        # most shapes are that large, the uniforms and gathers cost more than
+        # they save, so numpy draws every row in one call (pool threads pay a
+        # GIL handoff per numpy call).
+        total = self._shape_sum(counts, (1, 2, 3), size_biased, pair_biased)
+        r = np.asarray(total, dtype=np.int64).reshape(-1)
+        below, prob, alias = self._inversion_tables()
+        big = r >= below
+        large = np.count_nonzero(big)
+        if 2 * large > r.size and r.min() > 0:
+            out = rng.negative_binomial(r, self.p)
+        else:
+            width = prob.size // below
+            col = np.minimum(r, below - 1)
+            col *= width
+            out = _alias_draw(rng, col, prob, alias, width)
+            del col
+            if large:
+                out[big] = rng.negative_binomial(r[big], self.p)
+        return np.asarray(out, dtype=np.int64).reshape(np.shape(total))
+
+    def _alias_laws(self) -> tuple[int, np.ndarray]:
+        """(C, laws): row r < C of `laws` is the NegBin(r, p) pmf on the W
+        atoms {0, ..., W-1}; row 0 is the point mass at 0.
+
+        W is the power of two above the cut of the widest entry, r = C - 1
+        (see `_negbin_width`), and NegBin(r, p) grows with r, so no entry
+        drops more than one alias unit of tail, the rounding `_alias_columns`
+        applies to every atom anyway.  C is _INVERT_BELOW, or less for a p so
+        small that the C*W columns would pass _INVERT_ATOMS.  Entry 0 always
+        fits, so C >= 1, and a p for which only it fits draws every positive
+        shape with numpy."""
+        def width(below):
+            return _negbin_width(self.p, below - 1, _INVERT_ATOMS // below)
+
+        below = _INVERT_BELOW
+        while below > 1 and below * width(below) > _INVERT_ATOMS:
+            below -= 1
+        return below, _negbin_pmfs(self.p, below, width(below))
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
         if self.p == 1.0:

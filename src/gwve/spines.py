@@ -11,14 +11,17 @@ replicates at once.  Per generation, every replicate's off-spine population
 advances by one `sum_sample` draw that also covers the off-spine children of
 its spine nodes (one size-biased parent before the branching generation K,
 one pair-biased parent at K, two size-biased parents after it).  For the
-geometric, Poisson and binomial families that is a single closed-form draw
-(negative binomial, Poisson, binomial), because their reweighted laws less the
-spine children are members of the same family; tables read one uniform in a
-cached alias table of the convolved law, in constant time per replicate (a
-multinomial adds the plain births of large entries).  The arena samplers draw
-every spine birth from the reweighted tables, an independent implementation
-of the same law.  The batch
-samplers are what make million-replicate comparisons cheap.
+geometric, Poisson and binomial families that is a single draw from one law
+of the family (negative binomial, Poisson, binomial), because their
+reweighted laws less the spine children are members of the same family.
+Tables and geometric laws read it with one uniform in a cached alias table of
+the convolved law, in constant time per replicate (a multinomial adds the
+plain births of a table's large entries, and numpy draws a geometric law's
+large NegBin shapes); Poisson and binomial laws draw it with numpy.  The
+arena samplers draw every birth with `sample` (`rng.geometric` for a
+geometric law) and every spine birth from the reweighted tables, an
+independent implementation of the same law.  The batch samplers are what
+make million-replicate comparisons cheap.
 
 The one-spine tree is the two-spine tree with no branch before the horizon,
 so the two constructions share one loop per representation: the arena loop

@@ -45,6 +45,20 @@ def test_constants_bad_spec_exit_2(capsys):
     assert "kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dist, field", [
+    ('{"kind":"binomial","n":2.5,"p":0.5}', "n"),
+    ('{"kind":"poisson","lambda":"1"}', "lambda"),
+    ('{"kind":"geometric","p":true}', "p"),
+    ('{"kind":"table","pmf":[false,true]}', "pmf"),
+])
+def test_constants_wrongly_typed_dist_field_exit_2(capsys, dist, field):
+    # a bool, a string or a non-integer is no parameter, even where float()
+    # or int() would take it
+    rc = main(["constants", "--env", f'{{"rule":"constant","dist":{dist}}}', "--n", "1,2"])
+    assert rc == 2
+    assert f"config field 'environment.dist.{field}'" in capsys.readouterr().err
+
+
 def test_constants_requires_environment():
     assert main(["constants", "--n", "3"]) == 2
 

@@ -1,9 +1,10 @@
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
-from scipy.special import chdtrc
+from scipy.special import chdtrc, nbdtrc
 
 from gwve.offspring import (
     Binomial,
@@ -357,9 +358,10 @@ def test_sum_sample_with_spines_matches_convolution(dist):
         _assert_chi_square(x, _convolve_laws(laws, kmax), (c, s, t))
 
 
-def _assert_chi_square(x, exact, label):
+def _assert_chi_square(x, exact, label, alpha=1e-6):
     """Chi-square of the draws x against the pmf `exact` on {0, ..., kmax},
-    over the cells with expected count >= 5, the rest pooled."""
+    over the cells with expected count >= 5, the rest pooled; its p-value
+    must exceed alpha."""
     per = x.size
     assert x.max() < exact.size, label
     observed = np.bincount(x, minlength=exact.size)
@@ -373,7 +375,7 @@ def _assert_chi_square(x, exact, label):
         assert obs[0] == per, label
         return
     stat = float(np.sum((obs - exp) ** 2 / exp))
-    assert chdtrc(obs.size - 1, stat) > 1e-6, (label, stat)
+    assert chdtrc(obs.size - 1, stat) > alpha, (label, stat)
 
 
 @pytest.mark.parametrize("probs", [[0.25, 0.5, 0.25], [0.5, 0.0, 0.3, 0.2], [1.0], [0.0, 1.0],
@@ -416,17 +418,47 @@ def test_table_sum_sample_matches_exact_convolution(probs):
 
 
 TABLE_LAWS = [[0.25, 0.5, 0.25], [0.5, 0.0, 0.3, 0.2], [1.0], [0.0, 1.0], np.full(100, 0.01)]
+# Geometric laws keep a NegBin alias table too; at p = 0.05 it holds fewer
+# than _INVERT_BELOW shapes.
+ALIAS_LAWS = TABLE_LAWS + [pytest.param(Geometric(p), id=f"geometric-{p}")
+                           for p in (0.5, 0.2, 0.9, 1.0, 0.05)]
+
+
+def _alias_law(probs):
+    return probs if isinstance(probs, Geometric) else FiniteTable(probs)
+
+
+def _negbin_pmf(p, r, atoms):
+    """The NegBin(r, p) pmf on k < atoms to within 2^-200, in fixed-point
+    integers from the exact ratio p = m/d, stepping pmf(k) = pmf(k-1) (k + r
+    - 1) (d - m) / (k d)."""
+    m, d = p.as_integer_ratio()
+    one = 1 << 256
+    x = m**r * one // d**r
+    out = np.zeros(atoms)
+    for k in range(atoms):
+        if k:
+            x = x * (k + r - 1) * (d - m) // (k * d)
+        out[k] = x / one
+    return out
 
 
 def _alias_entries(dist):
-    """((c, s, t), column slice, exact law) of every entry of the table's
-    alias cache, e = C*(2s + t) + c; a missing reweighted law stands as the
-    point mass at 0 that the cache holds for it."""
+    """(W, [(label, column slice, exact law)]) for every entry e of the alias
+    cache.  For a table e = C*(2s + t) + c, the label is (c, s, t), and a
+    missing reweighted law stands as the point mass at 0 that the cache
+    holds for it; for a geometric law the label is (r, 0, 0) for the shape r
+    = e, and the law NegBin(r, p) on the W atoms."""
     cut, prob, _ = dist._inversion_tables()
+    if isinstance(dist, Geometric):
+        width = prob.size // cut
+        return width, [((r, 0, 0), slice(r * width, (r + 1) * width), _negbin_pmf(dist.p, r, width))
+                       for r in range(cut)]
     width = prob.size // (6 * cut)
     point = np.ones(1)
     sb = dist.size_biased().probs[1:] if dist.mean() > 0 else point
     pb = dist.pair_biased().probs[2:] if dist.second_factorial() > 0 else point
+    entries = []
     for s in range(3):
         for t in range(2):
             law = point
@@ -436,27 +468,36 @@ def _alias_entries(dist):
                 if c:
                     law = np.convolve(law, dist.probs)
                 e = cut * (2 * s + t) + c
-                yield (c, s, t), slice(e * width, (e + 1) * width), law
+                entries.append(((c, s, t), slice(e * width, (e + 1) * width), law))
+    return width, entries
 
 
-@pytest.mark.parametrize("probs", TABLE_LAWS)
+@pytest.mark.parametrize("probs", ALIAS_LAWS)
 def test_table_alias_columns_rebuild_the_exact_convolution(probs):
     # column j of an entry gives mass prob_j / W to atom j and (1 - prob_j) / W
     # to its alias; per entry these add up to the exact law, summed exactly
-    dist = FiniteTable(probs)
+    dist = _alias_law(probs)
     cut, prob, alias = dist._inversion_tables()
-    width = prob.size // (6 * cut)
-    assert prob.size == alias.size == 6 * cut * width and width & (width - 1) == 0
+    width, entries = _alias_entries(dist)
+    assert prob.size == alias.size == len(entries) * width and width & (width - 1) == 0
+    assert prob.size <= _INVERT_ATOMS and 1 <= cut <= _INVERT_BELOW
     assert not prob.flags.writeable and not alias.flags.writeable
-    for label, cols, law in _alias_entries(dist):
+    for label, cols, law in entries:
         assert law.size <= width, label
         atoms = np.concatenate([np.arange(width), alias[cols]])
         mass = np.concatenate([prob[cols], 1.0 - prob[cols]]) / width
         assert np.all((mass >= 0.0) & (atoms >= 0) & (atoms < width)), label
-        rebuilt = np.array([math.fsum(mass[atoms == j]) for j in range(width)])
+        order = np.argsort(atoms, kind="stable")
+        groups = np.split(mass[order], np.searchsorted(atoms[order], np.arange(1, width)))
+        rebuilt = np.array([math.fsum(g) for g in groups])
         exact = np.zeros(width)
         exact[:law.size] = law
         assert np.max(np.abs(rebuilt - exact)) <= 1e-15, label
+        if isinstance(dist, Geometric) and label[0]:
+            # the atoms past the table hold less than one alias unit
+            assert nbdtrc(width - 1, label[0], dist.p) < 2.0**-61, label
+    if isinstance(dist, Geometric):
+        assert (cut < _INVERT_BELOW) == (dist.p < 0.1)
 
 
 class _ConstantUniforms:
@@ -469,19 +510,44 @@ class _ConstantUniforms:
         return np.full(size, self.u)
 
 
-@pytest.mark.parametrize("probs", TABLE_LAWS)
+@pytest.mark.parametrize("probs", ALIAS_LAWS)
 @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
 def test_table_extreme_uniforms_draw_inside_their_entry(probs, u):
     # the first and last uniform read the first and last column of an entry,
     # and draw an atom of that entry's law, never one of a neighbouring entry
-    dist = FiniteTable(probs)
-    entries = [(label, law) for label, _, law in _alias_entries(dist)
+    dist = _alias_law(probs)
+    entries = [(label, law) for label, _, law in _alias_entries(dist)[1]
                if (label[1] == 0 or dist.mean() > 0) and (label[2] == 0 or dist.second_factorial() > 0)]
     rows = np.array([label for label, _ in entries])
     drawn = dist.sum_sample(_ConstantUniforms(u), rows[:, 0], size_biased=rows[:, 1],
                             pair_biased=rows[:, 2])
     for x, (label, law) in zip(drawn, entries):
         assert x < law.size and law[x] > 0, label
+
+
+@pytest.mark.parametrize("p", [0.5, 0.05])
+def test_geometric_sum_sample_rows_around_the_table_cut(p):
+    # NegBin(r, p) for shapes r = c + 2s + 3t on both sides of the alias
+    # table's last shape C - 1, with and without spine parents, interleaved
+    # in one call: table rows and numpy rows must keep their places.  The
+    # first call has a zero shape, so it reads the table; without it most
+    # shapes are large, and numpy draws every row
+    dist = Geometric(p)
+    cut = dist._inversion_tables()[0]
+    combos = []
+    for r in (0, 1, cut - 1, cut, 4 * cut):
+        combos += [(r - 2 * s - 3 * t, s, t) for s in range(3) for t in range(2)
+                   if r - 2 * s - 3 * t >= 0 and (r < 2 or (s, t) in ((0, 0), (1, 0), (2, 1)))]
+    per = 20_000
+    for part in (combos, combos[1:]):
+        rows = np.array(part * per)
+        drawn = dist.sum_sample(stream(13, "geometric-cut", repr(dist), len(part)), rows[:, 0],
+                                size_biased=rows[:, 1], pair_biased=rows[:, 2])
+        assert drawn.dtype == np.int64
+        for i, (c, s, t) in enumerate(part):
+            r = c + 2 * s + 3 * t
+            x = drawn[i :: len(part)]
+            _assert_chi_square(x, _negbin_pmf(p, r, int(x.max()) + 1), (r, c, s, t), alpha=1e-3)
 
 
 @pytest.mark.parametrize("counts", [np.zeros(0, dtype=np.int64), np.array([[0, 3, 40], [1, 31, 2]])])
@@ -497,28 +563,37 @@ def test_table_sum_sample_empty_and_2d(counts):
 
 
 def test_table_first_use_races_to_the_same_draws():
-    # pool threads share one table; both may build its CDF cache at once
+    # pool threads share one law; several may build its alias cache at once,
+    # with the interpreter switching threads as often as it can
     counts = np.arange(5000) % 40
     size_biased = np.arange(5000) % 3
+    workers = 4
 
     def draws(dist, i):
         return dist.sum_sample(stream(12, "race", i), counts, size_biased, size_biased == 1)
 
-    serial = [draws(FiniteTable([0.2, 0.3, 0.1, 0.4]), i) for i in range(2)]
-    shared = FiniteTable([0.2, 0.3, 0.1, 0.4])
-    barrier = threading.Barrier(2)
-    raced = [None, None]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for make in (lambda: FiniteTable([0.2, 0.3, 0.1, 0.4]), lambda: Geometric(0.3)):
+            serial = [draws(make(), i) for i in range(workers)]
+            shared = make()
+            barrier = threading.Barrier(workers)
+            raced = [None] * workers
 
-    def run(i):
-        barrier.wait()
-        raced[i] = draws(shared, i)
+            def run(i):
+                barrier.wait(timeout=60)
+                raced[i] = draws(shared, i)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert all(np.array_equal(a, b) for a, b in zip(raced, serial))
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert all(np.array_equal(a, b) for a, b in zip(raced, serial)), shared
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sum_sample_without_spines_unchanged(geo):

@@ -302,3 +302,26 @@ def test_tables_only_batches_keep_their_draws(budget, expected):
     assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
         == expected["two"]
     assert (one.aborted, int(one.x_n.sum()), _digest(one.x_n)) == expected["one"]
+
+
+@pytest.mark.parametrize("budget, expected", [
+    (10**7, {"plain": (0, 3256, "2f9e2052f150cfd4"),
+             "two": (0, 112929, 16846, "853ba0917d8b0ca0", "06ad1e25ff12feda"),
+             "one": (0, 75505, "5f1afb8d4e2684d5")}),
+    (300, {"plain": (7, 2746, "58667b94eb714ee4"),
+           "two": (669, 69502, 14380, "cb85536093f9be9d", "ddffa49c98ad1710"),
+           "one": (286, 58442, "ec6a8a65a4bc89b6")}),
+])
+def test_geometric_batches_keep_their_draws(e1, budget, expected):
+    # pins the batch samplers' draws on E1, where every generation's
+    # off-spine sum is one NegBin draw: from the geometric law's alias table
+    # for shapes below its cut, from numpy above it, and from numpy alone in
+    # a generation where most shapes are above it (the two-spine batch gets
+    # there), with and without budget aborts
+    plain = sp.simulate_gw_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
+    two = sp.simulate_two_spine_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
+    one = sp.simulate_one_spine_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
+    assert (plain.aborted, int(plain.x_n.sum()), _digest(plain.x_n)) == expected["plain"]
+    assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
+        == expected["two"]
+    assert (one.aborted, int(one.x_n.sum()), _digest(one.x_n)) == expected["one"]

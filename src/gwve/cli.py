@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", type=Path, help="JSON config file")
     shared.add_argument("--out", type=Path, help="output directory (or file for constants/classify)")
     shared.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    shared.add_argument("--threads", type=int, help="worker threads for replicate chunks")
+    shared.add_argument("--threads", type=int, help="worker processes for replicate chunks")
     shared.add_argument("--quiet", action="store_true", help="suppress status lines")
 
     parser = argparse.ArgumentParser(

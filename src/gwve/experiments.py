@@ -4,8 +4,8 @@ Every runner produces an `ExperimentReport` whose rows carry (n, statistic,
 value, comparator, tolerance, pass flag).  Reruns with the same seed yield
 byte-identical CSV bodies: replicates are drawn in fixed-size chunks with a
 stream per (seed, experiment, horizon, chunk) and merged in chunk order, so
-the worker-thread count cannot change any number.  Wall time and timestamps
-live only in the summary metadata, never in the CSV.
+the number of worker processes cannot change any number.  Wall time and
+timestamps live only in the summary metadata, never in the CSV.
 
 The Yaglom Monte Carlo runs in one pass: each chunk, on the stream
 (seed, "yaglom", largest Monte Carlo horizon, chunk), is simulated once to
@@ -26,7 +26,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -358,6 +357,19 @@ def _sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+# In a forked pool worker: the chunk function of the pool that forked it.
+_worker_chunk = None
+
+
+def _start_worker(chunk) -> None:
+    global _worker_chunk
+    _worker_chunk = chunk
+
+
+def _run_chunk(idx: int):
+    return _worker_chunk(idx)
+
+
 def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
                         kind: str) -> list[Collected]:
     """Terminal-population histograms (and branch-generation histograms, for
@@ -367,11 +379,16 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     `kind` is "gw", "one_spine" or "two_spine".  Replicates are drawn in
     chunks with a stream per (seed, tag, largest horizon, chunk); each chunk
     is reduced to its histograms inside its worker and the histograms are
-    summed in chunk order, so memory depends on the chunk size and thread
+    summed in chunk order, so memory depends on the chunk size and worker
     count, not on the replicate count.  Each chunk is simulated once, to the
     largest horizon, and is reduced at every horizon on the way: plain and
     one-spine runs take several horizons, two-spine runs one, since the law
-    of their branching generation depends on the horizon."""
+    of their branching generation depends on the horizon.
+
+    With `config.threads` > 1 and several chunks, the chunks run on
+    min(threads, chunks) worker processes made by fork; elsewhere, and where
+    the platform cannot fork, they run in this process.  No worker outlives
+    the call, and an error raised in a worker is raised here."""
     sampler = getattr(spines, f"simulate_{kind}_populations", None)
     if sampler is None:
         raise ValueError(f"unknown population kind {kind!r}")
@@ -404,9 +421,25 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
                 for (a0, x0, k0), (a1, x1, k1) in zip(totals, chunk)]
         return [Collected(*total) for total in totals]
 
-    if config.threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=min(config.threads, len(sizes))) as pool:
-            return merged(pool.map(work, range(len(sizes))))
+    workers = min(config.threads, len(sizes))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # The workers inherit `work` through the fork: it is never pickled
+            # (the environment holds a lock).  The pool forks every worker
+            # before it starts its helper threads.  Each task sends a chunk
+            # index and returns that chunk's histograms; `imap` keeps chunk
+            # order.
+            pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (work,))
+            try:
+                return merged(pool.imap(_run_chunk, range(len(sizes))))
+            except BaseException:
+                pool.terminate()  # drop the chunks still queued
+                raise
+            finally:
+                pool.close()
+                pool.join()
     return merged(map(work, range(len(sizes))))
 
 

@@ -550,9 +550,10 @@ class Geometric(OffspringDistribution):
         # The shape r = c + 2s + 3t: NegBin(r, p) is one draw from the alias
         # table of entry r (see `_alias_laws`).  Shapes r >= C read entry
         # C - 1 and draw anew with numpy, after every row's uniform.  Where
-        # most shapes are that large, the uniforms and gathers cost more than
-        # they save, so numpy draws every row in one call (pool threads pay a
-        # GIL handoff per numpy call).
+        # most shapes are that large, numpy draws every row in one call: the
+        # alias pass over all rows and the masked gather and scatter of the
+        # large ones would be extra passes around a numpy draw that covers
+        # most rows anyway.
         total = self._shape_sum(counts, (1, 2, 3), size_biased, pair_biased)
         r = np.asarray(total, dtype=np.int64).reshape(-1)
         below, prob, alias = self._inversion_tables()

@@ -211,6 +211,18 @@ def test_simulate_without_pair_biased_law(tmp_path, kind):
     assert 0.0 <= summary["tv_vs_oracle"] < 0.02
 
 
+def test_simulate_worker_distribution_error_exit_2(tmp_path, capsys):
+    # the size-biased point mass at 0 does not exist; the first chunk's worker
+    # process finds that out
+    env = {"rule": "periodic", "cycle": [{"kind": "geometric", "p": 0.5},
+                                         {"kind": "table", "pmf": [1.0]}]}
+    config = write_config(tmp_path, environment=env, horizons=[4], replicates=300,
+                          chunk_size=100, threads=2, assume_critical=True)
+    assert main(["simulate", "one-spine", "--config", str(config),
+                 "--out", str(tmp_path / "sim"), "--quiet"]) == 2
+    assert "degenerate at zero" in capsys.readouterr().err
+
+
 def test_simulate_yaglom_outputs(tmp_path):
     config = write_config(tmp_path, horizons=[20, 50], replicates=150_000)
     out = tmp_path / "yag"

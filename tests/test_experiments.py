@@ -274,11 +274,20 @@ def test_reports_reproducible_and_thread_invariant(tmp_path, e2):
 
 
 def test_collection_is_thread_invariant(e1):
-    a = cfg(e1, horizons=[5], replicates=100_000, chunk_size=1 << 20)
-    b = cfg(e1, horizons=[5], replicates=100_000, chunk_size=1 << 20, threads=3)
-    ra = ex.collect_populations(a, "t", [5], "gw")[0]
-    rb = ex.collect_populations(b, "t", [5], "gw")[0]
-    assert np.array_equal(ra.counts, rb.counts)
+    # four chunks, so the pool starts at threads 2 and 3; a small node budget
+    # makes some replicates abort
+    for kind in ("gw", "one_spine", "two_spine"):
+        runs = []
+        for threads in (1, 2, 3):
+            c = cfg(e1, horizons=[8], replicates=40_000, chunk_size=10_000, threads=threads,
+                    node_budget=100)
+            runs.append(ex.collect_populations(c, "t", [8], kind)[0])
+        assert runs[0].aborted > 0, kind
+        for run in runs[1:]:
+            assert run.aborted == runs[0].aborted, kind
+            assert np.array_equal(run.counts, runs[0].counts), kind
+            if kind == "two_spine":
+                assert np.array_equal(run.k_counts, runs[0].k_counts)
 
 
 @pytest.mark.parametrize("kind", ["two_spine"])
@@ -360,15 +369,52 @@ def test_threads_default_to_available_cores(e1):
     assert ex.ExperimentConfig(e1, horizons=[2]).threads == cores
 
 
-def test_pool_starts_no_more_workers_than_chunks(e1, monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """(worker count, pool) of every process pool the test starts; holding the
+    pools keeps garbage collection from cleaning up after them."""
+    import multiprocessing.pool
+
     started = []
 
-    class Pool(ex.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    class Pool(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            super().__init__(processes, *args, **kwargs)
+            started.append((processes, self))
 
-    monkeypatch.setattr(ex, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", Pool)
+    return started
+
+
+def test_pool_starts_no_more_workers_than_chunks(e1, pools):
     ex.collect_populations(cfg(e1, replicates=300, chunk_size=100, threads=8), "t", [5], "gw")
     ex.collect_populations(cfg(e1, replicates=100, chunk_size=100, threads=8), "t", [5], "gw")
-    assert started == [3]
+    assert [workers for workers, _ in pools] == [3]
+
+
+def test_collection_without_fork_runs_inline(e1, monkeypatch):
+    import multiprocessing
+
+    c = cfg(e1, replicates=300, chunk_size=100, threads=2)
+    pooled = ex.collect_populations(c, "t", [5], "gw")[0]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", None)  # any pool would fail
+    inline = ex.collect_populations(c, "t", [5], "gw")[0]
+    assert np.array_equal(inline.counts, pooled.counts) and inline.aborted == pooled.aborted
+
+
+def test_worker_errors_reach_the_caller_and_no_worker_outlives_a_run(e1, pools):
+    import multiprocessing
+
+    from gwve.environment import Environment
+    from gwve.offspring import DistributionError, FiniteTable, Geometric
+
+    ex.collect_populations(cfg(e1, replicates=300, chunk_size=100, threads=2), "t", [5], "one_spine")
+    assert multiprocessing.active_children() == []
+    # size-biasing the point mass at 0 fails in the first chunk's sampler
+    env = Environment.periodic([Geometric(0.5), FiniteTable([1.0])])
+    c = cfg(env, horizons=[4], replicates=300, chunk_size=100, threads=2, assume_critical=True)
+    with pytest.raises(DistributionError, match="degenerate at zero") as info:
+        ex.collect_populations(c, "t", [4], "one_spine")
+    assert type(info.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+    assert multiprocessing.active_children() == [] and len(pools) == 2

@@ -357,6 +357,12 @@ def _sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+# Work, in replicates x largest horizon, below which chunks run in this
+# process.  Starting the pool and rebuilding each worker's caches costs about
+# 20 ms on a 2-core host, and below about 3e7 of this work plain E1 chunks ran
+# no faster on two worker processes than inline.
+_POOL_MIN_WORK = 1 << 25
+
 # In a forked pool worker: the chunk function of the pool that forked it.
 _worker_chunk = None
 
@@ -385,10 +391,12 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     one-spine runs take several horizons, two-spine runs one, since the law
     of their branching generation depends on the horizon.
 
-    With `config.threads` > 1 and several chunks, the chunks run on
-    min(threads, chunks) worker processes made by fork; elsewhere, and where
-    the platform cannot fork, they run in this process.  No worker outlives
-    the call, and an error raised in a worker is raised here."""
+    With `config.threads` > 1, several chunks and at least `_POOL_MIN_WORK`
+    replicates x largest horizon, the chunks run on min(threads, chunks)
+    worker processes made by fork; otherwise, and where the platform cannot
+    fork, they run in this process.  No worker outlives the call, an error
+    raised in a worker is raised here, and a worker that dies raises
+    BrokenProcessPool."""
     sampler = getattr(spines, f"simulate_{kind}_populations", None)
     if sampler is None:
         raise ValueError(f"unknown population kind {kind!r}")
@@ -422,24 +430,23 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
         return [Collected(*total) for total in totals]
 
     workers = min(config.threads, len(sizes))
-    if workers > 1:
+    if workers > 1 and config.replicates * hs[-1] >= _POOL_MIN_WORK:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
             # The workers inherit `work` through the fork: it is never pickled
-            # (the environment holds a lock).  The pool forks every worker
-            # before it starts its helper threads.  Each task sends a chunk
-            # index and returns that chunk's histograms; `imap` keeps chunk
-            # order.
-            pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (work,))
+            # (the environment holds a lock).  With fork the executor starts
+            # every worker before its helper thread.  Each task sends a chunk
+            # index and returns that chunk's histograms; `map` keeps chunk
+            # order, and a worker that dies raises BrokenProcessPool here.
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       _start_worker, (work,))
             try:
-                return merged(pool.imap(_run_chunk, range(len(sizes))))
-            except BaseException:
-                pool.terminate()  # drop the chunks still queued
-                raise
+                return merged(pool.map(_run_chunk, range(len(sizes))))
             finally:
-                pool.close()
-                pool.join()
+                pool.shutdown(wait=True, cancel_futures=True)
     return merged(map(work, range(len(sizes))))
 
 

@@ -211,9 +211,10 @@ def test_simulate_without_pair_biased_law(tmp_path, kind):
     assert 0.0 <= summary["tv_vs_oracle"] < 0.02
 
 
-def test_simulate_worker_distribution_error_exit_2(tmp_path, capsys):
+def test_simulate_worker_distribution_error_exit_2(tmp_path, capsys, monkeypatch):
     # the size-biased point mass at 0 does not exist; the first chunk's worker
-    # process finds that out
+    # process finds that out (the work threshold is lifted so a pool starts)
+    monkeypatch.setattr(ex, "_POOL_MIN_WORK", 0)
     env = {"rule": "periodic", "cycle": [{"kind": "geometric", "p": 0.5},
                                          {"kind": "table", "pmf": [1.0]}]}
     config = write_config(tmp_path, environment=env, horizons=[4], replicates=300,

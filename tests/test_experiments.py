@@ -273,8 +273,8 @@ def test_reports_reproducible_and_thread_invariant(tmp_path, e2):
     assert r1.to_csv_text() == r2.to_csv_text() == r4.to_csv_text()
 
 
-def test_collection_is_thread_invariant(e1):
-    # four chunks, so the pool starts at threads 2 and 3; a small node budget
+def test_collection_is_thread_invariant(e1, pools):
+    # four chunks, so a pool starts at threads 2 and 3; a small node budget
     # makes some replicates abort
     for kind in ("gw", "one_spine", "two_spine"):
         runs = []
@@ -288,6 +288,7 @@ def test_collection_is_thread_invariant(e1):
             assert np.array_equal(run.counts, runs[0].counts), kind
             if kind == "two_spine":
                 assert np.array_equal(run.k_counts, runs[0].k_counts)
+    assert [workers for workers, _ in pools] == [2, 3] * 3
 
 
 @pytest.mark.parametrize("kind", ["two_spine"])
@@ -371,18 +372,20 @@ def test_threads_default_to_available_cores(e1):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """(worker count, pool) of every process pool the test starts; holding the
-    pools keeps garbage collection from cleaning up after them."""
-    import multiprocessing.pool
+    """(worker count, pool) of every process pool the test starts, with the
+    work threshold lifted so that small runs start one; holding the pools
+    keeps garbage collection from cleaning up after them."""
+    import concurrent.futures
 
     started = []
 
-    class Pool(multiprocessing.pool.Pool):
-        def __init__(self, processes=None, *args, **kwargs):
-            super().__init__(processes, *args, **kwargs)
-            started.append((processes, self))
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
+            started.append((max_workers, self))
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(ex, "_POOL_MIN_WORK", 0)
     return started
 
 
@@ -392,7 +395,14 @@ def test_pool_starts_no_more_workers_than_chunks(e1, pools):
     assert [workers for workers, _ in pools] == [3]
 
 
-def test_collection_without_fork_runs_inline(e1, monkeypatch):
+def test_small_runs_start_no_pool(e1, pools, monkeypatch):
+    monkeypatch.setattr(ex, "_POOL_MIN_WORK", 300 * 5 + 1)
+    ex.collect_populations(cfg(e1, replicates=300, chunk_size=100, threads=2), "t", [5], "gw")
+    ex.collect_populations(cfg(e1, replicates=300, chunk_size=100, threads=2), "t", [6], "gw")
+    assert [workers for workers, _ in pools] == [2]
+
+
+def test_collection_without_fork_runs_inline(e1, pools, monkeypatch):
     import multiprocessing
 
     c = cfg(e1, replicates=300, chunk_size=100, threads=2)
@@ -401,6 +411,7 @@ def test_collection_without_fork_runs_inline(e1, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", None)  # any pool would fail
     inline = ex.collect_populations(c, "t", [5], "gw")[0]
     assert np.array_equal(inline.counts, pooled.counts) and inline.aborted == pooled.aborted
+    assert len(pools) == 1
 
 
 def test_worker_errors_reach_the_caller_and_no_worker_outlives_a_run(e1, pools):
@@ -416,5 +427,37 @@ def test_worker_errors_reach_the_caller_and_no_worker_outlives_a_run(e1, pools):
     c = cfg(env, horizons=[4], replicates=300, chunk_size=100, threads=2, assume_critical=True)
     with pytest.raises(DistributionError, match="degenerate at zero") as info:
         ex.collect_populations(c, "t", [4], "one_spine")
-    assert type(info.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker
     assert multiprocessing.active_children() == [] and len(pools) == 2
+
+
+def test_a_dead_worker_fails_the_run(e1, pools, monkeypatch):
+    import multiprocessing
+    import signal
+    import threading
+    from concurrent.futures.process import BrokenProcessPool
+
+    # the last, shorter chunk kills its worker process outright
+    parent, sample = os.getpid(), spines.simulate_gw_populations
+
+    def sampler(env, n, size, *args, **kwargs):
+        if os.getpid() != parent and size == 50:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sample(env, n, size, *args, **kwargs)
+
+    monkeypatch.setattr(spines, "simulate_gw_populations", sampler)
+    c = cfg(e1, replicates=250, chunk_size=100, threads=2)
+    raised = []
+
+    def run():
+        try:
+            ex.collect_populations(c, "t", [5], "gw")
+        except BaseException as exc:
+            raised.append(exc)
+
+    waiter = threading.Thread(target=run, daemon=True)
+    waiter.start()
+    waiter.join(timeout=60)
+    assert not waiter.is_alive(), "a dead worker left the run waiting"
+    assert len(pools) == 1 and [type(exc) for exc in raised] == [BrokenProcessPool]
+    assert multiprocessing.active_children() == []

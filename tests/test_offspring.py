@@ -563,8 +563,9 @@ def test_table_sum_sample_empty_and_2d(counts):
 
 
 def test_table_first_use_races_to_the_same_draws():
-    # pool threads share one law; several may build its alias cache at once,
-    # with the interpreter switching threads as often as it can
+    # a library caller's threads may share one law; several may build its
+    # alias cache at once, with the interpreter switching threads as often as
+    # it can
     counts = np.arange(5000) % 40
     size_biased = np.arange(5000) % 3
     workers = 4

@@ -217,17 +217,17 @@ def cmd_simulate(args) -> int:
             "\n".join(["k,count"] + [f"{i},{int(c)}" for i, c in enumerate(run.k_counts)]) + "\n"
         )
         summary["kn_chi2_pvalue"] = ex.chi_square_pvalue(run.k_counts, engine.kn_pmf_vector(env, n))
+    summary["oracle_tail_mass"] = None  # null when no oracle ran
     if n <= 8 and not completed:
         summary["tv_vs_oracle"] = None  # every replicate aborted: no sample to compare
     elif n <= 8:
-        try:
-            law = oracle.exact_pmf(env, n, cap=config.oracle_cap)
-            if kind != "gw":
-                law = oracle.transform_pmf(law, "size_biased" if kind == "one_spine" else "pair_biased")
-            summary["tv_vs_oracle"] = oracle.tv_distance(oracle.histogram_pmf(run.counts, cap=law.cap),
-                                                         law)
-        except oracle.TailBudgetError:
-            summary["tv_vs_oracle"] = None
+        law = oracle.exact_pmf(env, n)
+        # read before reweighting: transform_pmf returns a law with no tail
+        summary["oracle_tail_mass"] = law.tail_mass
+        if kind != "gw":
+            law = oracle.transform_pmf(law, "size_biased" if kind == "one_spine" else "pair_biased")
+        summary["tv_vs_oracle"] = oracle.tv_distance(oracle.histogram_pmf(run.counts, cap=law.cap),
+                                                     law)
     summary_path = out_dir / f"simulate_{kind}_n{n}_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if not args.quiet:

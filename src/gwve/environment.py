@@ -24,15 +24,6 @@ from .offspring import DistributionError, OffspringDistribution
 
 __all__ = ["Environment", "RegimeDiagnostics"]
 
-REGIMES = (
-    "supercritical",
-    "asymptotically-degenerate",
-    "critical",
-    "subcritical",
-    "inconclusive",
-)
-
-
 @dataclass(frozen=True)
 class RegimeDiagnostics:
     """Numeric evidence backing a regime label.

@@ -126,11 +126,8 @@ class ExperimentConfig:
     threads: int = field(default_factory=_available_cores)
     chunk_size: int = 1 << 17
     node_budget: int = spines.DEFAULT_NODE_BUDGET
-    oracle_cap: int = oracle.DEFAULT_CAP
     assume_critical: bool = False
-    y_grid_size: int = 1000
     kn_horizon: int = 10
-    out_dir: Path | None = None
 
     def __post_init__(self):
         if not self.horizons:
@@ -526,7 +523,7 @@ def run_uniform_limit(config: ExperimentConfig) -> ExperimentReport:
         sups = []
         for n in config.horizons:
             # Midpoint grid: avoids sitting exactly on the partition atoms.
-            y = (np.arange(config.y_grid_size) + 0.5) / config.y_grid_size
+            y = (np.arange(1000) + 0.5) / 1000
             sup = float(np.max(np.abs(engine.a_kn_cdf(config.environment, n, y) - y)))
             norm = engine.partition_norm(config.environment, n)
             sups.append(sup)
@@ -583,7 +580,7 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
         ones = collect_populations(config, "identities/one", oracle_horizons, "one_spine")
         aborted = ones[-1].aborted
         for n, one in zip(oracle_horizons, ones):
-            p = oracle.exact_pmf(env, n, cap=config.oracle_cap)
+            p = oracle.exact_pmf(env, n)
             note = ""
             if p.tail_mass > oracle.DEFAULT_TAIL_BUDGET:
                 note = "oracle tail budget exceeded"
@@ -644,11 +641,11 @@ def _lemma33_max_gap(env: Environment, n: int, p: oracle.ExactPmf, config: Exper
         shifted = env.shift(m + 1)
         hang_dot = shifted.prepend(d.size_biased().shift_down(1))
         hang_ddot = shifted.prepend(d.pair_biased().shift_down(2))
-        p_dot = oracle.exact_pmf(hang_dot, n - m, cap=config.oracle_cap)
-        p_ddot = oracle.exact_pmf(hang_ddot, n - m, cap=config.oracle_cap)
+        p_dot = oracle.exact_pmf(hang_dot, n - m)
+        p_ddot = oracle.exact_pmf(hang_ddot, n - m)
         rest = n - (m + 1)
         if rest > 0:
-            p_shift = oracle.exact_pmf(shifted, rest, cap=config.oracle_cap)
+            p_shift = oracle.exact_pmf(shifted, rest)
             ref = oracle_laplace(oracle.transform_pmf(p_shift, "size_biased"))
         else:
             ref = np.exp(-lams)  # one fresh particle

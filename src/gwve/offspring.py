@@ -254,11 +254,6 @@ class OffspringDistribution:
         """Materialize as a finite table, truncated and renormalized."""
         raise NotImplementedError
 
-    @property
-    def max_support(self) -> int | None:
-        """Largest atom, or None for infinite support."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # Derived quantities shared by all families.
 
@@ -338,10 +333,6 @@ class OffspringDistribution:
         if r == 0:
             return self
         if any(self.pmf(j) > 0.0 for j in range(r)):
-            raise DistributionError("shift precondition violated")
-        if self.max_support is None:
-            # Infinite-support families all put mass at 0, so this is
-            # unreachable for them; guard anyway.
             raise DistributionError("shift precondition violated")
         table = self.to_table()
         return FiniteTable(table.probs[r:])
@@ -501,10 +492,6 @@ class FiniteTable(OffspringDistribution):
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> "FiniteTable":
         return self
 
-    @property
-    def max_support(self) -> int:
-        return self.probs.size - 1
-
 
 class Geometric(OffspringDistribution):
     """Geometric law q(k) = p (1-p)^k on {0, 1, 2, ...}.
@@ -599,10 +586,6 @@ class Geometric(OffspringDistribution):
         probs = self.p * (1.0 - self.p) ** k
         return FiniteTable(probs / math.fsum(probs))
 
-    @property
-    def max_support(self) -> int | None:
-        return 0 if self.p == 1.0 else None
-
 
 class Poisson(OffspringDistribution):
     """Poisson law with parameter lam; pgf f(s) = exp(lam (s-1))."""
@@ -644,23 +627,24 @@ class Poisson(OffspringDistribution):
         return np.asarray(rng.poisson(self.lam * np.asarray(shape, dtype=float)), dtype=np.int64)
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
-        # Once r = lam/(k+1) < 1, the tail beyond k is at most q(k) r/(1-r).
-        # (1 - running sum) cannot serve: it stalls at rounding level, above
-        # the tighter reweighting cuts.
-        probs = [math.exp(-self.lam)]
-        k = 0
+        # Built outward from the mode m = floor(lam) by the ratios q(k+1)/q(k)
+        # = lam/(k+1) and normalized at the end: q(0) = exp(-lam) underflows
+        # to 0 for lam > 745.  From m on, r = lam/(k+1) < 1 and the tail beyond
+        # k is at most q(k) r/(1-r), checked in log space.  (1 - running sum)
+        # cannot serve: it stalls at rounding level, above the tighter
+        # reweighting cuts.
+        lam = self.lam
+        m = k = math.floor(lam)
         while True:
-            r = self.lam / (k + 1)
-            if r < 1.0 and probs[-1] * r / (1.0 - r) <= tail_tol:
+            r = lam / (k + 1)
+            log_q = k * math.log(lam) - lam - math.lgamma(k + 1)
+            if log_q + math.log(r / (1.0 - r)) <= math.log(tail_tol):
                 break
             k += 1
-            probs.append(probs[-1] * self.lam / k)
-        arr = np.asarray(probs)
+        up = np.cumprod(lam / np.arange(m + 1, k + 1))
+        down = np.cumprod(np.arange(m, 0, -1) / lam)
+        arr = np.concatenate([down[::-1], [1.0], up])
         return FiniteTable(arr / math.fsum(arr))
-
-    @property
-    def max_support(self) -> int | None:
-        return None
 
 
 class Binomial(OffspringDistribution):
@@ -713,7 +697,3 @@ class Binomial(OffspringDistribution):
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
         return FiniteTable([self.pmf(k) for k in range(self.n + 1)])
-
-    @property
-    def max_support(self) -> int:
-        return self.n

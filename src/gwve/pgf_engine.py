@@ -109,9 +109,7 @@ class CompositionTrace:
             raise ValueError("pgf argument must be a scalar or a 1-d grid")
         if not np.all((grid >= 0.0) & (grid <= 1.0)):
             raise ValueError("pgf argument must lie in [0, 1]")
-        self.env = env
         self.n = n
-        self.s = float(grid) if grid.ndim == 0 else grid.copy()
         shape = (n + 1,) + grid.shape
         self.values = values = np.empty(shape)
         self.fp = fp = np.full(shape, math.nan)

@@ -100,9 +100,6 @@ class LabeledTree:
             return 0
         return int(self.level_starts[k + 1] - self.level_starts[k])
 
-    def populations(self) -> np.ndarray:
-        return np.diff(self.level_starts)
-
     def mrca_generation(self, u: int, v: int) -> int:
         """Generation of the deepest common ancestor of nodes u and v."""
         du, dv = self.generation_of(u), self.generation_of(v)

@@ -197,6 +197,17 @@ def test_simulate_gw_survival(tmp_path):
     assert abs(phat - 0.25) < 3 * (0.25 * 0.75 / 100_000) ** 0.5
 
 
+def test_simulate_reports_the_oracle_tail_mass(tmp_path):
+    # the tail of the oracle's law of Z_2 on E1, read before size-biasing it
+    out = tmp_path / "sim"
+    assert main(["simulate", "one-spine", "--config", str(write_config(tmp_path)), "--n", "2",
+                 "--replicates", "20000", "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "simulate_one_spine_n2_summary.json").read_text())
+    assert isinstance(summary["oracle_tail_mass"], float)
+    assert 0.0 <= summary["oracle_tail_mass"] <= 1e-10
+    assert summary["tv_vs_oracle"] < 0.02
+
+
 @pytest.mark.parametrize("kind", ["gw", "one-spine"])
 def test_simulate_without_pair_biased_law(tmp_path, kind):
     # f''(1) = 0: the pair-biased law does not exist, and neither run needs it
@@ -402,6 +413,7 @@ def test_simulate_all_aborted_at_oracle_horizon_exit_1(tmp_path):
     assert main(["simulate", "gw", "--config", str(config), "--out", str(out), "--quiet"]) == 1
     summary = json.loads((out / "simulate_gw_n6_summary.json").read_text())
     assert summary["completed"] == 0 and summary["tv_vs_oracle"] is None
+    assert summary["oracle_tail_mass"] is None
 
 
 def test_check_decomposition_s_n_overflow_exit_2(tmp_path, capsys):
@@ -441,9 +453,9 @@ def test_check_empty_grid_exit_2(tmp_path, capsys, command, grid):
     ("threads", True),
     ("chunk_size", 100.5),
     ("node_budget", "x"),
-    ("oracle_cap", 8.5),
+    ("kn_horizon", 8.5),
     ("min_survivors", 10.0),
-    ("y_grid_size", False),
+    ("chunk_size", False),
     ("kn_horizon", "10"),
     ("horizons", [True, 3]),
     ("horizons", 3),
@@ -462,4 +474,20 @@ def test_wrongly_typed_config_field_exit_2(tmp_path, capsys, field, value):
     out = tmp_path / "out"
     assert main(["simulate", "gw", "--config", str(config), "--out", str(out), "--quiet"]) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("oracle_cap", 4096),
+    ("y_grid_size", 1000),
+    ("out_dir", "x"),
+    ("oracle_cap", 8.5),
+    ("y_grid_size", False),
+])
+def test_retired_config_field_exit_2(tmp_path, capsys, field, value):
+    # a name that is no config field is refused as such, whatever its value
+    config = write_config(tmp_path, **{"replicates": 1000, field: value})
+    out = tmp_path / "out"
+    assert main(["simulate", "gw", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert f"config field '{field}': unknown config field" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())

@@ -1,5 +1,6 @@
 import pytest
 
+from gwve import config as cfg
 from gwve.config import ConfigError, build_experiment_config, environment_spec, parse_environment
 from gwve.environment import Environment
 from gwve.experiments import reference_environment
@@ -49,3 +50,12 @@ def test_well_typed_grids_and_flag_are_accepted(flag):
         "horizons": [2], "s_grid": [0, 0.5, 1], "lambda_grid": [1, 2.5], "assume_critical": flag})
     assert config.assume_critical is flag
     assert list(config.s_grid) == [0, 0.5, 1] and list(config.lambda_grid) == [1, 2.5]
+
+
+def test_config_fields_follow_the_dataclass():
+    # the JSON-settable fields and their integer subset are read off ExperimentConfig
+    assert cfg._CONFIG_FIELDS == {
+        "horizons", "replicates", "seed", "s_grid", "lambda_grid", "tolerances", "mc_horizons",
+        "min_survivors", "threads", "chunk_size", "node_budget", "assume_critical", "kn_horizon"}
+    assert cfg._INT_FIELDS == {
+        "replicates", "seed", "min_survivors", "threads", "chunk_size", "node_budget", "kn_horizon"}

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import pytest
 
 from gwve.environment import Environment
-from gwve.offspring import Binomial, DistributionError, FiniteTable, Geometric
+from gwve.offspring import Binomial, DistributionError, FiniteTable, Geometric, Poisson
 from gwve.streams import stream
 
 
@@ -156,6 +157,17 @@ def test_classify_diagnostics_fields(e1):
     assert d.s_final == pytest.approx(200.0, abs=1e-10)
     assert d.mu_min_proxy == pytest.approx(1.0, abs=1e-12)
     assert d.as_dict()["label"] == "critical"
+
+
+def test_classify_counts_a_poisson_law_past_the_exp_underflow():
+    # exp(-800) is 0.0 in doubles; Binomial(1, p) has no regularity ratio, so
+    # the supremum is Poisson(800)'s 1 + 1/800, and nothing warns on the way
+    env = Environment.periodic([Poisson(800.0), Binomial(1, 1 / 800)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = env.classify(horizon=1000)
+    assert d.label == "critical"
+    assert d.sup_regularity_ratio == pytest.approx(1.0 + 1.0 / 800.0, abs=1e-6)
 
 
 def test_classify_rejects_tiny_horizon(e1):

@@ -192,6 +192,44 @@ def test_size_biased_poisson_is_shifted_poisson():
         assert sb.pmf(k + 1) == pytest.approx(po.pmf(k), abs=1e-13)
 
 
+def _poisson_table_from_zero(lam, tail_tol):
+    """Reference table: q(k) = q(k-1) lam/k from q(0) = exp(-lam), cut where
+    the tail bound q(k) r/(1-r), r = lam/(k+1) < 1, reaches tail_tol.  Valid
+    only while exp(-lam) is a normal double (lam below about 708)."""
+    probs, k = [math.exp(-lam)], 0
+    while True:
+        r = lam / (k + 1)
+        if r < 1.0 and probs[-1] * r / (1.0 - r) <= tail_tol:
+            return np.asarray(probs) / math.fsum(probs)
+        k += 1
+        probs.append(probs[-1] * lam / k)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 30.0])
+@pytest.mark.parametrize("tail_tol", [1e-14, 1e-15, 1e-18])
+def test_poisson_table_matches_the_recurrence_from_zero(lam, tail_tol):
+    table = Poisson(lam).to_table(tail_tol).probs
+    reference = _poisson_table_from_zero(lam, tail_tol)
+    assert table.size == reference.size
+    assert np.max(np.abs(table - reference)) <= 1e-15
+
+
+def test_poisson_table_past_the_exp_underflow():
+    # exp(-800) is 0.0 in doubles; the table is built from the mode outward
+    po = Poisson(800.0)
+    table = po.to_table().probs
+    assert math.fsum(table) == pytest.approx(1.0, abs=1e-15)
+    assert table.max() == pytest.approx(po.pmf(800), rel=1e-12)
+    assert po.regularity_ratio() == pytest.approx(1.0 + 1.0 / 800.0, abs=1e-6)
+    sb = po.size_biased()
+    assert sb.mean() == pytest.approx(801.0, rel=1e-12)
+    for k in (700, 800, 900):
+        assert sb.pmf(k + 1) == pytest.approx(po.pmf(k), rel=1e-9)
+    # P(X = 0) = e^-800 is below the double range, so X - 1 is a law here
+    shifted = po.shift_down(1)
+    assert shifted.pmf(799) == pytest.approx(po.pmf(800), rel=1e-12)
+
+
 def test_size_biased_mean_identity():
     # mean of the size-biased law is 1 + f''(1)/f'(1)
     for dist in (FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.1, 0.3, 0.2, 0.4]), Geometric(0.5)):

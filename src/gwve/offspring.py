@@ -21,8 +21,11 @@ on a 2-core Xeon against 130-150 ns for a binary search over cached CDFs and
 table's entry is its count of plain parents, below 32 (fewer for tables with
 many atoms); larger counts draw their plain births by one multinomial and add
 the spine births from the same alias table.  A geometric law's entry is the
-shape r of NegBin(r, p), below 32 (fewer for small p); larger shapes keep
-numpy's draw.  Poisson and binomial laws keep their closed-form numpy draws.
+shape r of NegBin(r, p), below C = 32 (fewer for small p); a second table
+holds the shapes C*a for a < A (A = 16 at p = 1/2), and a shape r of C or
+more adds one draw of NegBin(C floor(r/C), p) from it to the draw of
+NegBin(r mod C, p).  Shapes beyond the second table keep numpy's draw.
+Poisson and binomial laws keep their closed-form numpy draws.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ _PMF_SUM_TOL = 1e-12
 # cache would hold more than _INVERT_ATOMS columns.
 _INVERT_BELOW = 32
 _INVERT_ATOMS = 1 << 16
+# A geometric law's second alias table, of the NegBin shapes C*a, holds at
+# most this many columns (see `Geometric._coarse_laws`).
+_COARSE_ATOMS = 1 << 14
 # Every alias entry splits its unit mass into this many integer units.
 _ALIAS_UNITS = 1 << 61
 
@@ -154,31 +160,38 @@ def _negbin_width(p: float, r: int, atoms: int) -> float:
     not below `atoms`.  The cut is the first atom K at which the tail bound
     pmf(K) rho / (1 - rho) is below one alias unit, 1/_ALIAS_UNITS = 2^-61,
     where rho = pmf(K + 1) / pmf(K) = (K + r) (1-p) / (K + 1) < 1: the ratios
-    fall with k, so the tail beyond K is below that bound.  A p so small
-    that p^r underflows has rho >= 1 on every atom below `atoms`."""
+    fall with k, so the tail beyond K is below that bound.  The bound is
+    formed in log space, where neither p^r nor the ratios' running product
+    leaves the float range."""
     k = np.arange(atoms)
     rho = (k + r) * (1.0 - p) / (k + 1)
-    pmf = p**r * np.cumprod(np.append(1.0, rho[:-1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cut = np.flatnonzero((rho < 1.0) & (pmf * rho / (1.0 - rho) < 1.0 / _ALIAS_UNITS))
+        log_pmf = r * math.log(p) + np.cumsum(np.append(0.0, np.log(rho[:-1])))
+        tail = log_pmf + np.log(rho / (1.0 - rho))
+    cut = np.flatnonzero((rho < 1.0) & (tail < -math.log(_ALIAS_UNITS)))
     return 1 << int(cut[0]).bit_length() if cut.size else math.inf
 
 
-def _negbin_pmfs(p: float, entries: int, atoms: int) -> np.ndarray:
-    """(entries x atoms) array whose row r is the NegBin(r, p) pmf
-    C(k + r - 1, k) p^r (1-p)^k on k < atoms (row 0 is the point mass at 0).
+def _negbin_pmfs(p: float, shapes: np.ndarray, atoms: int) -> np.ndarray:
+    """(shapes x atoms) array whose row i is the NegBin(r, p) pmf C(k + r -
+    1, k) p^r (1-p)^k on k < atoms, for r = shapes[i] (r = 0: the point mass
+    at 0).
 
-    The binomial coefficient is a product over r, not over k, so every value
-    is within about r + 3 roundings of exact at any k, but for the rounding
-    delta of 1 - p, which scales atom k by about (1 + delta)^k.  Each row is
-    divided by its exact sum, which takes out the bulk of that skew."""
+    Each row is built from its mode outward by the ratios pmf(k + 1) / pmf(k)
+    = (k + r) (1-p) / (k + 1), then divided by its exact sum, so no value
+    leaves the float range (p^r alone underflows near r = 460 at p = 0.2).
+    An atom d steps from the mode is within about 3d roundings of exact, but
+    for the rounding delta of 1 - p, which scales it by about (1 + delta)^d;
+    the division by the sum takes out the bulk of that skew."""
+    r = np.asarray(shapes, dtype=float)[:, None]
     k = np.arange(atoms, dtype=float)
-    j = np.arange(1, entries - 1, dtype=float)[:, None]
-    ways = np.cumprod(np.vstack([np.ones(atoms), (k + j) / j]), axis=0)[:entries - 1]
-    pmfs = np.zeros((entries, atoms))
-    pmfs[0, 0] = 1.0
-    pmfs[1:] = ways * p ** np.arange(1.0, entries)[:, None] * (1.0 - p) ** k
-    pmfs /= np.array([math.fsum(row) for row in pmfs])[:, None]
+    q = 1.0 - p
+    mode = np.minimum(np.floor(np.maximum(r - 1.0, 0.0) * q / p), atoms - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = np.where(k > mode, (k - 1.0 + r) * q / k, 1.0)       # pmf(k) / pmf(k - 1)
+        down = np.where(k < mode, (k + 1.0) / ((k + r) * q), 1.0)  # pmf(k) / pmf(k + 1)
+    pmfs = np.cumprod(up, axis=1) * np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    pmfs /= np.array([math.fsum(row) for row in pmfs.tolist()])[:, None]
     return pmfs
 
 
@@ -289,18 +302,23 @@ class OffspringDistribution:
 
     def _inversion_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
         """(C, prob, alias): the Walker alias columns (see `_alias_columns`)
-        of the entries `_alias_laws` gives, read by `sum_sample`.
+        of the entries `_alias_laws` gives, read by `sum_sample`."""
+        return self._alias_tables("_inversion", self._alias_laws)
 
-        Built once per instance and published by one assignment, so threads
-        that race on the first call build equal tables and never see a
-        partial one."""
-        tables = self.__dict__.get("_inversion")
+    def _alias_tables(self, name: str, laws) -> tuple[int, np.ndarray, np.ndarray]:
+        """(E, prob, alias) for (E, pmfs) = laws(), cached as attribute `name`.
+
+        Built once per instance, in the process that draws, and published by
+        one assignment, so threads that race on the first call build equal
+        tables and never see a partial one."""
+        tables = self.__dict__.get(name)
         if tables is None:
-            below, laws = self._alias_laws()
-            prob, alias = _alias_columns(laws)
+            entries, pmfs = laws()
+            prob, alias = _alias_columns(pmfs)
             prob.setflags(write=False)
             alias.setflags(write=False)
-            tables = self._inversion = (below, prob, alias)
+            tables = (entries, prob, alias)
+            setattr(self, name, tables)
         return tables
 
     def _require_reweighted(self, size_biased, pair_biased) -> None:
@@ -534,29 +552,46 @@ class Geometric(OffspringDistribution):
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
                    pair_biased: np.ndarray | None = None) -> np.ndarray:
-        # The shape r = c + 2s + 3t: NegBin(r, p) is one draw from the alias
-        # table of entry r (see `_alias_laws`).  Shapes r >= C read entry
-        # C - 1 and draw anew with numpy, after every row's uniform.  Where
-        # most shapes are that large, numpy draws every row in one call: the
-        # alias pass over all rows and the masked gather and scatter of the
-        # large ones would be extra passes around a numpy draw that covers
-        # most rows anyway.
+        # The shape r = c + 2s + 3t.  NegBin(r, p) is NegBin(r mod C, p), one
+        # draw from the alias table of entry r mod C (see `_alias_laws`),
+        # plus, where r >= C, NegBin(C floor(r/C), p), one draw from the
+        # coarse table of entry floor(r/C) (see `_coarse_laws`), gathered
+        # over those rows alone: early generations hold few of them.  A call
+        # whose shapes are all below C takes the first draw alone.  Shapes
+        # beyond the coarse table's reach C*A read its last entry and draw
+        # anew with numpy, after every row's uniforms.  Where most shapes are
+        # that large, numpy draws every row in one call: the alias passes
+        # over all rows and the masked gather and scatter of the large ones
+        # would be extra passes around a numpy draw that covers most rows
+        # anyway.
         total = self._shape_sum(counts, (1, 2, 3), size_biased, pair_biased)
+        shape = np.shape(total)
         r = np.asarray(total, dtype=np.int64).reshape(-1)
         below, prob, alias = self._inversion_tables()
-        big = r >= below
-        large = np.count_nonzero(big)
+        width = prob.size // below
+        top = r.max(initial=0)
+        if top < below:
+            return _alias_draw(rng, r * width, prob, alias, width).reshape(shape)
+        reach, coarse_prob, coarse_alias = self._coarse_tables()
+        coarse_width = coarse_prob.size // reach
+        large = 0
+        if top >= below * reach:
+            big = r >= below * reach
+            large = np.count_nonzero(big)
         if 2 * large > r.size and r.min() > 0:
-            out = rng.negative_binomial(r, self.p)
-        else:
-            width = prob.size // below
-            col = np.minimum(r, below - 1)
-            col *= width
-            out = _alias_draw(rng, col, prob, alias, width)
-            del col
-            if large:
-                out[big] = rng.negative_binomial(r[big], self.p)
-        return np.asarray(out, dtype=np.int64).reshape(np.shape(total))
+            return rng.negative_binomial(r, self.p).astype(np.int64).reshape(shape)
+        rows = np.flatnonzero(r >= below)
+        coarse = r[rows] // below
+        col = r * width
+        col[rows] -= coarse * (below * width)  # entry r mod C
+        out = _alias_draw(rng, col, prob, alias, width)
+        del col
+        np.minimum(coarse, reach - 1, out=coarse)
+        coarse *= coarse_width
+        out[rows] += _alias_draw(rng, coarse, coarse_prob, coarse_alias, coarse_width)
+        if large:
+            out[big] = rng.negative_binomial(r[big], self.p)
+        return out.reshape(shape)
 
     def _alias_laws(self) -> tuple[int, np.ndarray]:
         """(C, laws): row r < C of `laws` is the NegBin(r, p) pmf on the W
@@ -567,15 +602,42 @@ class Geometric(OffspringDistribution):
         drops more than one alias unit of tail, the rounding `_alias_columns`
         applies to every atom anyway.  C is _INVERT_BELOW, or less for a p so
         small that the C*W columns would pass _INVERT_ATOMS.  Entry 0 always
-        fits, so C >= 1, and a p for which only it fits draws every positive
-        shape with numpy."""
+        fits, so C >= 1."""
         def width(below):
             return _negbin_width(self.p, below - 1, _INVERT_ATOMS // below)
 
         below = _INVERT_BELOW
         while below > 1 and below * width(below) > _INVERT_ATOMS:
             below -= 1
-        return below, _negbin_pmfs(self.p, below, width(below))
+        return below, _negbin_pmfs(self.p, np.arange(below), width(below))
+
+    def _coarse_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(A, prob, alias): the Walker alias columns of `_coarse_laws`."""
+        return self._alias_tables("_coarse", self._coarse_laws)
+
+    def _coarse_laws(self) -> tuple[int, np.ndarray]:
+        """(A, laws): row a < A of `laws` is the NegBin(C*a, p) pmf on W'
+        atoms, for C the entry count of `_alias_laws`; row 0 is the point
+        mass at 0.
+
+        W' is the power of two above the cut of the widest entry, a = A - 1,
+        and A is the largest count whose A*W' columns fit in _COARSE_ATOMS
+        (found by bisection: A*W' grows with A).  A = 1 always fits, and a p
+        for which only it fits draws every shape of C or more with numpy.
+        For p = 0.5: C = 32, A = 16, W' = 1024, so shapes below 512."""
+        below = self._inversion_tables()[0]
+
+        def width(reach):
+            return _negbin_width(self.p, below * (reach - 1), _COARSE_ATOMS // reach)
+
+        lo, hi = 1, _COARSE_ATOMS
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid * width(mid) <= _COARSE_ATOMS:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo, _negbin_pmfs(self.p, below * np.arange(lo), width(lo))
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
         if self.p == 1.0:

@@ -16,8 +16,9 @@ of the family (negative binomial, Poisson, binomial), because their
 reweighted laws less the spine children are members of the same family.
 Tables and geometric laws read it with one uniform in a cached alias table of
 the convolved law, in constant time per replicate (a multinomial adds the
-plain births of a table's large entries, and numpy draws a geometric law's
-large NegBin shapes); Poisson and binomial laws draw it with numpy.  The
+plain births of a table's large entries, a geometric law's NegBin shapes of
+32 or more add a draw from a second table of shapes 32a, and numpy draws the
+shapes beyond that); Poisson and binomial laws draw it with numpy.  The
 arena samplers draw every birth with `sample` (`rng.geometric` for a
 geometric law) and every spine birth from the reweighted tables, an
 independent implementation of the same law.  The batch samplers are what
@@ -302,22 +303,22 @@ def simulate_gw_populations(
     run to n.  Aborted counts are cumulative from generation 0."""
     start = _start_batch(start, n, reps)
     idx = np.flatnonzero(start.x_n)
-    pop, cum = start.x_n[idx], start.nodes
+    pop, cum = start.x_n[idx], start.nodes.copy()
     aborted = start.aborted
     aborted_idx: list[np.ndarray] = []
     for k in range(start.n, n):
         if pop.size == 0:
             break
         pop = env.dist_at(k + 1).sum_sample(rng, pop)
-        cum = cum + pop
-        over = cum > node_budget
-        keep = pop > 0
-        if np.any(over):
+        cum += pop
+        if cum.max() > node_budget:  # rare: the mask is built only then
+            over = cum > node_budget
             aborted += int(np.count_nonzero(over))
             aborted_idx.append(idx[over])
-            keep &= ~over
-        if not np.all(keep):
-            pop, idx, cum = pop[keep], idx[keep], cum[keep]
+            pop[over] = 0
+        live = np.flatnonzero(pop)
+        if live.size < pop.size:
+            pop, idx, cum = pop[live], idx[live], cum[live]
     out = np.zeros(start.x_n.size, dtype=np.int64)
     out[idx] = pop
     if aborted_idx:
@@ -369,15 +370,16 @@ def _spine_batch(env: Environment, k0: int, n: int, K, off: np.ndarray, cum: np.
     of the replicates within the budget, the number aborted and K, narrowed
     to the replicates kept when it is an array."""
     aborted = 0
+    cum = cum.copy()
     for k in range(k0, n):
         at = K == k
         size_biased = 1 + (K < k) - at  # one parent before the branch, two after
         off = env.dist_at(k + 1).sum_sample(rng, off, size_biased, at)
-        cum = cum + off + np.where(K >= k + 1, 1, 2)
-        over = cum > node_budget
-        if np.any(over):
-            aborted += int(np.count_nonzero(over))
-            keep = ~over
+        cum += off
+        cum += np.where(K > k, 1, 2)  # spine nodes in generation k + 1
+        if cum.max(initial=0) > node_budget:  # rare: the mask is built only then
+            keep = cum <= node_budget
+            aborted += int(keep.size - np.count_nonzero(keep))
             off, cum = off[keep], cum[keep]
             if np.ndim(K):
                 K = K[keep]

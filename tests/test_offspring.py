@@ -12,6 +12,7 @@ from gwve.offspring import (
     FiniteTable,
     Geometric,
     Poisson,
+    _COARSE_ATOMS,
     _INVERT_ATOMS,
     _INVERT_BELOW,
 )
@@ -457,21 +458,26 @@ def test_table_sum_sample_matches_exact_convolution(probs):
 
 TABLE_LAWS = [[0.25, 0.5, 0.25], [0.5, 0.0, 0.3, 0.2], [1.0], [0.0, 1.0], np.full(100, 0.01)]
 # Geometric laws keep a NegBin alias table too; at p = 0.05 it holds fewer
-# than _INVERT_BELOW shapes.
+# than _INVERT_BELOW shapes.  ("coarse", p) stands for the second table of
+# Geometric(p), of the shapes C*a.
 ALIAS_LAWS = TABLE_LAWS + [pytest.param(Geometric(p), id=f"geometric-{p}")
-                           for p in (0.5, 0.2, 0.9, 1.0, 0.05)]
+                           for p in (0.5, 0.2, 0.9, 1.0, 0.05)] \
+    + [pytest.param(("coarse", p), id=f"geometric-{p}-coarse") for p in (0.5, 0.2, 0.9, 0.05)]
 
 
 def _alias_law(probs):
+    if isinstance(probs, tuple):
+        return Geometric(probs[1])
     return probs if isinstance(probs, Geometric) else FiniteTable(probs)
 
 
 def _negbin_pmf(p, r, atoms):
     """The NegBin(r, p) pmf on k < atoms to within 2^-200, in fixed-point
     integers from the exact ratio p = m/d, stepping pmf(k) = pmf(k-1) (k + r
-    - 1) (d - m) / (k d)."""
+    - 1) (d - m) / (k d); the unit is small enough that pmf(0) = p^r holds
+    at least 256 bits."""
     m, d = p.as_integer_ratio()
-    one = 1 << 256
+    one = 1 << (256 + r * (d.bit_length() - m.bit_length() + 1))
     x = m**r * one // d**r
     out = np.zeros(atoms)
     for k in range(atoms):
@@ -481,13 +487,19 @@ def _negbin_pmf(p, r, atoms):
     return out
 
 
-def _alias_entries(dist):
+def _alias_entries(dist, coarse=False):
     """(W, [(label, column slice, exact law)]) for every entry e of the alias
     cache.  For a table e = C*(2s + t) + c, the label is (c, s, t), and a
     missing reweighted law stands as the point mass at 0 that the cache
     holds for it; for a geometric law the label is (r, 0, 0) for the shape r
-    = e, and the law NegBin(r, p) on the W atoms."""
+    = e, and the law NegBin(r, p) on the W atoms.  With `coarse`, the
+    entries of a geometric law's coarse table: the label is (C*e, 0, 0)."""
     cut, prob, _ = dist._inversion_tables()
+    if coarse:
+        reach, prob, _ = dist._coarse_tables()
+        width = prob.size // reach
+        return width, [((cut * a, 0, 0), slice(a * width, (a + 1) * width),
+                         _negbin_pmf(dist.p, cut * a, width)) for a in range(reach)]
     if isinstance(dist, Geometric):
         width = prob.size // cut
         return width, [((r, 0, 0), slice(r * width, (r + 1) * width), _negbin_pmf(dist.p, r, width))
@@ -515,10 +527,16 @@ def test_table_alias_columns_rebuild_the_exact_convolution(probs):
     # column j of an entry gives mass prob_j / W to atom j and (1 - prob_j) / W
     # to its alias; per entry these add up to the exact law, summed exactly
     dist = _alias_law(probs)
-    cut, prob, alias = dist._inversion_tables()
-    width, entries = _alias_entries(dist)
+    coarse = isinstance(probs, tuple)
+    cut, prob, alias = dist._coarse_tables() if coarse else dist._inversion_tables()
+    width, entries = _alias_entries(dist, coarse)
     assert prob.size == alias.size == len(entries) * width and width & (width - 1) == 0
-    assert prob.size <= _INVERT_ATOMS and 1 <= cut <= _INVERT_BELOW
+    if coarse:
+        assert prob.size <= _COARSE_ATOMS and cut >= 1
+        if dist.p == 0.5:  # C = 32, A = 16, W' = 1024: shapes below 512
+            assert (cut, width, dist._inversion_tables()[0]) == (16, 1024, 32)
+    else:
+        assert prob.size <= _INVERT_ATOMS and 1 <= cut <= _INVERT_BELOW
     assert not prob.flags.writeable and not alias.flags.writeable
     for label, cols, law in entries:
         assert law.size <= width, label
@@ -534,7 +552,7 @@ def test_table_alias_columns_rebuild_the_exact_convolution(probs):
         if isinstance(dist, Geometric) and label[0]:
             # the atoms past the table hold less than one alias unit
             assert nbdtrc(width - 1, label[0], dist.p) < 2.0**-61, label
-    if isinstance(dist, Geometric):
+    if isinstance(dist, Geometric) and not coarse:
         assert (cut < _INVERT_BELOW) == (dist.p < 0.1)
 
 
@@ -554,7 +572,7 @@ def test_table_extreme_uniforms_draw_inside_their_entry(probs, u):
     # the first and last uniform read the first and last column of an entry,
     # and draw an atom of that entry's law, never one of a neighbouring entry
     dist = _alias_law(probs)
-    entries = [(label, law) for label, _, law in _alias_entries(dist)[1]
+    entries = [(label, law) for label, _, law in _alias_entries(dist, isinstance(probs, tuple))[1]
                if (label[1] == 0 or dist.mean() > 0) and (label[2] == 0 or dist.second_factorial() > 0)]
     rows = np.array([label for label, _ in entries])
     drawn = dist.sum_sample(_ConstantUniforms(u), rows[:, 0], size_biased=rows[:, 1],
@@ -566,18 +584,23 @@ def test_table_extreme_uniforms_draw_inside_their_entry(probs, u):
 @pytest.mark.parametrize("p", [0.5, 0.05])
 def test_geometric_sum_sample_rows_around_the_table_cut(p):
     # NegBin(r, p) for shapes r = c + 2s + 3t on both sides of the alias
-    # table's last shape C - 1, with and without spine parents, interleaved
-    # in one call: table rows and numpy rows must keep their places.  The
-    # first call has a zero shape, so it reads the table; without it most
-    # shapes are large, and numpy draws every row
+    # table's last shape C - 1 and of the coarse table's reach C*A, with and
+    # without spine parents, interleaved in one call: rows drawn from one
+    # table, from both and from numpy must keep their places.  The first
+    # call mixes all three; in the second every shape is below C, so one
+    # table draws every row; in the third most shapes are beyond the reach,
+    # and numpy draws every row
     dist = Geometric(p)
     cut = dist._inversion_tables()[0]
-    combos = []
-    for r in (0, 1, cut - 1, cut, 4 * cut):
-        combos += [(r - 2 * s - 3 * t, s, t) for s in range(3) for t in range(2)
-                   if r - 2 * s - 3 * t >= 0 and (r < 2 or (s, t) in ((0, 0), (1, 0), (2, 1)))]
+    reach = cut * dist._coarse_tables()[0]
+
+    def combos(shapes):
+        return [(r - 2 * s - 3 * t, s, t) for r in shapes for s in range(3) for t in range(2)
+                if r - 2 * s - 3 * t >= 0 and (r < 2 or (s, t) in ((0, 0), (1, 0), (2, 1)))]
+
     per = 20_000
-    for part in (combos, combos[1:]):
+    for part in (combos((0, 1, cut - 1, cut, reach - 1, reach, 4 * reach)), combos((0, 1, cut - 1)),
+                 combos((cut - 1, reach, 4 * reach))):
         rows = np.array(part * per)
         drawn = dist.sum_sample(stream(13, "geometric-cut", repr(dist), len(part)), rows[:, 0],
                                 size_biased=rows[:, 1], pair_biased=rows[:, 2])

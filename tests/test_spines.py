@@ -7,7 +7,7 @@ import gwve.oracle as orc
 import gwve.pgf_engine as en
 import gwve.spines as sp
 from gwve.environment import Environment
-from gwve.offspring import FiniteTable
+from gwve.offspring import FiniteTable, Geometric
 from gwve.streams import stream
 
 
@@ -305,22 +305,48 @@ def test_tables_only_batches_keep_their_draws(budget, expected):
 
 
 @pytest.mark.parametrize("budget, expected", [
-    (10**7, {"plain": (0, 3256, "2f9e2052f150cfd4"),
-             "two": (0, 112929, 16846, "853ba0917d8b0ca0", "06ad1e25ff12feda"),
-             "one": (0, 75505, "5f1afb8d4e2684d5")}),
-    (300, {"plain": (7, 2746, "58667b94eb714ee4"),
-           "two": (669, 69502, 14380, "cb85536093f9be9d", "ddffa49c98ad1710"),
-           "one": (286, 58442, "ec6a8a65a4bc89b6")}),
+    (10**7, {"plain": (0, 3131, "14e38e7870175463"),
+             "two": (0, 111576, 16846, "4a7788f53aa2443c", "06ad1e25ff12feda"),
+             "one": (0, 75524, "46d5809f96f0d378")}),
+    (300, {"plain": (8, 2748, "36992aaf8a7c4d2a"),
+           "two": (670, 70093, 14224, "9bef38089935f99e", "c033283711eedd66"),
+           "one": (295, 58062, "af4bef048fb54753")}),
 ])
 def test_geometric_batches_keep_their_draws(e1, budget, expected):
     # pins the batch samplers' draws on E1, where every generation's
     # off-spine sum is one NegBin draw: from the geometric law's alias table
-    # for shapes below its cut, from numpy above it, and from numpy alone in
-    # a generation where most shapes are above it (the two-spine batch gets
-    # there), with and without budget aborts
+    # in a generation whose shapes are all below its cut, from that table and
+    # the coarse one otherwise, with and without budget aborts (shapes here
+    # stay below the coarse table's reach: numpy's draw is pinned by
+    # test_geometric_batches_past_the_coarse_reach_keep_their_draws)
     plain = sp.simulate_gw_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
     two = sp.simulate_two_spine_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
     one = sp.simulate_one_spine_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
+    assert (plain.aborted, int(plain.x_n.sum()), _digest(plain.x_n)) == expected["plain"]
+    assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
+        == expected["two"]
+    assert (one.aborted, int(one.x_n.sum()), _digest(one.x_n)) == expected["one"]
+
+
+@pytest.mark.parametrize("budget, expected", [
+    (10**7, {"plain": (0, 20995633, "dffd0b9113a2bac8"),
+             "two": (0, 65609309, 170, "bb87f1776b66f424", "25173f42ee4fa393"),
+             "one": (0, 43383217, "1a49b84851466bfe")}),
+    (2000, {"plain": (2195, 600981, "c0b5e90c7947d8d7"),
+            "two": (2996, 5055, 1, "f32d7a974a4528a9", "6cc4f0e930b34481"),
+            "one": (2906, 111635, "c04003b43ccfbd01")}),
+])
+def test_geometric_batches_past_the_coarse_reach_keep_their_draws(budget, expected):
+    # pins the batch samplers' draws under Geometric(0.05), whose tables
+    # reach shapes below C*A = 30*4 = 120: generation 1 reads the first table
+    # alone, generation 2 interleaves both tables with numpy's draw for the
+    # few shapes of 120 or more, and generation 3, where most shapes are
+    # beyond 120, draws every row with numpy; the budget of 2000 aborts
+    # replicates after generation 2 in every sampler
+    env = Environment.constant(Geometric(0.05))
+    plain = sp.simulate_gw_populations(env, 3, 3000, stream(43, "geometric-reach"), node_budget=budget)
+    two = sp.simulate_two_spine_populations(env, 3, 3000, stream(43, "geometric-reach"), node_budget=budget)
+    one = sp.simulate_one_spine_populations(env, 3, 3000, stream(43, "geometric-reach"), node_budget=budget)
     assert (plain.aborted, int(plain.x_n.sum()), _digest(plain.x_n)) == expected["plain"]
     assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
         == expected["two"]

@@ -3,9 +3,11 @@
 Every runner produces an `ExperimentReport` whose rows carry (n, statistic,
 value, comparator, tolerance, pass flag).  Reruns with the same seed yield
 byte-identical CSV bodies: replicates are drawn in fixed-size chunks with a
-stream per (seed, experiment, horizon, chunk) and merged in chunk order, so
-the number of worker processes cannot change any number.  Wall time and
-timestamps live only in the summary metadata, never in the CSV.
+stream per (seed, experiment, horizon, chunk), each chunk draws only from its
+own stream, also where the thinned chunks of a group advance as one batch,
+and the chunks' histograms are summed, so neither the number of worker
+processes nor the grouping can change any number.  Wall time and timestamps
+live only in the summary metadata, never in the CSV.
 
 The Yaglom Monte Carlo runs in one pass: each chunk, on the stream
 (seed, "yaglom", largest Monte Carlo horizon, chunk), is simulated once to
@@ -354,23 +356,37 @@ def _sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+def _add(total: tuple | None, part: tuple) -> tuple:
+    """The sum of two (aborted, counts, k_counts) of one horizon, `total`
+    None for the empty sum."""
+    if total is None:
+        return part
+    (a0, x0, k0), (a1, x1, k1) = total, part
+    return a0 + a1, _sum_counts(x0, x1), None if k0 is None else _sum_counts(k0, k1)
+
+
 # Work, in replicates x largest horizon, below which chunks run in this
 # process.  Starting the pool and rebuilding each worker's caches costs about
 # 20 ms on a 2-core host, and below about 3e7 of this work plain E1 chunks ran
 # no faster on two worker processes than inline.
 _POOL_MIN_WORK = 1 << 25
 
-# In a forked pool worker: the chunk function of the pool that forked it.
-_worker_chunk = None
+# Chunks per group at most, when there are more chunks than workers.  A group
+# of L plain chunks advances as one batch once its first chunk keeps at most
+# chunk_size / L live replicates (see `collect_populations`).
+_GROUP_CHUNKS = 16
+
+# In a forked pool worker: the group function of the pool that forked it.
+_worker_group = None
 
 
-def _start_worker(chunk) -> None:
-    global _worker_chunk
-    _worker_chunk = chunk
+def _start_worker(group) -> None:
+    global _worker_group
+    _worker_group = group
 
 
-def _run_chunk(idx: int):
-    return _worker_chunk(idx)
+def _run_group(chunks):
+    return _worker_group(chunks)
 
 
 def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
@@ -380,16 +396,33 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     increasing list `horizons`.
 
     `kind` is "gw", "one_spine" or "two_spine".  Replicates are drawn in
-    chunks with a stream per (seed, tag, largest horizon, chunk); each chunk
-    is reduced to its histograms inside its worker and the histograms are
-    summed in chunk order, so memory depends on the chunk size and worker
-    count, not on the replicate count.  Each chunk is simulated once, to the
-    largest horizon, and is reduced at every horizon on the way: plain and
-    one-spine runs take several horizons, two-spine runs one, since the law
-    of their branching generation depends on the horizon.
+    chunks with a stream per (seed, tag, largest horizon, chunk).  Each chunk
+    is simulated once, to the largest horizon, and is reduced at every
+    horizon on the way: plain and one-spine runs take several horizons,
+    two-spine runs one, since the law of their branching generation depends
+    on the horizon.  The histograms are sums of integers over all chunks, so
+    how the chunks are grouped and on which worker they run cannot change
+    them.
+
+    The chunks are split into max(workers, ceil(chunks / 16)) near-equal
+    groups of consecutive chunks, and each group is reduced to its summed
+    histograms in one task.  Within a group of L plain chunks, the first
+    chunk runs alone until a generation m at which at most chunk_size / L of
+    its replicates live, each other chunk runs alone to m, and from m on the
+    group's live replicates advance as one batch, each chunk's rows still
+    drawing from that chunk's stream exactly what it would alone (see
+    `spines.LiveRows`): a thinned chunk's late generations hold so few rows
+    that a call per chunk would cost more than its draws.  Merged or not,
+    each chunk steps into each horizon by its own
+    `spines.simulate_gw_populations` call, whose batch holds all of the
+    chunk's replicates and is reduced at once.  One- and two-spine chunks,
+    and the chunks of a group whose first chunk does not thin that far
+    before the largest horizon, run alone, each reduced before the next one
+    starts, so memory depends on the chunk size and worker count, not on
+    the replicate count.
 
     With `config.threads` > 1, several chunks and at least `_POOL_MIN_WORK`
-    replicates x largest horizon, the chunks run on min(threads, chunks)
+    replicates x largest horizon, the groups run on min(threads, chunks)
     worker processes made by fork; otherwise, and where the platform cannot
     fork, they run in this process.  No worker outlives the call, an error
     raised in a worker is raised here, and a worker that dies raises
@@ -403,30 +436,83 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     if len(hs) > 1 and kind == "two_spine":
         raise ValueError("two-spine populations need one run per horizon")
     sizes = config.chunk_sizes()
+    env, budget = config.environment, config.node_budget
 
-    def work(idx):
-        size = sizes[idx]
-        rng = stream(config.seed, tag, hs[-1], idx)
-        batch, out = None, []
-        for n in hs:
-            if batch is None:
-                batch = sampler(config.environment, n, size, rng, config.node_budget)
-            else:
-                batch = sampler(config.environment, n, size, rng, config.node_budget, start=batch)
-            k = None if batch.k is None else np.bincount(batch.k, minlength=n)
-            out.append((batch.aborted, np.bincount(batch.x_n), k))
-        return out
+    def reduced(batch, n):
+        k = None if batch.k is None else np.bincount(batch.k, minlength=n)
+        return batch.aborted, np.bincount(batch.x_n), k
 
-    def merged(chunks):
-        """Per horizon, the chunks' histograms summed in chunk order."""
-        totals = None
-        for chunk in chunks:  # summed as they arrive, so no chunk's histograms are kept
-            totals = chunk if totals is None else [
-                (a0 + a1, _sum_counts(x0, x1), None if k0 is None else _sum_counts(k0, k1))
-                for (a0, x0, k0), (a1, x1, k1) in zip(totals, chunk)]
+    def alone(group):
+        """Per horizon, the summed histograms of the chunks `group`, each run
+        alone and reduced before the next one starts."""
+        totals = [None] * len(hs)
+        for idx in group:
+            rng, batch = stream(config.seed, tag, hs[-1], idx), None
+            for i, n in enumerate(hs):
+                if batch is None:
+                    batch = sampler(env, n, sizes[idx], rng, budget)
+                else:
+                    batch = sampler(env, n, sizes[idx], rng, budget, start=batch)
+                totals[i] = _add(totals[i], reduced(batch, n))
+        return totals
+
+    def plain(group):
+        """Per horizon, the summed histograms of the plain chunks `group`:
+        see `collect_populations`."""
+        rngs = [stream(config.seed, tag, hs[-1], idx) for idx in group]
+        reps = [sizes[idx] for idx in group]
+        totals = [None] * len(hs)
+
+        def to_horizon(rows, members, i):
+            """`rows` of the chunks `members` from generation hs[i] - 1 on to
+            hs[i], each chunk by its own `simulate_gw_populations` call,
+            whose batch is reduced into totals[i]; None at the largest
+            horizon, where no run goes on."""
+            parts = []
+            for s, j in enumerate(members):
+                batch = sampler(env, hs[i], reps[j], rngs[j], budget, start=rows.batch(s, reps[j]))
+                totals[i] = _add(totals[i], reduced(batch, hs[i]))
+                if i + 1 < len(hs):
+                    parts.append(spines.LiveRows.of(batch))
+                del batch  # dropped before the next chunk's starts
+            return spines.LiveRows.join(parts) if parts else None
+
+        # The first chunk runs alone until at most `thin` of its replicates
+        # live, at generation m; the others run alone to m and keep their
+        # live rows, and the held rows advance together from m on.
+        thin, m, held = config.chunk_size // len(group), hs[-1], []
+        for j in range(len(group)):
+            rows = spines.LiveRows.start(reps[j])
+            for i, n in enumerate(hs):
+                rows = rows.advance(env, min(n - 1, m), rngs[j:j + 1], budget,
+                                    thin if j == 0 else 0)
+                if j == 0 and rows.x.size <= thin:
+                    m = rows.n
+                if n > m:
+                    held.append(rows)  # dropped to its live replicates
+                    break
+                rows = to_horizon(rows, [j], i)
+        if held:
+            rows, members = spines.LiveRows.join(held), range(len(group))
+            del held
+            for i, n in enumerate(hs):
+                if n > m:
+                    rows = to_horizon(rows.advance(env, n - 1, rngs, budget), members, i)
+        return totals
+
+    def merged(groups):
+        """Per horizon, the groups' histograms summed as they arrive, so no
+        group's histograms are kept."""
+        totals = [None] * len(hs)
+        for group in groups:
+            totals = [_add(total, part) for total, part in zip(totals, group)]
         return [Collected(*total) for total in totals]
 
+    work = plain if kind == "gw" else alone
+
     workers = min(config.threads, len(sizes))
+    groups = [chunks.tolist() for chunks in np.array_split(
+        np.arange(len(sizes)), max(workers, -(-len(sizes) // _GROUP_CHUNKS)))]
     if workers > 1 and config.replicates * hs[-1] >= _POOL_MIN_WORK:
         import multiprocessing
 
@@ -435,16 +521,17 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
 
             # The workers inherit `work` through the fork: it is never pickled
             # (the environment holds a lock).  With fork the executor starts
-            # every worker before its helper thread.  Each task sends a chunk
-            # index and returns that chunk's histograms; `map` keeps chunk
-            # order, and a worker that dies raises BrokenProcessPool here.
+            # every worker before its helper thread.  Each task sends a group
+            # of chunk indices and returns its summed histograms; `map` keeps
+            # group order, and a worker that dies raises BrokenProcessPool
+            # here.
             pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                        _start_worker, (work,))
             try:
-                return merged(pool.map(_run_chunk, range(len(sizes))))
+                return merged(pool.map(_run_group, groups))
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
-    return merged(map(work, range(len(sizes))))
+    return merged(map(work, groups))
 
 
 def yaglom_ks(config: ExperimentConfig, horizons: list[int]) -> list[tuple[Collected, int, float]]:

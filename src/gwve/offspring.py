@@ -24,8 +24,14 @@ the spine births from the same alias table.  A geometric law's entry is the
 shape r of NegBin(r, p), below C = 32 (fewer for small p); a second table
 holds the shapes C*a for a < A (A = 16 at p = 1/2), and a shape r of C or
 more adds one draw of NegBin(C floor(r/C), p) from it to the draw of
-NegBin(r mod C, p).  Shapes beyond the second table keep numpy's draw.
-Poisson and binomial laws keep their closed-form numpy draws.
+NegBin(r mod C, p).  Shapes beyond the second table keep numpy's draw, by
+one scalar call each where they are few: an array call pays numpy's
+argument checks however few rows it draws.  Poisson and binomial laws keep
+their closed-form numpy draws.
+
+`sum_sample` also draws for rows from several generators in one call, each
+run of rows from its own generator and with the calls that a call on those
+rows alone would make, so batches of different streams can share a call.
 """
 
 from __future__ import annotations
@@ -64,6 +70,10 @@ _INVERT_ATOMS = 1 << 16
 _COARSE_ATOMS = 1 << 14
 # Every alias entry splits its unit mass into this many integer units.
 _ALIAS_UNITS = 1 << 61
+# An array call to `rng.negative_binomial` costs about 40 us of argument
+# checks however few rows it draws, a scalar call about 1.5-2 us; they break
+# even near 30 rows (2-core Xeon, numpy 2.4).
+_NEGBIN_ARRAY_ROWS = 30
 
 
 class DistributionError(ValueError):
@@ -133,18 +143,57 @@ def _alias_columns(pmfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-def _alias_draw(rng: np.random.Generator, col: np.ndarray, prob: np.ndarray,
+def _streams(rng, bounds, rows: int) -> tuple[list, list[int]]:
+    """(generators, bounds) of a `sum_sample` call on `rows` rows: rows
+    bounds[i]:bounds[i+1] draw from generators[i].  Without `bounds`, the one
+    generator `rng` draws every row."""
+    if bounds is None:
+        return [rng], [0, rows]
+    return list(rng), np.asarray(bounds).tolist()
+
+
+def _split(bounds: list[int], rows: np.ndarray) -> list[int]:
+    """The bounds of each stream's rows within `rows`, an increasing array of
+    row indices."""
+    return [0, rows.size] if len(bounds) == 2 else np.searchsorted(rows, bounds).tolist()
+
+
+def _uniforms(gens: list, bounds: list[int], skip=()) -> np.ndarray:
+    """One uniform per row, rows bounds[i]:bounds[i+1] from gens[i]; the rows
+    of the streams in `skip` read 0 and draw nothing."""
+    if len(gens) == 1 and not skip:
+        return gens[0].random(bounds[1])
+    x = np.zeros(bounds[-1])
+    for i, g in enumerate(gens):
+        if i not in skip:
+            g.random(out=x[bounds[i]:bounds[i + 1]])
+    return x
+
+
+def _per_stream(rng, bounds, params, draw) -> np.ndarray:
+    """draw(generator, params) for every stream's rows of `params` (every row
+    on `rng` without `bounds`), as an int64 array."""
+    if bounds is None:
+        return np.asarray(draw(rng, params), dtype=np.int64)
+    gens, bounds = _streams(rng, bounds, params.size)
+    out = np.empty(params.shape, dtype=np.int64)
+    for g, lo, hi in zip(gens, bounds, bounds[1:]):
+        out[lo:hi] = draw(g, params[lo:hi])
+    return out
+
+
+def _alias_draw(x: np.ndarray, col: np.ndarray, prob: np.ndarray,
                 alias: np.ndarray, width: int) -> np.ndarray:
     """One atom per row from the alias tables (prob, alias) of entries of
-    `width` columns (see `_alias_columns`), as an int64 array; `col` holds
-    each row's first column e*W and is overwritten.
+    `width` columns (see `_alias_columns`), as an int64 array; `x` holds a
+    uniform per row, `col` each row's first column e*W, and both are
+    overwritten.
 
-    One uniform u per row: u*W picks column e*W + floor(u*W), and its
-    fractional part the column's atom or its alias.  W is a power of two, so
-    u*W is exact, its integer part is below W and its fractional part is
-    exact too.  The rows' work reuses three buffers: a fresh megabyte
-    temporary can cost as much in page faults as the pass that fills it."""
-    x = rng.random(col.size)
+    The uniform u picks column e*W + floor(u*W), and the fractional part of
+    u*W the column's atom or its alias.  W is a power of two, so u*W is
+    exact, its integer part is below W and its fractional part is exact too.
+    The rows' work reuses three buffers: a fresh megabyte temporary can cost
+    as much in page faults as the pass that fills it."""
     x *= width
     j = x.astype(np.int64)
     x -= j
@@ -153,6 +202,15 @@ def _alias_draw(rng: np.random.Generator, col: np.ndarray, prob: np.ndarray,
     out = np.take(alias, col, out=x.view(np.int64), mode="clip")
     np.bitwise_and(col, width - 1, out=out, where=stay)  # the column's own atom
     return out
+
+
+def _negative_binomial(rng, shapes: np.ndarray, p: float):
+    """NegBin(r, p) for each r in `shapes`.  Fewer than _NEGBIN_ARRAY_ROWS
+    are drawn by one scalar call each: numpy runs the same kernel in the same
+    order, without an array call's argument checks."""
+    if shapes.size >= _NEGBIN_ARRAY_ROWS:
+        return rng.negative_binomial(shapes, p)
+    return [rng.negative_binomial(r, p) for r in shapes.tolist()]
 
 
 def _negbin_width(p: float, r: int, atoms: int) -> float:
@@ -251,7 +309,7 @@ class OffspringDistribution:
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
-                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+                   pair_biased: np.ndarray | None = None, bounds=None) -> np.ndarray:
         """Draw, for every entry c of `counts`, the sum of c iid copies, as an
         int64 array with the shape of `counts` (0-d for a scalar count).
 
@@ -260,7 +318,13 @@ class OffspringDistribution:
         pair-biased parents, less the spine children they keep (one per
         size-biased parent, two per pair-biased one): the off-spine part of
         one generation of a spine tree.  Raises DistributionError when a
-        needed reweighted law does not exist."""
+        needed reweighted law does not exist.
+
+        With `bounds`, increasing row offsets from 0 to the size of the 1-d
+        `counts`, `rng` is a sequence of generators and rows bounds[i]:
+        bounds[i+1] draw from rng[i]: each generator makes the calls, in the
+        order, that a call on its rows alone would make, so batches merged
+        into one call keep their draws."""
         raise NotImplementedError
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> "FiniteTable":
@@ -448,10 +512,11 @@ class FiniteTable(OffspringDistribution):
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
-                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+                   pair_biased: np.ndarray | None = None, bounds=None) -> np.ndarray:
         # One draw per row from the alias table of entry e = C*(2s + t) + c
         # (see `_alias_laws`).  Counts c >= C read entry C*(2s + t), the
-        # spine births alone, and add their plain births by one multinomial.
+        # spine births alone, and add their plain births by one multinomial
+        # per stream.
         shape = np.shape(counts)
         c = np.asarray(counts, dtype=np.int64).reshape(-1)
         s = 0 if size_biased is None else np.asarray(size_biased)
@@ -459,17 +524,23 @@ class FiniteTable(OffspringDistribution):
         if np.max(s, initial=0) > 2 or np.max(t, initial=0) > 1:
             raise ValueError("a table draws at most two size-biased and one pair-biased parent")
         self._require_reweighted(size_biased, pair_biased)
+        gens, bounds = _streams(rng, bounds, c.size)
         below, prob, alias = self._inversion_tables()
         width = prob.size // (6 * below)
-        col = np.where(c >= below, 0, c)
+        big = c >= below
+        col = np.where(big, 0, c)
         if size_biased is not None or pair_biased is not None:
             col += np.broadcast_to(below * (2 * s + t), shape).reshape(-1)
         col *= width
-        out = _alias_draw(rng, col, prob, alias, width)
+        out = _alias_draw(_uniforms(gens, bounds), col, prob, alias, width)
         del col
-        big = c >= below
-        if big.any():
-            out[big] += rng.multinomial(c[big], self.probs) @ np.arange(self.probs.size)
+        rows = np.flatnonzero(big)
+        if rows.size:
+            at = _split(bounds, rows)
+            for g, lo, hi in zip(gens, at, at[1:]):
+                if hi > lo:
+                    sel = rows[lo:hi]
+                    out[sel] += g.multinomial(c[sel], self.probs) @ np.arange(self.probs.size)
         return out.reshape(shape)
 
     def _alias_laws(self) -> tuple[int, np.ndarray]:
@@ -551,7 +622,7 @@ class Geometric(OffspringDistribution):
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
-                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+                   pair_biased: np.ndarray | None = None, bounds=None) -> np.ndarray:
         # The shape r = c + 2s + 3t.  NegBin(r, p) is NegBin(r mod C, p), one
         # draw from the alias table of entry r mod C (see `_alias_laws`),
         # plus, where r >= C, NegBin(C floor(r/C), p), one draw from the
@@ -559,38 +630,42 @@ class Geometric(OffspringDistribution):
         # over those rows alone: early generations hold few of them.  A call
         # whose shapes are all below C takes the first draw alone.  Shapes
         # beyond the coarse table's reach C*A read its last entry and draw
-        # anew with numpy, after every row's uniforms.  Where most shapes are
-        # that large, numpy draws every row in one call: the alias passes
-        # over all rows and the masked gather and scatter of the large ones
-        # would be extra passes around a numpy draw that covers most rows
-        # anyway.
+        # anew with numpy, after every row's uniforms.  A stream whose shapes
+        # are mostly that large draws every row with numpy instead: the alias
+        # passes over all its rows and the masked gather and scatter of the
+        # large ones would be extra passes around a numpy draw that covers
+        # most rows anyway.
         total = self._shape_sum(counts, (1, 2, 3), size_biased, pair_biased)
         shape = np.shape(total)
         r = np.asarray(total, dtype=np.int64).reshape(-1)
+        gens, bounds = _streams(rng, bounds, r.size)
         below, prob, alias = self._inversion_tables()
         width = prob.size // below
-        top = r.max(initial=0)
-        if top < below:
-            return _alias_draw(rng, r * width, prob, alias, width).reshape(shape)
+        if r.max(initial=0) < below:
+            return _alias_draw(_uniforms(gens, bounds), r * width, prob, alias, width).reshape(shape)
         reach, coarse_prob, coarse_alias = self._coarse_tables()
         coarse_width = coarse_prob.size // reach
-        large = 0
-        if top >= below * reach:
-            big = r >= below * reach
-            large = np.count_nonzero(big)
-        if 2 * large > r.size and r.min() > 0:
-            return rng.negative_binomial(r, self.p).astype(np.int64).reshape(shape)
         rows = np.flatnonzero(r >= below)
         coarse = r[rows] // below
-        col = r * width
-        col[rows] -= coarse * (below * width)  # entry r mod C
-        out = _alias_draw(rng, col, prob, alias, width)
-        del col
-        np.minimum(coarse, reach - 1, out=coarse)
-        coarse *= coarse_width
-        out[rows] += _alias_draw(rng, coarse, coarse_prob, coarse_alias, coarse_width)
-        if large:
-            out[big] = rng.negative_binomial(r[big], self.p)
+        big = rows[coarse >= reach]
+        at = _split(bounds, big)
+        whole = {i for i in range(len(gens))
+                 if 2 * (at[i + 1] - at[i]) > bounds[i + 1] - bounds[i]
+                 and r[bounds[i]:bounds[i + 1]].min() > 0}
+        if len(whole) < len(gens):
+            col = np.remainder(r, below)
+            col *= width
+            out = _alias_draw(_uniforms(gens, bounds, whole), col, prob, alias, width)
+            del col
+            np.minimum(coarse, reach - 1, out=coarse)
+            coarse *= coarse_width
+            out[rows] += _alias_draw(_uniforms(gens, _split(bounds, rows), whole), coarse,
+                                     coarse_prob, coarse_alias, coarse_width)
+        else:
+            out = np.empty(r.size, dtype=np.int64)
+        for i, g in enumerate(gens):
+            sel = slice(bounds[i], bounds[i + 1]) if i in whole else big[at[i]:at[i + 1]]
+            out[sel] = _negative_binomial(g, r[sel], self.p)
         return out.reshape(shape)
 
     def _alias_laws(self) -> tuple[int, np.ndarray]:
@@ -684,9 +759,10 @@ class Poisson(OffspringDistribution):
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
-                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+                   pair_biased: np.ndarray | None = None, bounds=None) -> np.ndarray:
         shape = self._shape_sum(counts, (1, 1, 1), size_biased, pair_biased)
-        return np.asarray(rng.poisson(self.lam * np.asarray(shape, dtype=float)), dtype=np.int64)
+        return _per_stream(rng, bounds, self.lam * np.asarray(shape, dtype=float),
+                           np.random.Generator.poisson)
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
         # Built outward from the mode m = floor(lam) by the ratios q(k+1)/q(k)
@@ -752,10 +828,11 @@ class Binomial(OffspringDistribution):
 
     def sum_sample(self, rng: np.random.Generator, counts: np.ndarray,
                    size_biased: np.ndarray | None = None,
-                   pair_biased: np.ndarray | None = None) -> np.ndarray:
+                   pair_biased: np.ndarray | None = None, bounds=None) -> np.ndarray:
         trials = self._shape_sum(np.asarray(counts, dtype=np.int64), (self.n, self.n - 1, self.n - 2),
                                  size_biased, pair_biased)
-        return np.asarray(rng.binomial(trials, self.p), dtype=np.int64)
+        return _per_stream(rng, bounds, np.asarray(trials),
+                           lambda g, trials: g.binomial(trials, self.p))
 
     def to_table(self, tail_tol: float = TABLE_TAIL_TOL) -> FiniteTable:
         return FiniteTable([self.pmf(k) for k in range(self.n + 1)])

@@ -24,6 +24,14 @@ geometric law) and every spine birth from the reweighted tables, an
 independent implementation of the same law.  The batch samplers are what
 make million-replicate comparisons cheap.
 
+Plain batches advance as `LiveRows`, the live replicates of one or more
+streams, each stream's rows in one run: each generation is one `sum_sample`
+call over all rows, in which every stream's rows draw from that stream what
+they would alone, one budget check and one compaction that carries the
+streams' row bounds.  Plain replicates die out, so a thinned batch's calls
+hold few rows, and advancing thinned batches together saves a call per
+stream and generation.
+
 The one-spine tree is the two-spine tree with no branch before the horizon,
 so the two constructions share one loop per representation: the arena loop
 and the batch loop both take the branching generation K, and the one-spine
@@ -35,6 +43,7 @@ batch continues to a later horizon the way a plain batch does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +62,7 @@ __all__ = [
     "sample_two_spine",
     "sample_branch_generation",
     "PopulationBatch",
+    "LiveRows",
     "simulate_gw_populations",
     "simulate_one_spine_populations",
     "simulate_two_spine_populations",
@@ -288,6 +298,91 @@ def _start_batch(start: PopulationBatch | None, n: int, reps: int) -> Population
     return start
 
 
+@dataclass
+class LiveRows:
+    """The live replicates of plain runs on one or more streams at
+    generation n: populations `x` and node counts `nodes`, stream after
+    stream, stream i's at rows bounds[i]:bounds[i+1], each stream's in the
+    order of its replicates; `aborted` counts each stream's replicates lost
+    to the node budget since generation 0.  The other replicates died out."""
+
+    x: np.ndarray
+    nodes: np.ndarray
+    bounds: np.ndarray
+    aborted: np.ndarray
+    n: int
+
+    @classmethod
+    def start(cls, reps: int) -> "LiveRows":
+        """`reps` one-node replicates of one stream at generation 0."""
+        return cls(np.ones(reps, dtype=np.int64), np.ones(reps, dtype=np.int64),
+                   np.array([0, reps]), np.zeros(1, dtype=np.int64), 0)
+
+    @classmethod
+    def of(cls, batch: PopulationBatch) -> "LiveRows":
+        """The live replicates of a plain batch of one stream."""
+        live = np.flatnonzero(batch.x_n)
+        return cls(batch.x_n[live], batch.nodes, np.array([0, live.size]),
+                   np.array([batch.aborted]), batch.n)
+
+    @classmethod
+    def join(cls, parts: Sequence["LiveRows"]) -> "LiveRows":
+        """The streams of `parts`, all at one generation, in that order."""
+        ends = np.cumsum([0] + [part.x.size for part in parts])
+        return cls(np.concatenate([part.x for part in parts]),
+                   np.concatenate([part.nodes for part in parts]),
+                   np.concatenate([part.bounds[:-1] + end for part, end in zip(parts, ends)]
+                                  + [ends[-1:]]),
+                   np.concatenate([part.aborted for part in parts]), parts[0].n)
+
+    def batch(self, i: int, reps: int) -> PopulationBatch:
+        """Stream i's `reps` replicates as a batch to continue: its live
+        replicates first, in their order, then the ones that died out."""
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        x = np.zeros(reps - self.aborted[i], dtype=np.int64)
+        x[:hi - lo] = self.x[lo:hi]
+        return PopulationBatch(x, int(self.aborted[i]), n=self.n, nodes=self.nodes[lo:hi])
+
+    def advance(self, env: Environment, n: int, rngs: Sequence[np.random.Generator],
+                node_budget: int = DEFAULT_NODE_BUDGET, thin_to: int = 0) -> "LiveRows":
+        """These rows at generation n, stream i's drawing from rngs[i]
+        exactly what it would alone, or at the first generation from here
+        on at which at most `thin_to` of them live."""
+        return _advance(env, n, self, rngs, node_budget, thin_to)[0]
+
+
+def _advance(env: Environment, n: int, rows: LiveRows, rngs: Sequence[np.random.Generator],
+             node_budget: int, thin_to: int = 0, idx: np.ndarray | None = None):
+    """The plain batch loop of `LiveRows.advance` and
+    `simulate_gw_populations`: each generation is one `sum_sample` call over
+    every stream's rows, one budget check and one compaction that carries
+    the streams' bounds.  Returns the rows reached and, when `idx` labels
+    each row (`simulate_gw_populations` passes its replicate positions), the
+    labels of the rows kept and a list of arrays of those aborted."""
+    pop, cum, bounds, aborted = rows.x, rows.nodes.copy(), rows.bounds, rows.aborted
+    gone: list[np.ndarray] = []
+    k = rows.n
+    while k < n and pop.size > thin_to:
+        pop = env.dist_at(k + 1).sum_sample(rngs, pop, bounds=bounds)
+        k += 1
+        cum += pop
+        if cum.max() > node_budget:  # rare: the mask is built only then
+            over = cum > node_budget
+            aborted = aborted + np.diff(np.concatenate(([0], np.cumsum(over)))[bounds])
+            if idx is not None:
+                gone.append(idx[over])
+            pop[over] = 0
+        live = np.flatnonzero(pop)
+        if live.size < pop.size:
+            pop, cum = pop[live], cum[live]
+            bounds = np.searchsorted(live, bounds)
+            if idx is not None:
+                idx = idx[live]
+    if pop.size == 0:  # rows that all died out are at every later generation
+        k = max(k, n)
+    return LiveRows(pop, cum, bounds, aborted, k), idx, gone
+
+
 def simulate_gw_populations(
     env: Environment,
     n: int,
@@ -303,27 +398,14 @@ def simulate_gw_populations(
     run to n.  Aborted counts are cumulative from generation 0."""
     start = _start_batch(start, n, reps)
     idx = np.flatnonzero(start.x_n)
-    pop, cum = start.x_n[idx], start.nodes.copy()
-    aborted = start.aborted
-    aborted_idx: list[np.ndarray] = []
-    for k in range(start.n, n):
-        if pop.size == 0:
-            break
-        pop = env.dist_at(k + 1).sum_sample(rng, pop)
-        cum += pop
-        if cum.max() > node_budget:  # rare: the mask is built only then
-            over = cum > node_budget
-            aborted += int(np.count_nonzero(over))
-            aborted_idx.append(idx[over])
-            pop[over] = 0
-        live = np.flatnonzero(pop)
-        if live.size < pop.size:
-            pop, idx, cum = pop[live], idx[live], cum[live]
+    rows = LiveRows(start.x_n[idx], start.nodes, np.array([0, idx.size]),
+                    np.array([start.aborted]), start.n)
+    rows, idx, gone = _advance(env, n, rows, [rng], node_budget, idx=idx)
     out = np.zeros(start.x_n.size, dtype=np.int64)
-    out[idx] = pop
-    if aborted_idx:
-        out = np.delete(out, np.concatenate(aborted_idx))
-    return PopulationBatch(out, aborted, n=n, nodes=cum)
+    out[idx] = rows.x
+    if gone:
+        out = np.delete(out, np.concatenate(gone))
+    return PopulationBatch(out, int(rows.aborted[0]), n=n, nodes=rows.nodes)
 
 
 def simulate_one_spine_populations(

@@ -365,6 +365,25 @@ def test_spine_collection_memory_does_not_grow_with_replicates(e1):
     assert peaks[1] - peaks[0] < one_chunk
 
 
+def test_gw_collection_memory_holds_one_chunk_more(e1):
+    # a group's chunks hold their live replicates until they merge, so a
+    # bigger group costs at most one chunk's populations and node counts
+    chunk = 1 << 14
+    ex.collect_populations(cfg(e1, replicates=chunk, chunk_size=chunk, threads=1),
+                           "mem", [20], "gw")  # fill the environment's caches
+    peaks = []
+    for chunks in (2, 8):
+        c = cfg(e1, horizons=[5, 60], replicates=chunks * chunk, chunk_size=chunk, threads=1)
+        tracemalloc.start()
+        try:
+            ex.collect_populations(c, "mem", [5, 60], "gw")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_chunk = 2 * 8 * chunk  # populations and node counts, int64 each
+    assert peaks[1] - peaks[0] < one_chunk
+
+
 def test_threads_default_to_available_cores(e1):
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert ex.ExperimentConfig(e1, horizons=[2]).threads == cores
@@ -461,3 +480,105 @@ def test_a_dead_worker_fails_the_run(e1, pools, monkeypatch):
     assert not waiter.is_alive(), "a dead worker left the run waiting"
     assert len(pools) == 1 and [type(exc) for exc in raised] == [BrokenProcessPool]
     assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
+# plain chunks merged into one batch
+
+
+def _chunks_run_alone(c, tag, horizons):
+    """Per horizon, the aborted count and the histogram of every chunk of
+    `c` run alone through simulate_gw_populations, summed."""
+    aborted = [0] * len(horizons)
+    counts = [np.zeros(0, dtype=np.int64)] * len(horizons)
+    for idx, size in enumerate(c.chunk_sizes()):
+        rng, batch = stream(c.seed, tag, horizons[-1], idx), None
+        for i, n in enumerate(horizons):
+            batch = spines.simulate_gw_populations(c.environment, n, size, rng, c.node_budget,
+                                                   start=batch)
+            aborted[i] += batch.aborted
+            x = np.bincount(batch.x_n)
+            top = max(x.size, counts[i].size)
+            counts[i] = np.pad(counts[i], (0, top - counts[i].size)) + np.pad(x, (0, top - x.size))
+    return aborted, counts
+
+
+def _thinning_geometric():
+    """Most replicates die in generation 1 and the others have 1 or 129
+    children, whose offspring follow Geometric(0.05): its tables reach
+    shapes below C*A = 120."""
+    from gwve.environment import Environment
+    from gwve.offspring import FiniteTable, Geometric
+
+    return Environment(head=[FiniteTable([0.96, 0.02] + [0.0] * 127 + [0.02])],
+                       cycle=[Geometric(0.05)])
+
+
+def _poisson_binomial():
+    from gwve.environment import Environment
+    from gwve.offspring import Binomial, Poisson
+
+    return Environment.periodic([Poisson(1.0), Binomial(2, 0.5)])
+
+
+# (environment, horizons, config overrides): 17,000 replicates in chunks of
+# 2,000 are 9 chunks, the last one short, grouped as 9, 5 + 4 and 3 + 3 + 3 at
+# threads 1, 2 and 3
+MERGE_CASES = {
+    "e1": (lambda: ex.reference_environment("E1"), [2, 5, 40], {}),
+    # the table generations hold rows of 32 or more plain parents
+    "e2": (lambda: ex.reference_environment("E2"), [3, 6, 60], {}),
+    "geometric-0.05": (_thinning_geometric, [1, 2, 4], {"replicates": 850, "chunk_size": 100}),
+    "poisson-binomial": (_poisson_binomial, [2, 6, 40], {}),
+    "budget": (lambda: ex.reference_environment("E1"), [2, 10, 40], {"node_budget": 60}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_merged_gw_collection_equals_its_chunks_run_alone(case, pools):
+    make, hs, overrides = MERGE_CASES[case]
+    env = make()
+    kw = {"replicates": 17_000, "chunk_size": 2_000, "assume_critical": True, **overrides}
+    aborted, counts = _chunks_run_alone(cfg(env, horizons=hs, **kw), "merge", hs)
+    # at threads 1 the nine chunks are one group, which merges at generation
+    # m, between the horizons
+    chunk = kw["chunk_size"]
+    first = spines.LiveRows.start(chunk).advance(env, hs[-1], [stream(99, "merge", hs[-1], 0)],
+                                                 kw.get("node_budget", spines.DEFAULT_NODE_BUDGET),
+                                                 thin_to=chunk // 9)
+    assert hs[0] <= first.n < hs[-1]
+    for threads in (1, 2, 3):
+        got = ex.collect_populations(cfg(env, horizons=hs, threads=threads, **kw), "merge", hs, "gw")
+        assert [run.aborted for run in got] == aborted, threads
+        assert all(np.array_equal(run.counts, x) for run, x in zip(got, counts)), threads
+    assert [workers for workers, _ in pools] == [2, 3]
+    if case == "budget":  # replicates abort after the merge
+        assert aborted[-1] > max(a for a, n in zip(aborted, hs) if n <= first.n)
+    if case == "geometric-0.05":
+        # generation 2 draws from the shapes of generation 1: some chunks
+        # have mostly shapes beyond the tables' reach, and numpy draws all
+        # of their rows, while a neighbour reads the tables
+        whole = []
+        for idx, size in enumerate(cfg(env, horizons=hs, **kw).chunk_sizes()):
+            x = spines.simulate_gw_populations(env, 1, size, stream(99, "merge", hs[-1], idx)).x_n
+            whole.append(2 * np.count_nonzero(x >= 120) > np.count_nonzero(x))
+        assert any(a != b for a, b in zip(whole, whole[1:])), whole
+
+
+def test_every_chunk_reaches_every_horizon_in_a_call_of_its_own(e1, monkeypatch):
+    # a group that advances as one batch still reaches each horizon by one
+    # simulate_gw_populations call per chunk, of that chunk's size, whose
+    # batch holds every one of the chunk's replicates
+    calls, sample = [], spines.simulate_gw_populations
+
+    def sampler(env, n, reps, *args, **kwargs):
+        batch = sample(env, n, reps, *args, **kwargs)
+        calls.append((n, reps, batch.x_n.size + batch.aborted))
+        return batch
+
+    monkeypatch.setattr(spines, "simulate_gw_populations", sampler)
+    hs = [2, 10, 40]
+    c = cfg(e1, horizons=hs, replicates=17_000, chunk_size=2_000, threads=1, node_budget=60)
+    got = ex.collect_populations(c, "calls", hs, "gw")
+    assert sorted(calls) == sorted((n, size, size) for n in hs for size in c.chunk_sizes())
+    assert got[-1].aborted > got[1].aborted > 0

@@ -15,6 +15,7 @@ from gwve.offspring import (
     _COARSE_ATOMS,
     _INVERT_ATOMS,
     _INVERT_BELOW,
+    _NEGBIN_ARRAY_ROWS,
 )
 from gwve.streams import stream
 
@@ -694,3 +695,58 @@ def test_sum_sample_spines_need_reweighted_laws():
     # laws that are never needed are not required
     assert Binomial(1, 0.5).sum_sample(rng, np.array([2]), size_biased=np.array([1]),
                                        pair_biased=np.array([0])).shape == (1,)
+
+
+# ----------------------------------------------------------------------
+# draws on several streams in one call
+
+
+def test_geometric_rows_beyond_the_reach_draw_as_one_array_call():
+    # fewer than _NEGBIN_ARRAY_ROWS shapes beyond the coarse table's reach
+    # draw by one scalar call each, more by one array call: either way the
+    # draws, and the generator's next state, are those of one array call
+    dist = Geometric(0.5)
+    cut = dist._inversion_tables()[0]
+    reach = cut * dist._coarse_tables()[0]
+    for k in (1, _NEGBIN_ARRAY_ROWS - 1, _NEGBIN_ARRAY_ROWS, 3 * _NEGBIN_ARRAY_ROWS):
+        shapes = np.full(4 * k, 3, dtype=np.int64)
+        shapes[1::4] = cut + 5
+        big = np.arange(k) * 4 + 2
+        shapes[big] = reach + 7 * np.arange(k)  # a quarter of the rows: no majority
+        rng = stream(44, "beyond", k)
+        drawn = dist.sum_sample(rng, shapes)
+        clone = stream(44, "beyond", k)
+        clone.random(shapes.size)  # the first table's uniforms
+        clone.random(np.count_nonzero(shapes >= cut))  # the coarse table's
+        assert np.array_equal(drawn[big], clone.negative_binomial(shapes[big], dist.p)), k
+        assert rng.bit_generator.state == clone.bit_generator.state, k
+
+
+@pytest.mark.parametrize("dist, parts", [
+    # one stream with every shape below C takes the first table alone on its
+    # own, another draws from both tables and numpy
+    pytest.param(Geometric(0.5), [[0, 1, 31], [32, 600, 3, 515], [], [5] * 10], id="geometric-0.5"),
+    # C = 30 and C*A = 120: the second stream's shapes are mostly beyond the
+    # reach, so numpy draws all of its rows, while its neighbours read the
+    # tables; the fifth stream draws all of its rows by one array call, and
+    # the sixth, mostly beyond but with a zero shape, reads the tables
+    pytest.param(Geometric(0.05), [[1, 5, 200, 2], [300, 150, 400, 3], [],
+                                   [29, 30, 119, 120, 121] * 5, [500] * 40, [0, 200, 300]],
+                 id="geometric-0.05"),
+    # counts of 32 or more draw their plain births by one multinomial per stream
+    pytest.param(FiniteTable([0.25, 0.5, 0.25]), [[0, 3, 40], [], [31, 32, 100], [1, 2]], id="table"),
+    pytest.param(Poisson(1.3), [[0, 3], [], [7, 1, 2]], id="poisson"),
+    pytest.param(Binomial(3, 0.4), [[0, 3], [], [7, 1, 2]], id="binomial"),
+])
+def test_sum_sample_on_several_streams_draws_each_streams_rows_alone(dist, parts):
+    counts = np.array([c for part in parts for c in part], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(part) for part in parts])
+    gens = [stream(45, "streams", i) for i in range(len(parts))]
+    drawn = dist.sum_sample(gens, counts, bounds=bounds)
+    assert drawn.dtype == np.int64 and drawn.shape == counts.shape
+    for i, part in enumerate(parts):
+        alone = stream(45, "streams", i)
+        want = dist.sum_sample(alone, np.array(part, dtype=np.int64))
+        assert np.array_equal(drawn[bounds[i]:bounds[i + 1]], want), i
+        assert gens[i].bit_generator.state == alone.bit_generator.state, i
+

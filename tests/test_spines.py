@@ -263,6 +263,47 @@ def test_gw_batch_continuation_rejects_mismatched_start(e1):
         sp.simulate_gw_populations(e1, 20, 99, stream(20, "c"), start=batch)
 
 
+def test_live_rows_stop_where_they_thin(e1):
+    # with thin_to, rows stop at the first generation with at most that many
+    # live replicates, and continuing them is the run to the horizon
+    rng = stream(47, "thin")
+    rows = sp.LiveRows.start(4000).advance(e1, 50, [rng], thin_to=400)
+    assert 0 < rows.n < 50 and rows.x.size <= 400
+    at = sp.simulate_gw_populations(e1, rows.n, 4000, stream(47, "thin"))
+    assert np.array_equal(rows.x, at.x_n[at.x_n > 0]) and np.array_equal(rows.nodes, at.nodes)
+    before = sp.simulate_gw_populations(e1, rows.n - 1, 4000, stream(47, "thin"))
+    assert np.count_nonzero(before.x_n) > 400
+    # as a batch, the live replicates come first, in their order
+    rest = sp.simulate_gw_populations(e1, 50, 4000, rng, start=rows.batch(0, 4000))
+    single = sp.simulate_gw_populations(e1, 50, 4000, stream(47, "thin"))
+    assert np.array_equal(rest.x_n[rest.x_n > 0], single.x_n[single.x_n > 0])
+    assert rest.x_n.size == single.x_n.size and np.array_equal(rest.nodes, single.nodes)
+    # rows already that thin stay where they are
+    assert rows.advance(e1, 50, [rng], thin_to=400).n == rows.n
+
+
+@pytest.mark.parametrize("env_name", ["e1", "e2"])
+def test_joined_live_rows_draw_what_each_stream_draws_alone(env_name, request):
+    # three streams, one of a single replicate, run alone to generation 4 and
+    # then joined to 30, with budget aborts before and after the join: each
+    # stream's rows are the live replicates of its own run to 30
+    env = request.getfixturevalue(env_name)
+    sizes, budget = [3000, 1, 2000], 40
+    rngs = [stream(46, "merge", i) for i in range(len(sizes))]
+    alone = [sp.LiveRows.start(size).advance(env, 4, [rng], budget) for size, rng in zip(sizes, rngs)]
+    merged = sp.LiveRows.join(alone).advance(env, 30, rngs, budget)
+    assert merged.n == 30 and merged.bounds.size == len(sizes) + 1
+    for i, size in enumerate(sizes):
+        single = sp.simulate_gw_populations(env, 30, size, stream(46, "merge", i), node_budget=budget)
+        rows = slice(merged.bounds[i], merged.bounds[i + 1])
+        assert np.array_equal(merged.x[rows], single.x_n[single.x_n > 0]), i
+        assert np.array_equal(merged.nodes[rows], single.nodes), i
+        assert merged.aborted[i] == single.aborted, i
+        batch = merged.batch(i, size)
+        assert batch.x_n.size + batch.aborted == size and batch.n == 30, i
+    assert merged.aborted.sum() > sum(part.aborted.sum() for part in alone) > 0
+
+
 def test_two_spine_branch_generation_skips_zero_variance():
     env = Environment.periodic([FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.0, 1.0])])
     batch = sp.simulate_two_spine_populations(env, 6, 20_000, stream(33, "nu0"))

@@ -645,15 +645,19 @@ class Geometric(OffspringDistribution):
             return _alias_draw(_uniforms(gens, bounds), r * width, prob, alias, width).reshape(shape)
         reach, coarse_prob, coarse_alias = self._coarse_tables()
         coarse_width = coarse_prob.size // reach
-        rows = np.flatnonzero(r >= below)
-        coarse = r[rows] // below
+        # Entry r mod C from the quotient, which the coarse rows reuse:
+        # np.remainder costs about four times a floor division.
+        quot = r // below
+        rows = np.flatnonzero(quot != 0)
+        coarse = quot[rows]
         big = rows[coarse >= reach]
         at = _split(bounds, big)
         whole = {i for i in range(len(gens))
                  if 2 * (at[i + 1] - at[i]) > bounds[i + 1] - bounds[i]
                  and r[bounds[i]:bounds[i + 1]].min() > 0}
         if len(whole) < len(gens):
-            col = np.remainder(r, below)
+            col = np.multiply(quot, -below)
+            col += r
             col *= width
             out = _alias_draw(_uniforms(gens, bounds, whole), col, prob, alias, width)
             del col

@@ -321,7 +321,7 @@ class LiveRows:
     @classmethod
     def of(cls, batch: PopulationBatch) -> "LiveRows":
         """The live replicates of a plain batch of one stream."""
-        live = np.flatnonzero(batch.x_n)
+        live = np.flatnonzero(batch.x_n != 0)  # a mask first: see `_advance`
         return cls(batch.x_n[live], batch.nodes, np.array([0, live.size]),
                    np.array([batch.aborted]), batch.n)
 
@@ -372,7 +372,9 @@ def _advance(env: Environment, n: int, rows: LiveRows, rngs: Sequence[np.random.
             if idx is not None:
                 gone.append(idx[over])
             pop[over] = 0
-        live = np.flatnonzero(pop)
+        # From a boolean mask: np.flatnonzero on int64 rows takes numpy's
+        # slow path, 2-7 ns a row against about 1 ns for the mask and its scan.
+        live = np.flatnonzero(pop != 0)
         if live.size < pop.size:
             pop, cum = pop[live], cum[live]
             bounds = np.searchsorted(live, bounds)
@@ -397,7 +399,7 @@ def simulate_gw_populations(
     on the same generator; the draws, and so the result, are those of a single
     run to n.  Aborted counts are cumulative from generation 0."""
     start = _start_batch(start, n, reps)
-    idx = np.flatnonzero(start.x_n)
+    idx = np.flatnonzero(start.x_n != 0)  # a mask first: see `_advance`
     rows = LiveRows(start.x_n[idx], start.nodes, np.array([0, idx.size]),
                     np.array([start.aborted]), start.n)
     rows, idx, gone = _advance(env, n, rows, [rng], node_budget, idx=idx)

@@ -371,9 +371,10 @@ def _add(total: tuple | None, part: tuple) -> tuple:
 # no faster on two worker processes than inline.
 _POOL_MIN_WORK = 1 << 25
 
-# Chunks per group at most, when there are more chunks than workers.  A group
-# of L plain chunks advances as one batch once its first chunk keeps at most
-# chunk_size / L live replicates (see `collect_populations`).
+# Chunks per group, when there are more chunks than workers: at most this
+# many full chunks, plus a short last chunk.  A group of L plain chunks
+# advances as one batch once its first chunk keeps at most chunk_size / L
+# live replicates (see `collect_populations`).
 _GROUP_CHUNKS = 16
 
 # In a forked pool worker: the group function of the pool that forked it.
@@ -404,22 +405,22 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     how the chunks are grouped and on which worker they run cannot change
     them.
 
-    The chunks are split into max(workers, ceil(chunks / 16)) near-equal
-    groups of consecutive chunks, and each group is reduced to its summed
-    histograms in one task.  Within a group of L plain chunks, the first
-    chunk runs alone until a generation m at which at most chunk_size / L of
-    its replicates live, each other chunk runs alone to m, and from m on the
-    group's live replicates advance as one batch, each chunk's rows still
-    drawing from that chunk's stream exactly what it would alone (see
-    `spines.LiveRows`): a thinned chunk's late generations hold so few rows
-    that a call per chunk would cost more than its draws.  Merged or not,
-    each chunk steps into each horizon by its own
+    The chunks are split into max(workers, ceil(chunks / 16)) groups of
+    consecutive chunks holding near-equal replicate counts, and each group
+    is reduced to its summed histograms in one task.  Within a group of L
+    plain chunks, the first chunk runs alone until a generation m at which
+    at most chunk_size / L of its replicates live, each other chunk runs
+    alone to m, and from m on the group's live replicates advance as one
+    batch, each chunk's rows still drawing from that chunk's stream exactly
+    what it would alone (see `spines.LiveRows`): a thinned chunk's late
+    generations hold so few rows that a call per chunk would cost more than
+    its draws.  Merged or not, each chunk steps into each horizon by its own
     `spines.simulate_gw_populations` call, whose batch holds all of the
     chunk's replicates and is reduced at once.  One- and two-spine chunks,
     and the chunks of a group whose first chunk does not thin that far
     before the largest horizon, run alone, each reduced before the next one
-    starts, so memory depends on the chunk size and worker count, not on
-    the replicate count.
+    starts, so memory depends on the chunk size and worker count, not on the
+    replicate count.
 
     With `config.threads` > 1, several chunks and at least `_POOL_MIN_WORK`
     replicates x largest horizon, the groups run on min(threads, chunks)
@@ -467,13 +468,21 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
             """`rows` of the chunks `members` from generation hs[i] - 1 on to
             hs[i], each chunk by its own `simulate_gw_populations` call,
             whose batch is reduced into totals[i]; None at the largest
-            horizon, where no run goes on."""
+            horizon, where no run goes on.  One scan of the batch finds its
+            live rows, which give both its histogram and the rows that go
+            on."""
             parts = []
             for s, j in enumerate(members):
                 batch = sampler(env, hs[i], reps[j], rngs[j], budget, start=rows.batch(s, reps[j]))
-                totals[i] = _add(totals[i], reduced(batch, hs[i]))
+                size = batch.x_n.size
+                x = batch.x_n[np.flatnonzero(batch.x_n != 0)]  # a mask first: see `spines._advance`
+                counts = np.bincount(x, minlength=min(size, 1))  # np.bincount(batch.x_n)
+                if size:
+                    counts[0] = size - x.size
+                totals[i] = _add(totals[i], (batch.aborted, counts, None))
                 if i + 1 < len(hs):
-                    parts.append(spines.LiveRows.of(batch))
+                    parts.append(spines.LiveRows(x, batch.nodes, np.array([0, x.size]),
+                                                 np.array([batch.aborted]), batch.n))
                 del batch  # dropped before the next chunk's starts
             return spines.LiveRows.join(parts) if parts else None
 
@@ -511,8 +520,12 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     work = plain if kind == "gw" else alone
 
     workers = min(config.threads, len(sizes))
-    groups = [chunks.tolist() for chunks in np.array_split(
-        np.arange(len(sizes)), max(workers, -(-len(sizes) // _GROUP_CHUNKS)))]
+    # Each chunk joins the group in which its middle replicate falls, so the
+    # groups hold near-equal replicate counts however short the last chunk.
+    ends = np.cumsum(sizes)
+    owner = (2 * ends - sizes) * max(workers, -(-len(sizes) // _GROUP_CHUNKS)) // (2 * ends[-1])
+    groups = [chunks.tolist() for chunks in np.split(np.arange(len(sizes)),
+                                                      np.flatnonzero(np.diff(owner)) + 1)]
     if workers > 1 and config.replicates * hs[-1] >= _POOL_MIN_WORK:
         import multiprocessing
 

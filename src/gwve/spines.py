@@ -319,13 +319,6 @@ class LiveRows:
                    np.array([0, reps]), np.zeros(1, dtype=np.int64), 0)
 
     @classmethod
-    def of(cls, batch: PopulationBatch) -> "LiveRows":
-        """The live replicates of a plain batch of one stream."""
-        live = np.flatnonzero(batch.x_n != 0)  # a mask first: see `_advance`
-        return cls(batch.x_n[live], batch.nodes, np.array([0, live.size]),
-                   np.array([batch.aborted]), batch.n)
-
-    @classmethod
     def join(cls, parts: Sequence["LiveRows"]) -> "LiveRows":
         """The streams of `parts`, all at one generation, in that order."""
         ends = np.cumsum([0] + [part.x.size for part in parts])

@@ -377,6 +377,18 @@ _POOL_MIN_WORK = 1 << 25
 # live replicates (see `collect_populations`).
 _GROUP_CHUNKS = 16
 
+
+def _chunk_groups(sizes: list[int], count: int) -> list[list[int]]:
+    """At most `count` groups of consecutive chunk indices, for chunks of
+    `sizes` replicates, holding near-equal replicate counts however short
+    the last chunk: each chunk joins the group in which its middle replicate
+    falls."""
+    ends = np.cumsum(sizes)
+    owner = (2 * ends - sizes) * count // (2 * ends[-1])
+    return [chunks.tolist() for chunks in np.split(np.arange(len(sizes)),
+                                                    np.flatnonzero(np.diff(owner)) + 1)]
+
+
 # In a forked pool worker: the group function of the pool that forked it.
 _worker_group = None
 
@@ -520,12 +532,7 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     work = plain if kind == "gw" else alone
 
     workers = min(config.threads, len(sizes))
-    # Each chunk joins the group in which its middle replicate falls, so the
-    # groups hold near-equal replicate counts however short the last chunk.
-    ends = np.cumsum(sizes)
-    owner = (2 * ends - sizes) * max(workers, -(-len(sizes) // _GROUP_CHUNKS)) // (2 * ends[-1])
-    groups = [chunks.tolist() for chunks in np.split(np.arange(len(sizes)),
-                                                      np.flatnonzero(np.diff(owner)) + 1)]
+    groups = _chunk_groups(sizes, max(workers, -(-len(sizes) // _GROUP_CHUNKS)))
     if workers > 1 and config.replicates * hs[-1] >= _POOL_MIN_WORK:
         import multiprocessing
 

@@ -645,18 +645,19 @@ class Geometric(OffspringDistribution):
             return _alias_draw(_uniforms(gens, bounds), r * width, prob, alias, width).reshape(shape)
         reach, coarse_prob, coarse_alias = self._coarse_tables()
         coarse_width = coarse_prob.size // reach
-        # Entry r mod C from the quotient, which the coarse rows reuse:
-        # np.remainder costs about four times a floor division.
-        quot = r // below
-        rows = np.flatnonzero(quot != 0)
-        coarse = quot[rows]
+        # Entry r mod C = r - C*floor(r/C) from the quotient, which the
+        # coarse rows read first and whose array then takes the first
+        # columns: np.remainder costs about four times a floor division.
+        col = r // below
+        rows = np.flatnonzero(col != 0)
+        coarse = col[rows]
         big = rows[coarse >= reach]
         at = _split(bounds, big)
         whole = {i for i in range(len(gens))
                  if 2 * (at[i + 1] - at[i]) > bounds[i + 1] - bounds[i]
                  and r[bounds[i]:bounds[i + 1]].min() > 0}
         if len(whole) < len(gens):
-            col = np.multiply(quot, -below)
+            col *= -below
             col += r
             col *= width
             out = _alias_draw(_uniforms(gens, bounds, whole), col, prob, alias, width)

@@ -582,3 +582,56 @@ def test_every_chunk_reaches_every_horizon_in_a_call_of_its_own(e1, monkeypatch)
     got = ex.collect_populations(c, "calls", hs, "gw")
     assert sorted(calls) == sorted((n, size, size) for n in hs for size in c.chunk_sizes())
     assert got[-1].aborted > got[1].aborted > 0
+
+
+@pytest.mark.parametrize("law, budget", [
+    # every replicate dies in generation 1
+    pytest.param([1.0], spines.DEFAULT_NODE_BUDGET, id="all-extinct"),
+    # every replicate has one or two children, so a budget of 2 nodes aborts
+    # the two-child ones in generation 1 and all of them by generation 2
+    pytest.param([0.0, 0.5, 0.5], 2, id="all-aborted"),
+])
+def test_horizon_histograms_of_dead_chunks_match_bincount(law, budget, pools):
+    # a chunk that thins to no live rows still steps into every horizon and
+    # is reduced from its live rows: its histogram is np.bincount of its
+    # batch, [replicates] when all died out and empty when all aborted
+    from gwve.environment import Environment
+    from gwve.offspring import FiniteTable
+
+    env, hs = Environment.constant(FiniteTable(law)), [1, 2, 5]
+    kw = {"horizons": hs, "replicates": 5_000, "chunk_size": 1_000, "node_budget": budget}
+    aborted, counts = _chunks_run_alone(cfg(env, **kw), "dead", hs)
+    assert counts[-1].size == (1 if budget > 2 else 0)
+    for threads in (1, 2):
+        got = ex.collect_populations(cfg(env, threads=threads, **kw), "dead", hs, "gw")
+        assert [run.aborted for run in got] == aborted, threads
+        assert all(np.array_equal(run.counts, x) for run, x in zip(got, counts)), threads
+
+
+@pytest.mark.parametrize("sizes, count, lengths", [
+    # yaglom-e1: 4e6 replicates in chunks of 2^17, the last one of 67,840
+    ([1 << 17] * 30 + [67_840], 2, [15, 16]),
+    # configs/e1.json: 1e6 replicates in chunks of 2^17
+    ([1 << 17] * 7 + [82_496], 2, [4, 4]),
+    ([1 << 17] * 7 + [82_496], 3, [3, 2, 3]),
+    ([2_000] * 8 + [1_000], 3, [3, 3, 3]),
+    ([1 << 17] * 7 + [82_496], 1, [8]),
+    ([1, 1, 1, 1, 1], 4, [1, 1, 2, 1]),
+])
+def test_chunk_groups_hold_near_equal_replicate_counts(sizes, count, lengths):
+    groups = ex._chunk_groups(sizes, count)
+    assert [len(g) for g in groups] == lengths
+    assert [i for g in groups for i in g] == list(range(len(sizes)))
+    # each group's replicates are within one chunk of an equal share
+    share = sum(sizes) / count
+    assert all(abs(sum(sizes[i] for i in g) - share) <= max(sizes) for g in groups)
+
+
+def test_chunk_groups_of_the_full_yaglom_run():
+    # criterion 7: 5.6e7 replicates are 428 chunks in 27 groups, none with
+    # more than 16 full chunks
+    sizes = ex.ExperimentConfig(ex.reference_environment("E1"), horizons=[500],
+                                replicates=56_000_000).chunk_sizes()
+    groups = ex._chunk_groups(sizes, -(-len(sizes) // ex._GROUP_CHUNKS))
+    assert len(groups) == 27
+    assert max(sum(sizes[i] == 1 << 17 for i in g) for g in groups) <= ex._GROUP_CHUNKS

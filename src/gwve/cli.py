@@ -268,6 +268,7 @@ def _simulate_yaglom(config, out_dir: Path, quiet: bool) -> int:
 
 
 def main(argv=None) -> int:
+    ex._keep_freed_memory()  # the CLI owns its process
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -24,6 +24,7 @@ thresholds; thinner rows are still reported, flagged as informational.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -389,12 +390,42 @@ def _chunk_groups(sizes: list[int], count: int) -> list[list[int]]:
                                                     np.flatnonzero(np.diff(owner)) + 1)]
 
 
+# glibc allocator options set by `_keep_freed_memory`, as (mallopt param,
+# value) pairs of C ints: ctypes cuts a larger value to its low 32 bits
+# without a word (1 << 62 becomes 0, which trims the heap on every free).
+_MALLOPT = (
+    (-3, 1 << 25),  # M_MMAP_THRESHOLD: blocks below 32 MB come from the heap
+    (-1, 2**31 - 1),  # M_TRIM_THRESHOLD: the top of the heap is never trimmed
+)
+
+
+def _keep_freed_memory() -> bool:
+    """Let the C library keep the heap pages that freed numpy arrays held,
+    so that later arrays reuse them; True iff it took every option.
+
+    By default glibc serves large blocks by mmap and trims the top of the
+    heap when a block there is freed, so each generation's row arrays come
+    back as freshly zeroed pages, a page fault each: about 77,000 in one
+    two-worker yaglom-e1 run, most of the workers' kernel time.  The pages
+    stay with the process until it exits, so this is called only in
+    processes gwve owns, the CLI's and its pool workers', never in a library
+    caller's own process.  Where the C library has no `mallopt` (not glibc)
+    it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all(mallopt(param, value) == 1 for param, value in _MALLOPT)
+
+
 # In a forked pool worker: the group function of the pool that forked it.
 _worker_group = None
 
 
 def _start_worker(group) -> None:
     global _worker_group
+    _keep_freed_memory()
     _worker_group = group
 
 
@@ -437,8 +468,11 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     With `config.threads` > 1, several chunks and at least `_POOL_MIN_WORK`
     replicates x largest horizon, the groups run on min(threads, chunks)
     worker processes made by fork; otherwise, and where the platform cannot
-    fork, they run in this process.  No worker outlives the call, an error
-    raised in a worker is raised here, and a worker that dies raises
+    fork, they run in this process.  Each worker first lets the C library
+    keep its freed heap pages (`_keep_freed_memory`), so that its
+    generations reuse them instead of faulting in zeroed ones; this
+    process's allocator is left as it is.  No worker outlives the call, an
+    error raised in a worker is raised here, and a worker that dies raises
     BrokenProcessPool."""
     sampler = getattr(spines, f"simulate_{kind}_populations", None)
     if sampler is None:

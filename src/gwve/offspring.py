@@ -630,11 +630,11 @@ class Geometric(OffspringDistribution):
         # over those rows alone: early generations hold few of them.  A call
         # whose shapes are all below C takes the first draw alone.  Shapes
         # beyond the coarse table's reach C*A read its last entry and draw
-        # anew with numpy, after every row's uniforms.  A stream whose shapes
-        # are mostly that large draws every row with numpy instead: the alias
-        # passes over all its rows and the masked gather and scatter of the
-        # large ones would be extra passes around a numpy draw that covers
-        # most rows anyway.
+        # anew with numpy, after every row's uniforms, by one call per stream
+        # that holds any.  A stream whose shapes are mostly that large draws
+        # every row with numpy instead: the alias passes over all its rows
+        # and the masked gather and scatter of the large ones would be extra
+        # passes around a numpy draw that covers most rows anyway.
         total = self._shape_sum(counts, (1, 2, 3), size_biased, pair_biased)
         shape = np.shape(total)
         r = np.asarray(total, dtype=np.int64).reshape(-1)
@@ -669,7 +669,12 @@ class Geometric(OffspringDistribution):
         else:
             out = np.empty(r.size, dtype=np.int64)
         for i, g in enumerate(gens):
-            sel = slice(bounds[i], bounds[i + 1]) if i in whole else big[at[i]:at[i + 1]]
+            if i in whole:
+                sel = slice(bounds[i], bounds[i + 1])
+            elif at[i] < at[i + 1]:
+                sel = big[at[i]:at[i + 1]]
+            else:
+                continue  # nothing beyond the reach: no call, and no draw
             out[sel] = _negative_binomial(g, r[sel], self.p)
         return out.reshape(shape)
 

@@ -483,6 +483,74 @@ def test_a_dead_worker_fails_the_run(e1, pools, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the allocator policy of the processes gwve owns
+
+
+class _Libc:
+    """A C library whose `mallopt` records its calls and returns `result`."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+def test_keep_freed_memory_sets_both_options_as_c_ints(monkeypatch):
+    import ctypes
+
+    libc = _Libc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert ex._keep_freed_memory() is True
+    # M_MMAP_THRESHOLD to 32 MB, M_TRIM_THRESHOLD to never
+    assert libc.calls == [(-3, 1 << 25), (-1, 2**31 - 1)]
+    assert all(-(2**31) <= v < 2**31 for call in libc.calls for v in call)
+    assert libc.mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+    assert libc.mallopt.restype is ctypes.c_int
+
+
+def _failing(exc):
+    def cdll(name):
+        raise exc
+
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [lambda name: _Libc(result=0), lambda name: object(),
+                                  _failing(OSError("no C library")), _failing(TypeError("no path"))],
+                         ids=["refused", "no mallopt", "OSError", "TypeError"])
+def test_keep_freed_memory_is_a_no_op_without_glibc(monkeypatch, cdll):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert ex._keep_freed_memory() is False
+
+
+def test_the_cli_and_pool_workers_keep_freed_memory(monkeypatch, capsys):
+    from gwve.cli import main
+
+    calls = []
+    monkeypatch.setattr(ex, "_keep_freed_memory", lambda: calls.append(1))
+    assert main(["constants", "--env", '{"rule":"constant","dist":{"kind":"geometric","p":0.5}}',
+                 "--n", "1"]) == 0
+    assert len(calls) == 1
+    monkeypatch.setattr(ex, "_worker_group", None)
+    work = object()
+    ex._start_worker(work)
+    assert len(calls) == 2 and ex._worker_group is work
+
+
+def test_library_callers_keep_their_allocator(e1, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ex, "_keep_freed_memory", lambda: calls.append(1))
+    ex.collect_populations(cfg(e1, replicates=300, chunk_size=100, threads=1), "t", [5], "gw")
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
 # plain chunks merged into one batch
 
 
@@ -522,7 +590,7 @@ def _poisson_binomial():
 
 
 # (environment, horizons, config overrides): 17,000 replicates in chunks of
-# 2,000 are 9 chunks, the last one short, grouped as 9, 5 + 4 and 3 + 3 + 3 at
+# 2,000 are 9 chunks, the last one short, grouped as 9, 4 + 5 and 3 + 3 + 3 at
 # threads 1, 2 and 3
 MERGE_CASES = {
     "e1": (lambda: ex.reference_environment("E1"), [2, 5, 40], {}),

@@ -750,3 +750,22 @@ def test_sum_sample_on_several_streams_draws_each_streams_rows_alone(dist, parts
         assert np.array_equal(drawn[bounds[i]:bounds[i + 1]], want), i
         assert gens[i].bit_generator.state == alone.bit_generator.state, i
 
+
+
+def test_only_streams_with_shapes_beyond_the_reach_call_numpy(monkeypatch):
+    import gwve.offspring as offspring
+
+    calls, draw = [], offspring._negative_binomial
+
+    def recorded(g, shapes, p):
+        calls.append(shapes.tolist())
+        return draw(g, shapes, p)
+
+    monkeypatch.setattr(offspring, "_negative_binomial", recorded)
+    # at p = 1/2 the reach is 512: only the second stream holds such a shape
+    parts = [[3, 40], [600, 32, 5], [], [31, 100]]
+    counts = np.array([c for part in parts for c in part], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(part) for part in parts])
+    Geometric(0.5).sum_sample([stream(46, "calls", i) for i in range(len(parts))], counts,
+                              bounds=bounds)
+    assert calls == [[600]]

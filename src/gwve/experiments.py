@@ -145,6 +145,10 @@ class ExperimentConfig:
             raise ExperimentError("seed must be an integer in [0, 2^64)")
         if not len(self.s_grid) or not len(self.lambda_grid):
             raise ExperimentError("evaluation grids must be nonempty")
+        # JSON configs may hold NaN and Infinity, which no check below refuses
+        for name in ("s_grid", "lambda_grid"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ExperimentError(f"{name} must hold finite numbers")
         if any(s < 0 for s in self.s_grid) or any(l < 0 for l in self.lambda_grid):
             raise ExperimentError("evaluation grids must be nonnegative")
         if self.threads < 1 or self.chunk_size < 1:
@@ -154,6 +158,8 @@ class ExperimentConfig:
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ExperimentError(f"unknown tolerance keys: {sorted(unknown)}")
+        if not all(map(math.isfinite, self.tolerances.values())):
+            raise ExperimentError("tolerances must be finite numbers")
         if self.mc_horizons is not None:
             extra = set(self.mc_horizons) - set(self.horizons)
             if extra:

@@ -13,7 +13,7 @@ meaningful only while `tail_mass` stays below the configured budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +44,17 @@ class TailBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactPmf:
-    """Truncated exact distribution with explicit aggregated tail mass."""
+    """Truncated exact distribution with explicit aggregated tail mass.
+
+    `support` is one past the last nonzero entry of `probs` (0 when every
+    entry is zero), found by one scan at construction.  The sums over the
+    law stop there: `math.fsum` is correctly rounded, so the exact zeros
+    beyond it cannot move a bit of any of them.  `probs`, and so `cap`,
+    keep their full length."""
 
     probs: np.ndarray
     tail_mass: float
+    support: int = field(init=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -55,7 +62,9 @@ class ExactPmf:
         p.setflags(write=False)
         if np.any(p < 0.0) or self.tail_mass < -1e-15:
             raise ValueError("probabilities must be nonnegative")
-        total = math.fsum(p.tolist()) + self.tail_mass
+        nonzero = np.flatnonzero(p)
+        object.__setattr__(self, "support", int(nonzero[-1]) + 1 if nonzero.size else 0)
+        total = math.fsum(p[: self.support].tolist()) + self.tail_mass
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"entries plus tail sum to {total!r}, not 1")
 
@@ -64,12 +73,12 @@ class ExactPmf:
         return self.probs.size - 1
 
     def mean(self) -> float:
-        k = np.arange(self.probs.size, dtype=float)
-        return math.fsum((k * self.probs).tolist())
+        k = np.arange(self.support, dtype=float)
+        return math.fsum((k * self.probs[: self.support]).tolist())
 
     def second_factorial(self) -> float:
-        k = np.arange(self.probs.size, dtype=float)
-        return math.fsum((k * (k - 1.0) * self.probs).tolist())
+        k = np.arange(self.support, dtype=float)
+        return math.fsum((k * (k - 1.0) * self.probs[: self.support]).tolist())
 
     def check_budget(self, budget: float = DEFAULT_TAIL_BUDGET) -> None:
         if self.tail_mass > budget:
@@ -132,11 +141,11 @@ def exact_pmf(
 
 def transform_pmf(p: ExactPmf, kind: str) -> ExactPmf:
     """Exact law of the size-biased or pair-biased population."""
-    k = np.arange(p.probs.size, dtype=float)
+    k = np.arange(p.support, dtype=float)
     if kind == "size_biased":
-        w = k * p.probs
+        w = k * p.probs[: p.support]
     elif kind == "pair_biased":
-        w = k * (k - 1.0) * p.probs
+        w = k * (k - 1.0) * p.probs[: p.support]
     else:
         raise ValueError("kind must be 'size_biased' or 'pair_biased'")
     total = math.fsum(w.tolist())
@@ -144,7 +153,9 @@ def transform_pmf(p: ExactPmf, kind: str) -> ExactPmf:
         raise DistributionError(f"no {kind} law: zero weighted mass")
     w = w / total
     w[w == 0.0] = 0.0
-    return ExactPmf(w, 0.0)
+    out = np.zeros(p.probs.size)
+    out[: p.support] = w
+    return ExactPmf(out, 0.0)
 
 
 def laplace_from_pmf(p: ExactPmf, lam: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> float:
@@ -152,8 +163,8 @@ def laplace_from_pmf(p: ExactPmf, lam: float, tail_budget: float = DEFAULT_TAIL_
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     p.check_budget(tail_budget)
-    k = np.arange(p.probs.size, dtype=float)
-    return math.fsum((np.exp(-lam * k) * p.probs).tolist())
+    k = np.arange(p.support, dtype=float)
+    return math.fsum((np.exp(-lam * k) * p.probs[: p.support]).tolist())
 
 
 def _as_pmf(x) -> ExactPmf:
@@ -166,11 +177,10 @@ def _as_pmf(x) -> ExactPmf:
 def tv_distance(p, q) -> float:
     """Total variation distance, counting disagreement in tail mass."""
     p, q = _as_pmf(p), _as_pmf(q)
-    size = max(p.probs.size, q.probs.size)
-    a = np.zeros(size)
-    b = np.zeros(size)
-    a[: p.probs.size] = p.probs
-    b[: q.probs.size] = q.probs
+    a = np.zeros(max(p.support, q.support))
+    b = np.zeros(a.size)
+    a[: p.support] = p.probs[: p.support]
+    b[: q.support] = q.probs[: q.support]
     return 0.5 * math.fsum(np.abs(a - b).tolist()) + 0.5 * abs(p.tail_mass - q.tail_mass)
 
 

@@ -219,9 +219,25 @@ def sample_two_spine(
 def sample_branch_generation(env: Environment, n: int, rng: np.random.Generator, size=None):
     """Draws of the branching generation K_n of the two-spine tree, by
     inversion of one uniform each; an int when `size` is None.  This is the
-    first draw of every two-spine sampler."""
+    first draw of every two-spine sampler.
+
+    The inversion reads a guide table (Chen & Asau 1974, AIIE Trans. 6,
+    163-166) instead of searching the cdf.  With M buckets, M the power of
+    two at or above 2n, a uniform u starts at the number of cdf entries at
+    or below floor(uM)/M and steps up while it is at or above the next
+    entry, in as many passes as the fullest bucket needs.  M is a power of
+    two, so floor(uM)/M is exact and at most u: the start never passes the
+    number of cdf entries at or below u, the steps stop there, and the draw
+    equals `min(searchsorted(cdf, u, side="right"), n - 1)` bit for bit."""
     cdf = np.cumsum(kn_pmf_vector(env, n))
-    k = np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), n - 1)
+    m = 1 << (2 * n - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
+    cdf = np.append(cdf, np.inf)  # a draw past every entry stops at n
+    u = np.asarray(rng.random(size))
+    k = guide[(u * m).astype(np.intp)]
+    for _ in range(int(np.max(np.diff(guide)))):
+        k += u >= cdf[k]
+    k = np.minimum(k, n - 1)
     return int(k) if size is None else k.astype(np.int64)
 
 
@@ -449,11 +465,12 @@ def _spine_batch(env: Environment, k0: int, n: int, K, off: np.ndarray, cum: np.
     aborted = 0
     cum = cum.copy()
     for k in range(k0, n):
-        at = K == k
-        size_biased = 1 + (K < k) - at  # one parent before the branch, two after
+        before, at = K > k, K == k
+        size_biased = 2 * (K < k) + before  # one parent before the branch, two after
         off = env.dist_at(k + 1).sum_sample(rng, off, size_biased, at)
         cum += off
-        cum += np.where(K > k, 1, 2)  # spine nodes in generation k + 1
+        cum += 2  # spine nodes in generation k + 1: two, one before the branch
+        cum -= before
         if cum.max(initial=0) > node_budget:  # rare: the mask is built only then
             keep = cum <= node_budget
             aborted += int(keep.size - np.count_nonzero(keep))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -130,6 +131,21 @@ def test_check_yaglom_writes_the_runner_report(tmp_path):
     assert main(["check", "yaglom", "--config", str(config), "--out", str(out), "--quiet"]) == 0
     expected = ex.run_yaglom(build_experiment_config(json.loads(config.read_text())))
     assert (out / "yaglom.csv").read_text() == expected.to_csv_text()
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    ("decomposition", {"lambda_grid": [math.nan, 0.5]}, "lambda_grid"),
+    ("g-convergence", {"horizons": [10, 50], "s_grid": [math.nan]}, "s_grid"),
+    ("decomposition", {"lambda_grid": [math.inf]}, "lambda_grid"),
+    ("decomposition", {"tolerances": {"decomposition_rel": math.nan}}, "tolerances"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, extra, field):
+    # json reads NaN and Infinity, which no experiment can use
+    config = write_config(tmp_path, **extra)
+    assert "NaN" in config.read_text() or "Infinity" in config.read_text()
+    assert main(["check", command, "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_g_convergence_single_horizon_config_error(tmp_path):

@@ -45,6 +45,15 @@ def test_config_rejects_empty_grids(e1, grid):
         ex.ExperimentConfig(e1, horizons=[2], **{grid: ()})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("s_grid", (1.0, math.nan)), ("lambda_grid", (-math.inf,)), ("lambda_grid", (math.inf, 0.5)),
+    ("tolerances", {"tv": math.nan}), ("tolerances", {"ks": math.inf}),
+])
+def test_config_rejects_non_finite_numbers(e1, field, value):
+    with pytest.raises(ex.ExperimentError, match=field):
+        ex.ExperimentConfig(e1, horizons=[2], **{field: value})
+
+
 def test_chunk_sizes(e1):
     assert cfg(e1, replicates=10, chunk_size=4).chunk_sizes() == [4, 4, 2]
     assert cfg(e1, replicates=8, chunk_size=4).chunk_sizes() == [4, 4]

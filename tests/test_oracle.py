@@ -6,6 +6,7 @@ import pytest
 import gwve.oracle as orc
 import gwve.pgf_engine as en
 from gwve.environment import Environment
+from gwve.experiments import DEFAULT_LAMBDA_GRID
 from gwve.offspring import DistributionError, FiniteTable, Geometric, Poisson
 from gwve.streams import stream
 
@@ -180,3 +181,76 @@ def test_oracle_cross_checks_other_environments(env_factory):
         assert orc.laplace_from_pmf(sb, lam) == pytest.approx(
             en.laplace_zdot(env, n, lam), abs=1e-10
         )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _full_sum_check(probs, tail):
+    return abs(math.fsum(probs.tolist()) + tail - 1.0) <= 1e-10
+
+
+def _full_transform(probs, kind):
+    k = np.arange(probs.size, dtype=float)
+    w = k * probs if kind == "size_biased" else k * (k - 1.0) * probs
+    total = math.fsum(w.tolist())
+    if total <= 0.0:
+        return None
+    w = w / total
+    w[w == 0.0] = 0.0
+    return w
+
+
+def _full_tv(p, q):
+    a = np.zeros(max(p.probs.size, q.probs.size))
+    b = np.zeros(a.size)
+    a[: p.probs.size] = p.probs
+    b[: q.probs.size] = q.probs
+    return 0.5 * math.fsum(np.abs(a - b).tolist()) + 0.5 * abs(p.tail_mass - q.tail_mass)
+
+
+def _long_zero_tails():
+    rng = stream(17, "zero-tails")
+    head = rng.random(9)
+    head[[2, 5]] = 0.0  # zero entries inside the support too
+    yield np.concatenate([head / math.fsum(head.tolist()), np.zeros(4088)]), 0.0
+    head = rng.random(40) * 1e-3
+    yield np.concatenate([head, np.zeros(2000)]), 1.0 - math.fsum(head.tolist())
+    yield np.concatenate([[0.0, 0.25, 0.0, 0.75], np.zeros(60)]), 0.0
+
+
+def test_reductions_stop_at_the_support_without_moving_a_bit(e2):
+    laws = [orc.ExactPmf(probs, tail) for probs, tail in _long_zero_tails()]
+    laws += [orc.ExactPmf(np.zeros(50), 1.0), orc.exact_pmf(e2, 6)]
+    assert laws[-1].support < 400 < laws[-1].probs.size
+    for p in laws:
+        nonzero = np.flatnonzero(p.probs)
+        assert p.support == (nonzero[-1] + 1 if nonzero.size else 0)
+        k = np.arange(p.probs.size, dtype=float)
+        assert _bits(p.mean()) == _bits(math.fsum((k * p.probs).tolist()))
+        assert _bits(p.second_factorial()) == _bits(math.fsum((k * (k - 1.0) * p.probs).tolist()))
+        for lam in DEFAULT_LAMBDA_GRID:
+            full = math.fsum((np.exp(-lam * k) * p.probs).tolist())
+            assert _bits(orc.laplace_from_pmf(p, lam, tail_budget=1.0)) == _bits(full)
+        for kind in ("size_biased", "pair_biased"):
+            full = _full_transform(p.probs, kind)
+            if full is None:
+                with pytest.raises(DistributionError):
+                    orc.transform_pmf(p, kind)
+                continue
+            biased = orc.transform_pmf(p, kind)
+            assert biased.probs.size == p.probs.size and biased.tail_mass == 0.0
+            assert np.array_equal(_bits(biased.probs), _bits(full))
+        for q in laws:
+            assert _bits(orc.tv_distance(p, q)) == _bits(_full_tv(p, q))
+        # the sum check accepts and refuses what the full-length sum would
+        for shift in (-2e-10, -5e-11, 5e-11, 2e-10):
+            tail = p.tail_mass + shift
+            if tail < 0.0:
+                continue
+            if _full_sum_check(p.probs, tail):
+                orc.ExactPmf(p.probs, tail)
+            else:
+                with pytest.raises(ValueError, match="sum to"):
+                    orc.ExactPmf(p.probs, tail)

@@ -1,7 +1,10 @@
 import hashlib
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gwve.oracle as orc
 import gwve.pgf_engine as en
@@ -322,6 +325,56 @@ def test_branch_generation_is_the_two_spine_samplers_first_draw(env_name, reques
     assert k_arena == sp.sample_branch_generation(env, 10, stream(34, "k-arena"))
 
 
+
+class _Uniforms:
+    """Stands in for a generator: its `random` returns the given uniforms
+    (the first one for a scalar draw) and records each size asked for."""
+
+    def __init__(self, u):
+        self.u, self.sizes = u, []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return float(self.u[0]) if size is None else self.u[:size].copy()
+
+
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-9, 1e-6), st.floats(0.01, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weights=st.lists(_WEIGHTS, min_size=1, max_size=40).filter(any),
+       scale=st.sampled_from([1.0, 1.0 - 2.0**-52, 1.0 + 2.0**-52]),
+       extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
+@example(weights=[1.0], scale=1.0, extra=[0.5])  # n = 1
+@example(weights=[1.0] * 10, scale=1.0, extra=[])  # cdf[-1] = 1 - 2^-53
+@example(weights=[1.0] + [1e-9] * 39, scale=1.0, extra=[])  # 39 entries in the last bucket
+@example(weights=[1.0, 0.0, 0.0] + [1e-9] * 30 + [1.0], scale=1.0, extra=[])  # a run of equal entries, 30 packed at 1/2
+def test_branch_generation_guide_table_is_the_binary_search(weights, scale, extra):
+    # the guide-table inversion against the binary search it replaces, on
+    # uniforms at every cdf entry and bucket edge b/M, one below each, the
+    # largest below 1 and random ones; laws with zero-mass entries, entries
+    # packed into one bucket, and a cdf ending off 1 by rounding
+    pmf = np.array(weights) / math.fsum(weights) * scale
+    n = pmf.size
+    cdf = np.cumsum(pmf)
+    m = 1 << (2 * n - 1).bit_length()
+    assert n * 2 <= m < n * 4
+    points = np.concatenate([cdf, np.arange(m) / m, extra])
+    u = np.concatenate([points, np.nextafter(points, 0.0), [np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    expected = np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)
+    with mock.patch.object(sp, "kn_pmf_vector", lambda env, horizon: pmf):
+        rng = _Uniforms(u)
+        k = sp.sample_branch_generation(None, n, rng, u.size)
+        assert rng.sizes == [u.size]
+        assert k.dtype == np.int64 and np.array_equal(k, expected)
+        assert sp.sample_branch_generation(None, n, _Uniforms(u), 0).shape == (0,)
+        for x, want in zip(u, expected):
+            rng = _Uniforms([x])
+            got = sp.sample_branch_generation(None, n, rng)
+            assert type(got) is int and got == want and rng.sizes == [None]
+
+
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.int64).tobytes()).hexdigest()[:16]
 
@@ -392,3 +445,16 @@ def test_geometric_batches_past_the_coarse_reach_keep_their_draws(budget, expect
     assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
         == expected["two"]
     assert (one.aborted, int(one.x_n.sum()), _digest(one.x_n)) == expected["one"]
+
+
+@pytest.mark.parametrize("budget, expected", [
+    (10**7, (0, 4543124, 756730, "7e4a361938159c47", "5b91105cbef8d369")),
+    (300_000, (1535, 1405932, 451175, "62809f8b564b6871", "8612c60e28febaf4")),
+])
+def test_two_spine_batches_at_criterion_8s_horizon_keep_their_draws(e1, budget, expected):
+    # pins the K_n draws from the largest cdf the checks invert (n = 500 on
+    # E1) and the spine bookkeeping over 500 generations, with and without
+    # budget aborts
+    two = sp.simulate_two_spine_populations(e1, 500, 3000, stream(44, "kn-500"), node_budget=budget)
+    assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
+        == expected

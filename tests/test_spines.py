@@ -325,7 +325,6 @@ def test_branch_generation_is_the_two_spine_samplers_first_draw(env_name, reques
     assert k_arena == sp.sample_branch_generation(env, 10, stream(34, "k-arena"))
 
 
-
 class _Uniforms:
     """Stands in for a generator: its `random` returns the given uniforms
     (the first one for a scalar draw) and records each size asked for."""
@@ -347,8 +346,8 @@ _WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-9, 1e-6), st.floats(0.01, 1.0))
        extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
 @example(weights=[1.0], scale=1.0, extra=[0.5])  # n = 1
 @example(weights=[1.0] * 10, scale=1.0, extra=[])  # cdf[-1] = 1 - 2^-53
-@example(weights=[1.0] + [1e-9] * 39, scale=1.0, extra=[])  # 39 entries in the last bucket
-@example(weights=[1.0, 0.0, 0.0] + [1e-9] * 30 + [1.0], scale=1.0, extra=[])  # a run of equal entries, 30 packed at 1/2
+@example(weights=[1.0] + [1e-9] * 39, scale=1.0, extra=[])  # all 40 in the last bucket
+@example(weights=[1.0, 0.0, 0.0] + [1e-9] * 30 + [1.0], scale=1.0, extra=[])  # 33 near 1/2
 def test_branch_generation_guide_table_is_the_binary_search(weights, scale, extra):
     # the guide-table inversion against the binary search it replaces, on
     # uniforms at every cdf entry and bucket edge b/M, one below each, the
@@ -357,8 +356,7 @@ def test_branch_generation_guide_table_is_the_binary_search(weights, scale, extr
     pmf = np.array(weights) / math.fsum(weights) * scale
     n = pmf.size
     cdf = np.cumsum(pmf)
-    m = 1 << (2 * n - 1).bit_length()
-    assert n * 2 <= m < n * 4
+    m = 1 << (2 * n - 1).bit_length()  # the bucket count: the power of two at or above 2n
     points = np.concatenate([cdf, np.arange(m) / m, extra])
     u = np.concatenate([points, np.nextafter(points, 0.0), [np.nextafter(1.0, 0.0)]])
     u = u[(u >= 0.0) & (u < 1.0)]

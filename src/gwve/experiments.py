@@ -722,12 +722,14 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
         oracle_horizons = [n for n in config.horizons if n <= 6]
         if not oracle_horizons:
             raise ExperimentError("transform identities need a horizon <= 6 for the oracle")
+        # The oracle's laws come first, so the tables of each horizon's DP
+        # are gone before the Monte Carlo passes allocate.
+        laws = [_oracle_horizon(env, n, config) for n in oracle_horizons]
         # One one-spine pass serves every oracle horizon; its aborted counts
         # are cumulative, so the last horizon's is the pass's total.
         ones = collect_populations(config, "identities/one", oracle_horizons, "one_spine")
         aborted = ones[-1].aborted
-        for n, one in zip(oracle_horizons, ones):
-            p = oracle.exact_pmf(env, n)
+        for n, one, (p, gap) in zip(oracle_horizons, ones, laws):
             note = ""
             if p.tail_mass > oracle.DEFAULT_TAIL_BUDGET:
                 note = "oracle tail budget exceeded"
@@ -742,7 +744,6 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
             rows.append(_row(n, "tv_two_spine", tv2, "le", tv_tol, note))
             aborted += two.aborted
 
-            gap = _lemma33_max_gap(env, n, p, config)
             rows.append(_row(n, "lemma33_max_abs_gap", gap, "le", config.tol("lemma33_abs")))
 
         # Branching-generation law: the two-spine sampler's first draw on each
@@ -769,10 +770,13 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("transform_identities", config.seed, rows, aborted, t.elapsed)
 
 
-def _lemma33_max_gap(env: Environment, n: int, p: oracle.ExactPmf, config: ExperimentConfig) -> float:
-    """Worst discrepancy between the five closed-form Laplace transforms and
-    the oracle's discrete transforms at horizon n, given the oracle law p of
-    Z_n."""
+def _oracle_horizon(env: Environment, n: int, config: ExperimentConfig) -> tuple[oracle.ExactPmf, float]:
+    """The oracle law p of Z_n, and the worst discrepancy between the five
+    closed-form Laplace transforms of Lemma 3.3 and the oracle's discrete
+    transforms at horizon n.  Its 3n laws come from one DP, whose tables go
+    when it returns."""
+    dp = oracle.PopulationDP()
+    p = dp.exact_pmf(env, n)
     lams = np.array(config.lambda_grid)
 
     def oracle_laplace(pmf):
@@ -788,18 +792,18 @@ def _lemma33_max_gap(env: Environment, n: int, p: oracle.ExactPmf, config: Exper
         shifted = env.shift(m + 1)
         hang_dot = shifted.prepend(d.size_biased().shift_down(1))
         hang_ddot = shifted.prepend(d.pair_biased().shift_down(2))
-        p_dot = oracle.exact_pmf(hang_dot, n - m)
-        p_ddot = oracle.exact_pmf(hang_ddot, n - m)
+        p_dot = dp.exact_pmf(hang_dot, n - m)
+        p_ddot = dp.exact_pmf(hang_ddot, n - m)
         rest = n - (m + 1)
         if rest > 0:
-            p_shift = oracle.exact_pmf(shifted, rest)
+            p_shift = dp.exact_pmf(shifted, rest)
             ref = oracle_laplace(oracle.transform_pmf(p_shift, "size_biased"))
         else:
             ref = np.exp(-lams)  # one fresh particle
         gaps += [oracle_laplace(p_dot) - engine.laplace_hanging_qdot(env, n, m, lams, trace),
                  oracle_laplace(p_ddot) - engine.laplace_hanging_qddot(env, n, m, lams, trace),
                  ref - engine.laplace_zdot_shifted(env, n, m, lams, trace)]
-    return float(np.max(np.abs(gaps)))
+    return p, float(np.max(np.abs(gaps)))
 
 
 def run_yaglom(config: ExperimentConfig) -> ExperimentReport:

@@ -487,8 +487,15 @@ class FiniteTable(OffspringDistribution):
         return float(self.probs[k]) if k < self.probs.size else 0.0
 
     def _pgf(self, s, order):
+        # Horner's rule, term for term as `np.polynomial.polynomial.polyval`
+        # evaluates it, without importing numpy.polynomial (0.6 MB of modules).
         c = self._dcoefs[order]
-        return np.polynomial.polynomial.polyval(s, c) if c.size else np.zeros_like(s)
+        if not c.size:
+            return np.zeros_like(s)
+        value = c[-1] + s * 0
+        for coef in c[-2::-1]:
+            value = coef + value * s
+        return value
 
     def mean(self) -> float:
         return self._moments[0]

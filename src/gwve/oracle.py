@@ -2,12 +2,27 @@
 
 The law of Z_n is built generation by generation: if the population is j,
 the next generation is the j-fold convolution of the offspring pmf.  The
-convolution powers q^{*j} are built incrementally (q^{*j} = q^{*(j-1)} * q)
-and reused across the mixture over j.  Everything is truncated at a cap;
-mass pushed beyond the cap, or attached to population sizes whose total
-probability is below a negligible cut, is accumulated into an explicit
-`tail_mass` and treated as absorbing.  A comparison against an ExactPmf is
-meaningful only while `tail_mass` stays below the configured budget.
+convolution powers q^{*j} are built incrementally (q^{*j} = q^{*(j-1)} * q).
+Everything is truncated at a cap; mass pushed beyond the cap, or attached to
+population sizes whose total probability is below a negligible cut, is
+accumulated into an explicit `tail_mass` and treated as absorbing.  A
+comparison against an ExactPmf is meaningful only while `tail_mass` stays
+below the configured budget.
+
+A `PopulationDP` answers many requests and shares their work.  The powers
+q^{*j}, cut at the cap, and the mass each cut removed depend only on the
+offspring table and the cap, so each is built once per (table, cap) and
+serves every generation and request that convolves with that table; the
+state after a sequence of generations is kept per (cap, sequence of
+tables), so requests that share a prefix step it once.  That keeps every
+bit: each power is the result of the same `np.convolve` and cut steps, on
+the same inputs, as when it was rebuilt for each generation; each state is
+stepped by the same operations in the same order.  A power is stored
+without its trailing exact zeros, which only ever added `probs[j] * 0.0`
+to an entry, while the chain that builds the next power runs on the
+full-length array.  The tables live as long as the DP: one DP per horizon
+of `check identities` serves its 3n laws, and `exact_pmf` builds one
+for each call.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ from .offspring import DistributionError
 
 __all__ = [
     "ExactPmf",
+    "PopulationDP",
     "TailBudgetError",
     "exact_pmf",
     "transform_pmf",
@@ -60,6 +76,8 @@ class ExactPmf:
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)
         p.setflags(write=False)
+        if not (np.all(np.isfinite(p)) and math.isfinite(self.tail_mass)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0.0) or self.tail_mass < -1e-15:
             raise ValueError("probabilities must be nonnegative")
         nonzero = np.flatnonzero(p)
@@ -87,31 +105,99 @@ class ExactPmf:
             )
 
 
-def _step(probs: np.ndarray, tail: float, q: np.ndarray, cap: int) -> tuple[np.ndarray, float]:
-    """One generation of the population DP under offspring pmf q."""
-    new = np.zeros(cap + 1)
-    new[0] += probs[0]
+class _Powers:
+    """q^{*j} cut at the cap for j = 0, 1, ..., built on demand."""
+
+    def __init__(self, q: np.ndarray, cap: int):
+        self.q, self.cap = q, cap
+        self.chain = np.ones(1)     # the last power built, at full length
+        self.stored = [np.ones(1)]  # each power without its trailing zeros
+        self.cuts = [0.0]           # the mass the cuts removed from each power
+
+    def __getitem__(self, j: int) -> tuple[np.ndarray, float]:
+        while len(self.stored) <= j:
+            a = np.convolve(self.chain, self.q)
+            cut = self.cuts[-1]
+            if a.size > self.cap + 1:
+                cut += math.fsum(a[self.cap + 1 :].tolist())
+                a = a[: self.cap + 1]
+            self.chain = a
+            nonzero = np.flatnonzero(a)
+            self.stored.append(a[: nonzero[-1] + 1 if nonzero.size else 0].copy())
+            self.cuts.append(cut)
+        return self.stored[j], self.cuts[j]
+
+
+def _step(probs: np.ndarray, tail: float, powers: _Powers) -> tuple[np.ndarray, float]:
+    """One generation of the population DP under the offspring law whose
+    powers are given.  The entries of the new state past every power it
+    adds are zeros, and are left out."""
     occupied = np.nonzero(probs[1:])[0] + 1
-    if occupied.size:
-        # Fold negligible top states into the tail rather than convolving them.
-        rev_cum = np.cumsum(probs[occupied][::-1])[::-1]
-        keep = occupied[rev_cum > _STATE_MASS_CUT]
-        tail += math.fsum(probs[occupied[rev_cum <= _STATE_MASS_CUT]].tolist())
-        # a is q^{*j} cut at the cap; cut is the mass the cuts have removed
-        # from it, accumulated as each convolution overflows.
-        a = np.ones(1)
-        cut = 0.0
-        j_prev = 0
-        for j in keep:
-            for _ in range(j - j_prev):
-                a = np.convolve(a, q)
-                if a.size > cap + 1:
-                    cut += math.fsum(a[cap + 1 :].tolist())
-                    a = a[: cap + 1]
-            j_prev = int(j)
-            new[: a.size] += probs[j] * a
-            tail += probs[j] * cut
+    # Fold negligible top states into the tail rather than convolving them.
+    rev_cum = np.cumsum(probs[occupied][::-1])[::-1]
+    keep = occupied[rev_cum > _STATE_MASS_CUT]
+    tail += math.fsum(probs[occupied[rev_cum <= _STATE_MASS_CUT]].tolist())
+    terms = [powers[j] for j in keep]
+    new = np.zeros(max([1] + [a.size for a, _ in terms]))
+    new[0] += probs[0]
+    for j, (a, cut) in zip(keep, terms):
+        new[: a.size] += probs[j] * a
+        tail += probs[j] * cut
     return new, tail
+
+
+class _State:
+    """The DP state after a sequence of generations, and the states that
+    extend it by one generation, keyed by that generation's table."""
+
+    __slots__ = ("probs", "tail", "next")
+
+    def __init__(self, probs: np.ndarray, tail: float):
+        self.probs, self.tail, self.next = probs, tail, {}
+
+
+class PopulationDP:
+    """The population DP for many requests: powers q^{*j} are built once
+    per (offspring table, cap) and states once per (cap, sequence of
+    tables), for as long as the object lives (see the module docstring)."""
+
+    def __init__(self):
+        self._powers: dict[tuple[bytes, int], _Powers] = {}
+        self._roots: dict[int, _State] = {}
+
+    def exact_pmf(
+        self,
+        env: Environment,
+        n: int,
+        cap: int = DEFAULT_CAP,
+        tail_budget: float = DEFAULT_TAIL_BUDGET,
+        cap_ceiling: int = CAP_CEILING,
+    ) -> ExactPmf:
+        """Law of Z_n, doubling the cap until the tail budget is met (or the
+        ceiling is hit, in which case the oversized tail is simply reported)."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        tables = [env.dist_at(gen).to_table(1e-14).probs for gen in range(1, n + 1)]
+        keys = [q.tobytes() for q in tables]
+        while True:
+            state = self._roots.get(cap)
+            if state is None:
+                state = self._roots[cap] = _State(np.array([0.0, 1.0]), 0.0)
+            for key, q in zip(keys, tables):
+                child = state.next.get(key)
+                if child is None:
+                    powers = self._powers.get((key, cap))
+                    if powers is None:
+                        powers = self._powers[key, cap] = _Powers(q, cap)
+                    child = state.next[key] = _State(*_step(state.probs, state.tail, powers))
+                state = child
+            if state.tail <= tail_budget or cap >= cap_ceiling:
+                probs = np.zeros(cap + 1)
+                probs[: state.probs.size] = state.probs
+                return ExactPmf(probs, state.tail)
+            cap *= 2
 
 
 def exact_pmf(
@@ -121,22 +207,8 @@ def exact_pmf(
     tail_budget: float = DEFAULT_TAIL_BUDGET,
     cap_ceiling: int = CAP_CEILING,
 ) -> ExactPmf:
-    """Law of Z_n, doubling the cap until the tail budget is met (or the
-    ceiling is hit, in which case the oversized tail is simply reported)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    while True:
-        probs = np.zeros(cap + 1)
-        probs[min(1, cap)] = 1.0
-        tail = 0.0
-        for gen in range(1, n + 1):
-            q = env.dist_at(gen).to_table(1e-14).probs
-            probs, tail = _step(probs, tail, q, cap)
-        if tail <= tail_budget or cap >= cap_ceiling:
-            return ExactPmf(probs, tail)
-        cap *= 2
+    """Law of Z_n from a DP of its own; see `PopulationDP.exact_pmf`."""
+    return PopulationDP().exact_pmf(env, n, cap, tail_budget, cap_ceiling)
 
 
 def transform_pmf(p: ExactPmf, kind: str) -> ExactPmf:

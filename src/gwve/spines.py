@@ -228,17 +228,31 @@ def sample_branch_generation(env: Environment, n: int, rng: np.random.Generator,
     entry, in as many passes as the fullest bucket needs.  M is a power of
     two, so floor(uM)/M is exact and at most u: the start never passes the
     number of cdf entries at or below u, the steps stop there, and the draw
-    equals `min(searchsorted(cdf, u, side="right"), n - 1)` bit for bit."""
+    equals `min(searchsorted(cdf, u, side="right"), n - 1)` bit for bit.
+
+    The cdf entries are nondecreasing, so once a step fails every later one
+    does: pass p steps u exactly when u is at or above entry guide[b] + p of
+    its bucket b.  Each pass therefore reads that entry from a table of
+    buckets, gathered in place over the bucket index of every draw, and
+    counts its steps in a small integer array.  Beside the 1-byte arrays,
+    the draws hold two row-sized arrays: the uniforms and that index."""
     cdf = np.cumsum(kn_pmf_vector(env, n))
     m = 1 << (2 * n - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
     cdf = np.append(cdf, np.inf)  # a draw past every entry stops at n
+    passes = int(np.max(np.diff(guide)))
     u = np.asarray(rng.random(size))
-    k = guide[(u * m).astype(np.intp)]
-    for _ in range(int(np.max(np.diff(guide)))):
-        k += u >= cdf[k]
-    k = np.minimum(k, n - 1)
-    return int(k) if size is None else k.astype(np.int64)
+    k = np.empty(u.shape, dtype=np.intp)
+    steps = np.zeros(u.shape, dtype=np.min_scalar_type(passes))
+    for p in range(passes):
+        np.multiply(u, m, out=k, casting="unsafe")
+        entry = cdf[np.minimum(guide[:-1] + p, n)]
+        steps += u >= np.take(entry, k, out=k.view(np.float64), mode="clip")
+    np.multiply(u, m, out=k, casting="unsafe")
+    np.take(guide, k, out=k, mode="clip")
+    k += steps
+    np.minimum(k, n - 1, out=k)
+    return int(k) if size is None else k.astype(np.int64, copy=False)
 
 
 def _spine_tree(

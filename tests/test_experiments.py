@@ -221,6 +221,34 @@ def test_transform_identities_report(e2):
     assert stats["size_biased_integral_residual"].value < 1e-8
 
 
+# float.hex of the rows of `check identities` that involve no draws, on the
+# shipped reference environments: (lemma33_max_abs_gap at n = 2 and 6,
+# size_biased_integral_residual with the oracle horizons ending at 2 and 6)
+_DETERMINISTIC_ROWS = {
+    "E1": ("0x1.381c000000000p-40", "0x1.a2ec000000000p-41",
+           "0x1.ac00000000000p-42", "0x1.18b3000000000p-36"),
+    "E2": ("0x1.21f0000000000p-40", "0x1.d9e8000000000p-41",
+           "0x1.a680000000000p-44", "0x1.a8b0000000000p-39"),
+}
+
+
+@pytest.mark.parametrize("env_name", ["E1", "E2"])
+def test_transform_identities_deterministic_rows_are_pinned(env_name):
+    # the oracle DP, the engine's transforms and the quadrature alone give
+    # these rows, so a change of draws never moves them
+    env = ex.reference_environment(env_name)
+    got = {}
+    for horizons in ([2], [2, 6]):
+        r = ex.run_transform_identities(cfg(env, horizons=horizons, replicates=2_000, kn_horizon=4))
+        for row in r.rows:
+            if row.statistic in ("lemma33_max_abs_gap", "size_biased_integral_residual"):
+                got[row.statistic, row.n] = row.value.hex()
+    gap2, gap6, res2, res6 = _DETERMINISTIC_ROWS[env_name]
+    assert got == {("lemma33_max_abs_gap", 2): gap2, ("lemma33_max_abs_gap", 6): gap6,
+                   ("size_biased_integral_residual", 2): res2,
+                   ("size_biased_integral_residual", 6): res6}
+
+
 def test_yaglom_small_run(e1):
     r = ex.run_yaglom(cfg(e1, horizons=[20, 50], replicates=400_000, min_survivors=2000,
                           tolerances={"ks": 0.06, "yaglom_exact": 0.06}))

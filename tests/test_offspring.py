@@ -76,6 +76,22 @@ def test_pgf_at_one_matches_direct_summation(dist, order):
     assert closed == pytest.approx(brute_factorial_moment(dist, order), abs=1e-12)
 
 
+@pytest.mark.parametrize("probs", [[0.25, 0.5, 0.25], [0.1, 0.0, 0.3, 0.6], [1.0],
+                                   np.linspace(1.0, 2.0, 30) / np.linspace(1.0, 2.0, 30).sum()])
+def test_table_pgf_is_polyval_bit_for_bit(probs):
+    # the table pgf runs Horner's rule itself, as numpy's polyval does
+    from numpy.polynomial.polynomial import polyval
+    table = FiniteTable(probs)
+    points = [0.0, 0.37, 1.0, -0.5, np.array(0.9), np.linspace(0.0, 1.0, 7), np.exp(-np.arange(6.0)).reshape(2, 3)]
+    for order in range(4):
+        c = table._dcoefs[order]
+        for s in points:
+            got = table._pgf(s, order)
+            want = polyval(s, c) if c.size else np.zeros_like(s)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
 def test_pgf_rejects_bad_order(geo):
     with pytest.raises(ValueError):
         geo.pgf(0.5, 4)

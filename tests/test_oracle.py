@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gwve.oracle as orc
 import gwve.pgf_engine as en
@@ -9,6 +10,7 @@ from gwve.environment import Environment
 from gwve.experiments import DEFAULT_LAMBDA_GRID
 from gwve.offspring import DistributionError, FiniteTable, Geometric, Poisson
 from gwve.streams import stream
+from test_pgf_engine import _offspring_laws
 
 LAMBDA_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -163,14 +165,13 @@ def test_truncating_cap_tail_is_the_missing_mass(e2, n):
     assert abs(p.tail_mass - (1.0 - math.fsum(p.probs.tolist()))) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "env_factory",
-    [
-        lambda: Environment.explicit([FiniteTable([0.25, 0.5, 0.25])], Geometric(0.5)),
-        lambda: Environment.constant(Poisson(1.0)),
-    ],
-    ids=["explicit-head", "constant-poisson"],
-)
+_OTHER_ENVIRONMENTS = {
+    "explicit-head": lambda: Environment.explicit([FiniteTable([0.25, 0.5, 0.25])], Geometric(0.5)),
+    "constant-poisson": lambda: Environment.constant(Poisson(1.0)),
+}
+
+
+@pytest.mark.parametrize("env_factory", list(_OTHER_ENVIRONMENTS.values()), ids=list(_OTHER_ENVIRONMENTS))
 def test_oracle_cross_checks_other_environments(env_factory):
     env = env_factory()
     n = 4
@@ -254,3 +255,110 @@ def test_reductions_stop_at_the_support_without_moving_a_bit(e2):
             else:
                 with pytest.raises(ValueError, match="sum to"):
                     orc.ExactPmf(p.probs, tail)
+
+
+@pytest.mark.parametrize("probs, tail", [
+    ([math.nan, 0.5], 0.0),
+    ([math.inf, 0.5], 0.0),
+    ([0.5, 0.5], math.nan),
+    ([0.5, 0.5], math.inf),  # also refused by the sum check alone
+], ids=["nan-entry", "inf-entry", "nan-tail", "inf-tail"])
+def test_exact_pmf_refuses_non_finite_values(probs, tail):
+    with pytest.raises(ValueError, match="finite"):
+        orc.ExactPmf(np.array(probs), tail)
+
+
+def _per_law_exact_pmf(env, n, cap=orc.DEFAULT_CAP, tail_budget=orc.DEFAULT_TAIL_BUDGET,
+                       cap_ceiling=orc.CAP_CEILING):
+    """The reference DP: each generation of each law rebuilds q^{*j} by
+    repeated `np.convolve`, cut at the cap, from q^{*0} = 1."""
+    while True:
+        probs = np.zeros(cap + 1)
+        probs[1] = 1.0
+        tail = 0.0
+        for gen in range(1, n + 1):
+            q = env.dist_at(gen).to_table(1e-14).probs
+            new = np.zeros(cap + 1)
+            new[0] += probs[0]
+            occupied = np.nonzero(probs[1:])[0] + 1
+            if occupied.size:
+                rev_cum = np.cumsum(probs[occupied][::-1])[::-1]
+                keep = occupied[rev_cum > orc._STATE_MASS_CUT]
+                tail += math.fsum(probs[occupied[rev_cum <= orc._STATE_MASS_CUT]].tolist())
+                a, cut, j_prev = np.ones(1), 0.0, 0
+                for j in keep:
+                    for _ in range(j - j_prev):
+                        a = np.convolve(a, q)
+                        if a.size > cap + 1:
+                            cut += math.fsum(a[cap + 1 :].tolist())
+                            a = a[: cap + 1]
+                    j_prev = int(j)
+                    new[: a.size] += probs[j] * a
+                    tail += probs[j] * cut
+            probs = new
+        if tail <= tail_budget or cap >= cap_ceiling:
+            return probs, tail
+        cap *= 2
+
+
+def _assert_same_bits(dp, requests, **kw):
+    """Every request's law from the one DP equals the reference DP's law bit
+    for bit, in `probs` and `tail_mass`."""
+    for env, n in requests:
+        got = dp.exact_pmf(env, n, **kw)
+        probs, tail = _per_law_exact_pmf(env, n, **kw)
+        assert np.array_equal(_bits(got.probs), _bits(probs)), n
+        assert _bits(got.tail_mass) == _bits(tail), n
+
+
+def _lemma33_requests(env, n):
+    """The 3n laws that `check identities` asks of one DP at horizon n:
+    Z_n, the two hanging-subtree laws at each m < n, and the shifted
+    processes."""
+    out = [(env, n)]
+    for m in range(n):
+        d, shifted = env.dist_at(m + 1), env.shift(m + 1)
+        out += [(shifted.prepend(d.size_biased().shift_down(1)), n - m),
+                (shifted.prepend(d.pair_biased().shift_down(2)), n - m)]
+        if n - m - 1 > 0:
+            out.append((shifted, n - m - 1))
+    return out
+
+
+def test_shared_dp_matches_the_per_law_dp(e1, e2):
+    envs = [e1, e2] + [make() for make in _OTHER_ENVIRONMENTS.values()]
+    for env in envs:
+        _assert_same_bits(orc.PopulationDP(), [(env, n) for n in (0, 1, 2, 4, 6, 3)])
+
+
+@pytest.mark.parametrize("env_name", ["e1", "e2"])
+def test_shared_dp_matches_the_per_law_dp_on_every_lemma33_law(env_name, request):
+    env = request.getfixturevalue(env_name)
+    requests = _lemma33_requests(env, 6)
+    assert len(requests) == 18
+    _assert_same_bits(orc.PopulationDP(), requests)
+    # the same requests in reversed order share the same tables
+    _assert_same_bits(orc.PopulationDP(), requests[::-1])
+
+
+def test_shared_dp_cap_doubling_and_distinct_equal_laws():
+    # a cap of 8 is doubled until the tail budget is met, at every request
+    dp = orc.PopulationDP()
+    _assert_same_bits(dp, [(Environment.constant(Geometric(0.5)), n) for n in (8, 5, 8)], cap=8)
+    # a cap held at its ceiling keeps its oversized tail
+    _assert_same_bits(dp, [(Environment.constant(Geometric(0.5)), 6)], cap=8, cap_ceiling=8)
+    # equal laws given as distinct objects share their powers and states
+    a = Environment.periodic([Geometric(0.5), FiniteTable([0.25, 0.5, 0.25])])
+    b = Environment.periodic([Geometric(0.5), FiniteTable(np.array([0.25, 0.5, 0.25]))])
+    dp = orc.PopulationDP()
+    _assert_same_bits(dp, [(a, 4), (b, 6), (b.shift(2), 2), (a, 0)])
+    assert len(dp._powers) == 2  # one power table per distinct law at the one cap
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(head=st.lists(_offspring_laws(), max_size=2), cycle=st.lists(_offspring_laws(), min_size=1, max_size=3),
+       n=st.integers(0, 6))
+def test_shared_dp_matches_the_per_law_dp_on_random_environments(head, cycle, n):
+    env = Environment(head, cycle)
+    requests = [(env, n), (env.shift(1), max(n - 1, 0)), (env, n // 2)]
+    _assert_same_bits(orc.PopulationDP(), requests, cap=256, cap_ceiling=1024)

@@ -27,6 +27,7 @@ from . import oracle, pgf_engine as engine
 from .config import (
     ConfigError,
     build_experiment_config,
+    check_list,
     environment_spec,
     load_config_file,
     parse_environment,
@@ -123,6 +124,7 @@ def cmd_constants(args) -> int:
         except ValueError as exc:
             raise ConfigError("n", str(exc)) from exc
     else:
+        check_list(doc, "horizons")
         ns = doc.get("horizons", [1, 10, 100, 1000])
     if not ns or any(n < 1 for n in ns):
         raise ConfigError("n", "generation list must be positive")
@@ -237,11 +239,8 @@ def cmd_simulate(args) -> int:
 
 
 def _simulate_yaglom(config, out_dir: Path, quiet: bool) -> int:
-    horizons = [n for n in config.horizons if config.wants_mc(n)]
-    if not horizons:
-        raise ConfigError("mc_horizons", "simulate yaglom needs at least one Monte Carlo horizon")
     rows, report_lines = [], ["n,survivors,ks_exp1"]
-    for n, (run, survivors, ks) in zip(horizons, ex.yaglom_ks(config, horizons)):
+    for n, (run, survivors, ks) in zip(config.horizons, ex.yaglom_ks(config)):
         # the survivors' histogram: Z_n = k for k >= 1, nonzero rows only
         sample_path = out_dir / f"yaglom_samples_n{n}.csv"
         sample_path.write_text("\n".join(

@@ -15,10 +15,12 @@ Environment specs wrap them:
     {"rule": "general", "head": [{...}], "cycle": [{...}, {...}]}
 
 Experiment config files are JSON documents with an "environment" field plus
-any field of `ExperimentConfig` (horizons, replicates, seed, s_grid,
-lambda_grid, tolerances, mc_horizons, min_survivors, threads, chunk_size,
-node_budget, assume_critical, kn_horizon) and the horizon n that `gwve
-simulate` reads.  Any other field is refused as unknown.
+any field of `ExperimentConfig` (horizons, replicates, seed, lambda_grid,
+tolerances, min_survivors, threads, chunk_size, node_budget,
+assume_critical, kn_horizon) and the horizon n that `gwve simulate` reads.
+Any other field is refused as unknown.  Monte Carlo runs at every horizon,
+and the s-grid of the Yaglom and g-convergence checks is fixed (21 points
+on [0, 5]).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "parse_environment",
     "environment_spec",
     "load_config_file",
+    "check_list",
     "build_experiment_config",
 ]
 
@@ -172,19 +175,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_list(doc: dict, key: str, ok=_is_int, what: str = "integers") -> None:
+    """Raise unless `doc` lacks `key` or holds a list of `what` there."""
+    value = doc.get(key)
+    if value is not None and not (isinstance(value, list) and all(map(ok, value))):
+        raise ConfigError(key, f"must be a list of {what}, not {value!r}")
+
+
 def _check_types(doc: dict) -> None:
     """Raise on a config field of the wrong JSON type, before any is used."""
     for key in _INT_FIELDS & doc.keys():
         if not _is_int(doc[key]):
             raise ConfigError(key, f"must be an integer, not {doc[key]!r}")
-    for key in ("horizons", "mc_horizons"):
-        value = doc.get(key)
-        if value is not None and not (isinstance(value, list) and all(map(_is_int, value))):
-            raise ConfigError(key, f"must be a list of integers, not {value!r}")
-    for key in ("s_grid", "lambda_grid"):
-        value = doc.get(key)
-        if value is not None and not (isinstance(value, list) and all(map(_is_number, value))):
-            raise ConfigError(key, f"must be a list of numbers, not {value!r}")
+    check_list(doc, "horizons")
+    check_list(doc, "lambda_grid", _is_number, "numbers")
     if not isinstance(doc.get("assume_critical", False), bool):
         raise ConfigError("assume_critical", f"must be true or false, not {doc['assume_critical']!r}")
     tolerances = doc.get("tolerances")

@@ -10,9 +10,9 @@ processes nor the grouping can change any number.  Wall time and timestamps
 live only in the summary metadata, never in the CSV.
 
 The Yaglom Monte Carlo runs in one pass: each chunk, on the stream
-(seed, "yaglom", largest Monte Carlo horizon, chunk), is simulated once to
-that horizon and reduced to its population histogram at every Monte Carlo
-horizon on the way; the survivors are the histogram's entries at k >= 1.  The
+(seed, "yaglom", largest horizon, chunk), is simulated once to that
+horizon and reduced to its population histogram at every horizon on the
+way; the survivors are the histogram's entries at k >= 1.  The
 horizons therefore share their random numbers; each horizon's survivors still
 have the exact law of Z_n given survival, so their KS distance is valid on its
 own, and the largest horizon's histogram is the one a run at that horizon
@@ -64,7 +64,8 @@ __all__ = [
 
 DEFAULT_SEED = 20201124
 
-DEFAULT_S_GRID = tuple(np.linspace(0.0, 5.0, 21).tolist())
+# The s-grid of the Yaglom and g-convergence checks, scaled by 1/a_n there.
+S_GRID = tuple(np.linspace(0.0, 5.0, 21).tolist())
 DEFAULT_LAMBDA_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
 
 DEFAULT_TOLERANCES = {
@@ -121,10 +122,8 @@ class ExperimentConfig:
     horizons: list[int]
     replicates: int = 100_000
     seed: int = DEFAULT_SEED
-    s_grid: tuple[float, ...] = DEFAULT_S_GRID
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     tolerances: dict[str, float] = field(default_factory=dict)
-    mc_horizons: list[int] | None = None  # None: Monte Carlo at every horizon
     min_survivors: int = 1000
     threads: int = field(default_factory=_available_cores)
     chunk_size: int = 1 << 17
@@ -143,14 +142,9 @@ class ExperimentConfig:
             raise ExperimentError("replicate count must be >= 1")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ExperimentError("seed must be an integer in [0, 2^64)")
-        if not len(self.s_grid) or not len(self.lambda_grid):
-            raise ExperimentError("evaluation grids must be nonempty")
-        # JSON configs may hold NaN and Infinity, which no check below refuses
-        for name in ("s_grid", "lambda_grid"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ExperimentError(f"{name} must hold finite numbers")
-        if any(s < 0 for s in self.s_grid) or any(l < 0 for l in self.lambda_grid):
-            raise ExperimentError("evaluation grids must be nonnegative")
+        # JSON configs may hold NaN and Infinity, which this comparison refuses
+        if not len(self.lambda_grid) or not all(0 <= l < math.inf for l in self.lambda_grid):
+            raise ExperimentError("lambda_grid must be a nonempty list of finite nonnegative numbers")
         if self.threads < 1 or self.chunk_size < 1:
             raise ExperimentError("threads and chunk_size must be positive")
         if self.kn_horizon < 1:
@@ -160,16 +154,9 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown tolerance keys: {sorted(unknown)}")
         if not all(map(math.isfinite, self.tolerances.values())):
             raise ExperimentError("tolerances must be finite numbers")
-        if self.mc_horizons is not None:
-            extra = set(self.mc_horizons) - set(self.horizons)
-            if extra:
-                raise ExperimentError(f"mc_horizons not among horizons: {sorted(extra)}")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
-
-    def wants_mc(self, n: int) -> bool:
-        return self.mc_horizons is None or n in self.mc_horizons
 
     def chunk_sizes(self) -> list[int]:
         """Replicate counts of the Monte Carlo chunks, in chunk order."""
@@ -196,6 +183,20 @@ def _row(n: int, statistic: str, value: float, cmp: str, tolerance: float, note:
     else:
         raise ValueError("cmp must be 'le' or 'ge'")
     return ReportRow(n, statistic, float(value), cmp, float(tolerance), bool(ok), note)
+
+
+def _gated_at_last(config: ExperimentConfig, n: int, statistic: str, value: float,
+                   tol: float) -> ReportRow:
+    """A `value <= tol` row at the config's last horizon, informational before it."""
+    final = n == config.horizons[-1]
+    return _row(n, statistic, value, "le", tol if final else math.inf,
+                note="" if final else "informational")
+
+
+def _decreasing(config: ExperimentConfig, statistic: str, values: list[float]) -> ReportRow:
+    """A row, at the config's last horizon, passed iff `values` strictly decrease."""
+    return _row(config.horizons[-1], statistic,
+                float(all(b < a for a, b in zip(values, values[1:]))), "ge", 1.0)
 
 
 @dataclass
@@ -594,14 +595,12 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     return merged(map(work, groups))
 
 
-def yaglom_ks(config: ExperimentConfig, horizons: list[int]) -> list[tuple[Collected, int, float]]:
+def yaglom_ks(config: ExperimentConfig) -> list[tuple[Collected, int, float]]:
     """(collection, survivor count, KS distance of the survivors' Z_n/a_n to
-    Exp(1), inf with no survivors) at each horizon, from one pass over the
-    Yaglom run's replicates to the largest horizon."""
-    if not horizons:
-        return []
+    Exp(1), inf with no survivors) at each of the config's horizons, from one
+    pass over the Yaglom run's replicates to the largest horizon."""
     out = []
-    for n, run in zip(horizons, collect_populations(config, "yaglom", horizons, "gw")):
+    for n, run in zip(config.horizons, collect_populations(config, "yaglom", config.horizons, "gw")):
         alive = run.counts[1:]
         survivors = int(alive.sum())
         ks = math.inf if not survivors else ks_statistic_counts(
@@ -653,11 +652,8 @@ def run_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
             ratio = engine.kolmogorov_ratio(config.environment, n)
             gaps.append(abs(ratio - 1.0))
             rows.append(_row(n, "kolmogorov_ratio", ratio, "le", math.inf, note="informational"))
-            final = n == config.horizons[-1]
-            rows.append(_row(n, "abs_gap", gaps[-1], "le", tol if final else math.inf,
-                             note="" if final else "informational"))
-        decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
-        rows.append(_row(config.horizons[-1], "gap_decreasing", float(decreasing), "ge", 1.0))
+            rows.append(_gated_at_last(config, n, "abs_gap", gaps[-1], tol))
+        rows.append(_decreasing(config, "gap_decreasing", gaps))
     return ExperimentReport("kolmogorov", config.seed, rows, wall_time=t.elapsed)
 
 
@@ -674,13 +670,10 @@ def run_uniform_limit(config: ExperimentConfig) -> ExperimentReport:
             sup = float(np.max(np.abs(engine.a_kn_cdf(config.environment, n, y) - y)))
             norm = engine.partition_norm(config.environment, n)
             sups.append(sup)
-            final = n == config.horizons[-1]
-            rows.append(_row(n, "sup_cdf_gap", sup, "le", tol if final else math.inf,
-                             note="" if final else "informational"))
+            rows.append(_gated_at_last(config, n, "sup_cdf_gap", sup, tol))
             rows.append(_row(n, "partition_norm", norm, "le", math.inf, note="informational"))
             rows.append(_row(n, "sup_le_partition_norm", float(sup <= norm), "ge", 1.0))
-        decreasing = all(b < a for a, b in zip(sups, sups[1:]))
-        rows.append(_row(config.horizons[-1], "sup_decreasing", float(decreasing), "ge", 1.0))
+        rows.append(_decreasing(config, "sup_decreasing", sups))
     return ExperimentReport("uniform_limit", config.seed, rows, wall_time=t.elapsed)
 
 
@@ -696,17 +689,14 @@ def run_g_convergence(config: ExperimentConfig) -> ExperimentReport:
         skipped_total = 0
         for n in config.horizons:
             profile = engine.g_gap_profile(config.environment, n,
-                                           np.array(config.s_grid) / config.environment.a(n))
+                                           np.array(S_GRID) / config.environment.a(n))
             bad = np.isnan(profile)
             skipped = int(np.count_nonzero(bad, axis=0).max(initial=0))
             worst = float(np.max(profile[~bad])) if np.any(~bad) else 0.0
             d_values.append(worst)
             skipped_total += skipped
-            final = n == config.horizons[-1]
-            rows.append(_row(n, "g_gap_sup", worst, "le", tol if final else math.inf,
-                             note="" if final else "informational"))
-        decreasing = all(b < a for a, b in zip(d_values, d_values[1:]))
-        rows.append(_row(config.horizons[-1], "g_gap_strictly_decreasing", float(decreasing), "ge", 1.0))
+            rows.append(_gated_at_last(config, n, "g_gap_sup", worst, tol))
+        rows.append(_decreasing(config, "g_gap_strictly_decreasing", d_values))
         rows.append(_row(config.horizons[-1], "skipped_nu_zero_generations", float(skipped_total),
                          "le", math.inf, note="informational"))
     return ExperimentReport("g_convergence", config.seed, rows, wall_time=t.elapsed)
@@ -817,41 +807,26 @@ def run_yaglom(config: ExperimentConfig) -> ExperimentReport:
     env = config.environment
     rows = []
     with _Timer() as t:
-        mc_horizons = [n for n in config.horizons if config.wants_mc(n)]
-        mc = dict(zip(mc_horizons, yaglom_ks(config, mc_horizons)))
+        mc = yaglom_ks(config)
         # Aborted counts are cumulative over the one pass: the largest horizon's is the total.
-        aborted = mc[mc_horizons[-1]][0].aborted if mc_horizons else 0
+        aborted = mc[-1][0].aborted
         ks_values = []
-        for n in config.horizons:
+        for n, (_, survivors, ks) in zip(config.horizons, mc):
             a_n = env.a(n)
-            exact_gap = max(
-                abs(engine.conditional_laplace_z(env, n, s / a_n) - 1.0 / (1.0 + s))
-                for s in config.s_grid
-            )
-            final = n == config.horizons[-1]
-            rows.append(_row(n, "exact_curve_gap", exact_gap, "le",
-                             config.tol("yaglom_exact") if final else math.inf,
-                             note="" if final else "informational"))
-            if n not in mc:
-                continue
-            _, survivors, ks = mc[n]
+            exact_gap = max(abs(engine.conditional_laplace_z(env, n, s / a_n) - 1.0 / (1.0 + s))
+                            for s in S_GRID)
+            rows.append(_gated_at_last(config, n, "exact_curve_gap", exact_gap,
+                                       config.tol("yaglom_exact")))
             rows.append(_row(n, "survivors", float(survivors), "ge", config.min_survivors))
-            if survivors == 0:
-                rows.append(_row(n, "ks_exp1", math.inf, "le", math.inf,
-                                 note="no survivors; excluded from pass criteria"))
-                continue
-            mc_final = n == mc_horizons[-1]
-            if survivors >= config.min_survivors:
+            if survivors and survivors >= config.min_survivors:
                 ks_values.append(ks)
-                rows.append(_row(n, "ks_exp1", ks, "le",
-                                 config.tol("ks") if mc_final else math.inf,
-                                 note="" if mc_final else "informational"))
-            else:
+                rows.append(_gated_at_last(config, n, "ks_exp1", ks, config.tol("ks")))
+            else:  # ks is inf with no survivors
+                why = "insufficient survivors" if survivors else "no survivors"
                 rows.append(_row(n, "ks_exp1", ks, "le", math.inf,
-                                 note="insufficient survivors; excluded from pass criteria"))
+                                 note=f"{why}; excluded from pass criteria"))
         if len(ks_values) > 1:
-            decreasing = all(b < a for a, b in zip(ks_values, ks_values[1:]))
-            rows.append(_row(config.horizons[-1], "ks_decreasing", float(decreasing), "ge", 1.0))
+            rows.append(_decreasing(config, "ks_decreasing", ks_values))
     return ExperimentReport("yaglom", config.seed, rows, aborted, t.elapsed)
 
 
@@ -864,7 +839,6 @@ def run_exponential_characterization(config: ExperimentConfig) -> ExperimentRepo
     """
     env = config.environment
     rows = []
-    aborted = 0
     with _Timer() as t:
         for lam in config.lambda_grid:
             lhs = (1.0 + lam) ** -3
@@ -873,9 +847,7 @@ def run_exponential_characterization(config: ExperimentConfig) -> ExperimentRepo
             rows.append(_row(0, f"closed_form_gap[lam={lam:g}]", abs(lhs - rhs), "le",
                              config.tol("closed_form")))
         n = config.horizons[-1]
-        if config.wants_mc(n):
-            two = collect_populations(config, "exponential", [n], "two_spine")[0]
-            aborted += two.aborted
-            ks = ks_statistic_counts(np.arange(two.counts.size) / env.a(n), two.counts, gamma3_cdf)
-            rows.append(_row(n, "ks_pair_biased_gamma3", ks, "le", config.tol("ks")))
-    return ExperimentReport("exponential_characterization", config.seed, rows, aborted, t.elapsed)
+        two = collect_populations(config, "exponential", [n], "two_spine")[0]
+        ks = ks_statistic_counts(np.arange(two.counts.size) / env.a(n), two.counts, gamma3_cdf)
+        rows.append(_row(n, "ks_pair_biased_gamma3", ks, "le", config.tol("ks")))
+    return ExperimentReport("exponential_characterization", config.seed, rows, two.aborted, t.elapsed)

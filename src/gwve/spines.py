@@ -69,7 +69,6 @@ __all__ = [
 ]
 
 MARK_NONE, MARK_SPINE1, MARK_SPINE2, MARK_BOTH = 0, 1, 2, 3
-_MARK_NAMES = {MARK_NONE: "none", MARK_SPINE1: "spine1", MARK_SPINE2: "spine2", MARK_BOTH: "both"}
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -131,17 +130,6 @@ class LabeledTree:
         want = MARK_BOTH if mark_bit == MARK_BOTH else mark_bit
         sel = (marks == want) | (marks == MARK_BOTH)
         return np.nonzero(sel)[0] + lo
-
-    def dump_lines(self):
-        """One line per node: id, parent id, generation, child count, mark."""
-        gen = 0
-        for node in range(self.node_count):
-            while node >= self.level_starts[gen + 1]:
-                gen += 1
-            yield (
-                f"{node},{int(self.parent[node])},{gen},"
-                f"{int(self.child_count[node])},{_MARK_NAMES[int(self.spine_mark[node])]}"
-            )
 
 
 class _Builder:

@@ -40,6 +40,15 @@ def test_constants_table(capsys):
     assert float(row9[5]) == pytest.approx(0.9, abs=1e-12)
 
 
+@pytest.mark.parametrize("horizons", [["a"], [2.5], 5, [True]])
+def test_constants_config_horizons_must_be_integers(tmp_path, capsys, horizons):
+    config = write_config(tmp_path, horizons=horizons)
+    assert main(["constants", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert "config field 'horizons': must be a list of integers" in captured.err
+    assert captured.out == ""
+
+
 def test_constants_bad_spec_exit_2(capsys):
     rc = main(["constants", "--env", '{"rule":"constant","dist":{"kind":"geometri"}}', "--n", "5"])
     assert rc == 2
@@ -135,7 +144,7 @@ def test_check_yaglom_writes_the_runner_report(tmp_path):
 
 @pytest.mark.parametrize("command, extra, field", [
     ("decomposition", {"lambda_grid": [math.nan, 0.5]}, "lambda_grid"),
-    ("g-convergence", {"horizons": [10, 50], "s_grid": [math.nan]}, "s_grid"),
+    ("g-convergence", {"horizons": [10, 50], "s_grid": [math.nan]}, "s_grid"),  # retired field
     ("decomposition", {"lambda_grid": [math.inf]}, "lambda_grid"),
     ("decomposition", {"tolerances": {"decomposition_rel": math.nan}}, "tolerances"),
 ])
@@ -366,6 +375,8 @@ def test_simulate_yaglom_rejects_horizon_flag_exit_2(tmp_path, capsys):
 
 
 def test_simulate_yaglom_without_mc_horizons_exit_2(tmp_path, capsys):
+    # mc_horizons is retired (Monte Carlo runs at every horizon): even empty,
+    # it is refused before anything is written
     config = write_config(tmp_path, horizons=[20], replicates=1000, mc_horizons=[])
     out = tmp_path / "yag"
     rc = main(["simulate", "yaglom", "--config", str(config), "--out", str(out), "--quiet"])
@@ -452,7 +463,7 @@ def test_constants_s_n_overflow_exit_2(capsys):
 
 
 @pytest.mark.parametrize("command, grid", [("decomposition", "lambda_grid"),
-                                           ("g-convergence", "s_grid")])
+                                           ("g-convergence", "s_grid")])  # s_grid: retired
 def test_check_empty_grid_exit_2(tmp_path, capsys, command, grid):
     config = write_config(tmp_path, **{grid: []})
     out = tmp_path / "out"
@@ -475,7 +486,7 @@ def test_check_empty_grid_exit_2(tmp_path, capsys, command, grid):
     ("kn_horizon", "10"),
     ("horizons", [True, 3]),
     ("horizons", 3),
-    ("mc_horizons", [1.0]),
+    ("mc_horizons", [1.0]),  # retired, as is s_grid: refused as unknown
     ("tolerances", {"tv": "x"}),
     ("tolerances", {"tv": True}),
     ("assume_critical", "false"),
@@ -499,6 +510,8 @@ def test_wrongly_typed_config_field_exit_2(tmp_path, capsys, field, value):
     ("out_dir", "x"),
     ("oracle_cap", 8.5),
     ("y_grid_size", False),
+    ("mc_horizons", [10]),
+    ("s_grid", [0.0, 0.5]),
 ])
 def test_retired_config_field_exit_2(tmp_path, capsys, field, value):
     # a name that is no config field is refused as such, whatever its value

@@ -47,15 +47,15 @@ def test_well_typed_grids_and_flag_are_accepted(flag):
     # JSON integers are numbers too; only the wrongly typed values exit 2
     config = build_experiment_config({
         "environment": {"rule": "constant", "dist": {"kind": "geometric", "p": 0.5}},
-        "horizons": [2], "s_grid": [0, 0.5, 1], "lambda_grid": [1, 2.5], "assume_critical": flag})
+        "horizons": [2], "lambda_grid": [1, 2.5], "assume_critical": flag})
     assert config.assume_critical is flag
-    assert list(config.s_grid) == [0, 0.5, 1] and list(config.lambda_grid) == [1, 2.5]
+    assert list(config.lambda_grid) == [1, 2.5]
 
 
 def test_config_fields_follow_the_dataclass():
     # the JSON-settable fields and their integer subset are read off ExperimentConfig
     assert cfg._CONFIG_FIELDS == {
-        "horizons", "replicates", "seed", "s_grid", "lambda_grid", "tolerances", "mc_horizons",
-        "min_survivors", "threads", "chunk_size", "node_budget", "assume_critical", "kn_horizon"}
+        "horizons", "replicates", "seed", "lambda_grid", "tolerances", "min_survivors",
+        "threads", "chunk_size", "node_budget", "assume_critical", "kn_horizon"}
     assert cfg._INT_FIELDS == {
         "replicates", "seed", "min_survivors", "threads", "chunk_size", "node_budget", "kn_horizon"}

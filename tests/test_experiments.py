@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -33,20 +34,21 @@ def test_config_validation(e1):
         ex.ExperimentConfig(e1, horizons=[2], replicates=0)
     with pytest.raises(ex.ExperimentError):
         ex.ExperimentConfig(e1, horizons=[2], tolerances={"nope": 1.0})
-    with pytest.raises(ex.ExperimentError):
-        ex.ExperimentConfig(e1, horizons=[2], mc_horizons=[3])
-    c = ex.ExperimentConfig(e1, horizons=[2, 4], mc_horizons=[2])
-    assert c.wants_mc(2) and not c.wants_mc(4)
+    with pytest.raises(ex.ExperimentError, match="nonnegative"):
+        ex.ExperimentConfig(e1, horizons=[2], lambda_grid=(0.5, -1.0))
+    for retired in ("mc_horizons", "s_grid"):  # Monte Carlo at every horizon, a fixed s-grid
+        with pytest.raises(TypeError, match=retired):
+            ex.ExperimentConfig(e1, horizons=[2], **{retired: [2]})
 
 
-@pytest.mark.parametrize("grid", ["s_grid", "lambda_grid"])
+@pytest.mark.parametrize("grid", ["lambda_grid"])
 def test_config_rejects_empty_grids(e1, grid):
     with pytest.raises(ex.ExperimentError, match="nonempty"):
         ex.ExperimentConfig(e1, horizons=[2], **{grid: ()})
 
 
 @pytest.mark.parametrize("field, value", [
-    ("s_grid", (1.0, math.nan)), ("lambda_grid", (-math.inf,)), ("lambda_grid", (math.inf, 0.5)),
+    ("lambda_grid", (1.0, math.nan)), ("lambda_grid", (-math.inf,)), ("lambda_grid", (math.inf, 0.5)),
     ("tolerances", {"tv": math.nan}), ("tolerances", {"ks": math.inf}),
 ])
 def test_config_rejects_non_finite_numbers(e1, field, value):
@@ -267,6 +269,49 @@ def test_yaglom_insufficient_survivors_flagged(e1):
     assert ks_rows[0].tolerance == math.inf
     surv_rows = [row for row in r.rows if row.statistic == "survivors"]
     assert not surv_rows[0].passed  # demanded minimum was not met
+
+
+# sha256 of the report CSVs of the convergence runners on small configs,
+# recorded at `5307140`.  Together they reach every kind of row: gated at the
+# last horizon, informational before it, the decrease rows, KS rows with
+# insufficient or no survivors, and a Yaglom run with a single KS value (no
+# decrease row).
+_PINNED_REPORTS = [
+    ("run_kolmogorov", "E2", {"horizons": [9, 99, 999]},
+     "bbfc22a8350ad4c64703bb8a375cfbeba3544a3be0ff1ee5e6e7c9cd4f6f52cc"),
+    ("run_uniform_limit", "E1", {"horizons": [10, 100]},
+     "89c2244614a692c57c1debd58c72c46ad5f3f00d86284bac158446e7d58e5231"),
+    ("run_g_convergence", "E2", {"horizons": [10, 100]},
+     "feb90db9c709f1b03953d8fce6ff4eb7744c990063a295616dfe851bc1816d02"),
+    ("run_yaglom", "E1", {"horizons": [5, 10, 20], "replicates": 20_000, "min_survivors": 1000},
+     "7eb19be220a04d08c9847b21c07fbbfe957c3d9cb75623dbaf812dcdb592a66e"),
+    ("run_yaglom", "E2", {"horizons": [5, 10], "replicates": 20_000, "min_survivors": 1000},
+     "37226d26f89ee7ad8eaa6406ec75a7bfa12dfc5003b3be3e5bade5f6d48381d4"),
+    ("run_yaglom", "E1", {"horizons": [3, 1000], "replicates": 100, "min_survivors": 10},
+     "6f53fd0420de28d163807445766f15cfba9815c957005f50148796fae1935e72"),
+]
+
+
+@pytest.mark.parametrize("runner, env_name, kw, digest", _PINNED_REPORTS)
+def test_convergence_reports_are_pinned(runner, env_name, kw, digest):
+    r = getattr(ex, runner)(cfg(ex.reference_environment(env_name), **kw))
+    assert hashlib.sha256(r.to_csv_text().encode()).hexdigest() == digest
+
+
+def test_pinned_reports_reach_every_row_kind():
+    notes, statistics = set(), set()
+    for runner, env_name, kw, _ in _PINNED_REPORTS:
+        r = getattr(ex, runner)(cfg(ex.reference_environment(env_name), **kw))
+        notes |= {(row.statistic, row.note, row.tolerance < math.inf) for row in r.rows}
+        statistics |= {row.statistic for row in r.rows}
+    assert {("abs_gap", "", True), ("abs_gap", "informational", False),
+            ("sup_cdf_gap", "", True), ("g_gap_sup", "", True),
+            ("exact_curve_gap", "", True), ("exact_curve_gap", "informational", False),
+            ("ks_exp1", "", True), ("ks_exp1", "informational", False),
+            ("ks_exp1", "insufficient survivors; excluded from pass criteria", False),
+            ("ks_exp1", "no survivors; excluded from pass criteria", False)} <= notes
+    assert {"gap_decreasing", "sup_decreasing", "g_gap_strictly_decreasing",
+            "ks_decreasing"} <= statistics
 
 
 def test_exponential_characterization_report(e1):

@@ -106,18 +106,6 @@ def test_mrca_basics(e1):
         assert tree.mrca_generation(node, node) == tree.generation_of(node)
 
 
-def test_dump_format(e2):
-    tree, K = sp.sample_two_spine(e2, 3, stream(7, "dump"))
-    lines = list(tree.dump_lines())
-    assert len(lines) == tree.node_count
-    first = lines[0].split(",")
-    assert first[0] == "0" and first[1] == "-1" and first[2] == "0" and first[4] == "both"
-    for line in lines:
-        parts = line.split(",")
-        assert len(parts) == 5
-        assert parts[4] in ("none", "spine1", "spine2", "both")
-
-
 def test_node_budget_abort():
     env = Environment.constant(FiniteTable([0.0, 0.0, 1.0]))  # doubling, explodes
     with pytest.raises(sp.NodeBudgetExceeded):

@@ -27,7 +27,7 @@ from . import oracle, pgf_engine as engine
 from .config import (
     ConfigError,
     build_experiment_config,
-    check_list,
+    check_document,
     environment_spec,
     load_config_file,
     parse_environment,
@@ -54,9 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", type=Path, help="JSON config file")
     shared.add_argument("--out", type=Path, help="output directory (or file for constants/classify)")
-    shared.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    shared.add_argument("--threads", type=int, help="worker processes for replicate chunks")
     shared.add_argument("--quiet", action="store_true", help="suppress status lines")
+    # only the commands that build an ExperimentConfig read these
+    runs = argparse.ArgumentParser(add_help=False, parents=[shared])
+    runs.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
+    runs.add_argument("--threads", type=int, help="worker processes for replicate chunks")
 
     parser = argparse.ArgumentParser(
         prog="gwve",
@@ -72,12 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", parents=[shared], help="regime diagnostics")
     p_cls.add_argument("--env", help="inline environment spec (JSON)")
     p_cls.add_argument("--horizon", type=int, default=10_000)
-    p_cls.add_argument("--tol", type=float, default=1e-6)
 
-    p_check = sub.add_parser("check", parents=[shared], help="run a verification experiment")
+    p_check = sub.add_parser("check", parents=[runs], help="run a verification experiment")
     p_check.add_argument("name", choices=sorted(CHECKS))
 
-    p_sim = sub.add_parser("simulate", parents=[shared], help="Monte Carlo simulation runs")
+    p_sim = sub.add_parser("simulate", parents=[runs], help="Monte Carlo simulation runs")
     p_sim.add_argument("kind", choices=SIMULATE_KINDS)
     p_sim.add_argument("--n", type=int, help="horizon (defaults to the config's largest)")
     p_sim.add_argument("--replicates", type=int)
@@ -90,6 +91,7 @@ def _load_environment(args) -> tuple:
     doc = {}
     if args.config is not None:
         doc = load_config_file(args.config)
+        check_document(doc)
     env_spec = None
     if getattr(args, "env", None):
         try:
@@ -124,7 +126,6 @@ def cmd_constants(args) -> int:
         except ValueError as exc:
             raise ConfigError("n", str(exc)) from exc
     else:
-        check_list(doc, "horizons")
         ns = doc.get("horizons", [1, 10, 100, 1000])
     if not ns or any(n < 1 for n in ns):
         raise ConfigError("n", "generation list must be positive")
@@ -142,7 +143,7 @@ def cmd_classify(args) -> int:
     env, _ = _load_environment(args)
     if args.horizon < 10:
         raise ConfigError("horizon", "classification needs a horizon of at least 10")
-    diag = env.classify(horizon=args.horizon, tol=args.tol)
+    diag = env.classify(horizon=args.horizon)
     # JSON has no NaN or infinity: a diagnostic with no finite value is null.
     diagnostics = {key: None if isinstance(v, float) and not math.isfinite(v) else v
                    for key, v in diag.as_dict().items()}
@@ -151,14 +152,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _experiment_config(args, extra_overrides=None):
+def _experiment_config(args):
     if args.config is None:
         raise ConfigError("config", "this command needs a --config file")
     doc = load_config_file(args.config)
-    overrides = {"seed": args.seed, "threads": args.threads}
-    if extra_overrides:
-        overrides.update(extra_overrides)
-    return build_experiment_config(doc, **overrides), doc
+    return build_experiment_config(doc, seed=args.seed, threads=args.threads,
+                                   replicates=getattr(args, "replicates", None)), doc
 
 
 def cmd_check(args) -> int:
@@ -179,8 +178,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    overrides = {"replicates": args.replicates}
-    config, doc = _experiment_config(args, overrides)
+    config, doc = _experiment_config(args)
     out_dir = args.out or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "yaglom":

@@ -18,9 +18,9 @@ Experiment config files are JSON documents with an "environment" field plus
 any field of `ExperimentConfig` (horizons, replicates, seed, lambda_grid,
 tolerances, min_survivors, threads, chunk_size, node_budget,
 assume_critical, kn_horizon) and the horizon n that `gwve simulate` reads.
-Any other field is refused as unknown.  Monte Carlo runs at every horizon,
-and the s-grid of the Yaglom and g-convergence checks is fixed (21 points
-on [0, 5]).
+Every command refuses any other field as unknown (`check_document`).  Monte
+Carlo runs at every horizon, and the s-grid of the Yaglom and g-convergence
+checks is fixed (21 points on [0, 5]).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
     "parse_environment",
     "environment_spec",
     "load_config_file",
-    "check_list",
+    "check_document",
     "build_experiment_config",
 ]
 
@@ -175,20 +175,23 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def check_list(doc: dict, key: str, ok=_is_int, what: str = "integers") -> None:
+def _check_list(doc: dict, key: str, ok=_is_int, what: str = "integers") -> None:
     """Raise unless `doc` lacks `key` or holds a list of `what` there."""
     value = doc.get(key)
     if value is not None and not (isinstance(value, list) and all(map(ok, value))):
         raise ConfigError(key, f"must be a list of {what}, not {value!r}")
 
 
-def _check_types(doc: dict) -> None:
-    """Raise on a config field of the wrong JSON type, before any is used."""
-    for key in _INT_FIELDS & doc.keys():
-        if not _is_int(doc[key]):
-            raise ConfigError(key, f"must be an integer, not {doc[key]!r}")
-    check_list(doc, "horizons")
-    check_list(doc, "lambda_grid", _is_number, "numbers")
+def check_document(doc: dict) -> None:
+    """Raise on an unknown config field or one of the wrong JSON type; every
+    command that reads a config document calls this before reading any field."""
+    for key, value in doc.items():  # in document order, so the same field is named on every run
+        if key not in _CONFIG_FIELDS and key not in ("environment", "n"):
+            raise ConfigError(key, "unknown config field")
+        if key in _INT_FIELDS and not _is_int(value):
+            raise ConfigError(key, f"must be an integer, not {value!r}")
+    _check_list(doc, "horizons")
+    _check_list(doc, "lambda_grid", _is_number, "numbers")
     if not isinstance(doc.get("assume_critical", False), bool):
         raise ConfigError("assume_critical", f"must be true or false, not {doc['assume_critical']!r}")
     tolerances = doc.get("tolerances")
@@ -202,22 +205,14 @@ def _check_types(doc: dict) -> None:
 
 def build_experiment_config(doc: dict, **overrides) -> ExperimentConfig:
     """ExperimentConfig from a JSON document plus CLI flag overrides."""
+    doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+    check_document(doc)
     if "environment" not in doc:
         raise ConfigError("environment", "missing")
     env = parse_environment(doc["environment"])
-    kwargs = {}
-    for key, value in doc.items():
-        if key in ("environment", "n"):
-            continue
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(key, "unknown config field")
-        kwargs[key] = value
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    _check_types(kwargs)
+    kwargs = {k: v for k, v in doc.items() if k not in ("environment", "n")}
     kwargs.setdefault("horizons", [10, 100, 1000])
     try:
         return ExperimentConfig(environment=env, **kwargs)
-    except ExperimentError as exc:
-        raise ConfigError("experiment", str(exc)) from exc
-    except TypeError as exc:
+    except (ExperimentError, TypeError) as exc:
         raise ConfigError("experiment", str(exc)) from exc

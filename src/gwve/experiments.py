@@ -149,6 +149,10 @@ class ExperimentConfig:
             raise ExperimentError("threads and chunk_size must be positive")
         if self.kn_horizon < 1:
             raise ExperimentError("kn_horizon must be positive")
+        if self.node_budget < 1:
+            raise ExperimentError("node_budget must be positive")
+        if self.min_survivors < 0:
+            raise ExperimentError("min_survivors must be nonnegative")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ExperimentError(f"unknown tolerance keys: {sorted(unknown)}")

@@ -342,6 +342,30 @@ def test_unknown_flag_rejected(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["classify", "--tol", "1e-6"], ["classify", "--threads", "2"],
+                                  ["constants", "--seed", "5"], ["constants", "--threads", "2"]],
+                         ids=lambda argv: "".join(argv[:2]))
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    # only check and simulate build an ExperimentConfig, so only they take --seed and --threads
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--env", E1_SPEC])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("bogus", 3), ("s_grid", [1])], ids=["bogus", "s_grid"])
+@pytest.mark.parametrize("command", [["constants"], ["classify"], ["check", "decomposition"],
+                                     ["simulate", "gw"]], ids=lambda command: command[0])
+def test_every_command_refuses_unknown_config_fields(tmp_path, capsys, command, field, value):
+    # one document check for every command that reads --config, beside a valid environment
+    config = write_config(tmp_path, **{"replicates": 1000, field: value})
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(config), "--out", str(out), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert f"config field '{field}': unknown config field" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 
 def test_simulate_abort_fraction_exit_1(tmp_path):
     # explosive deterministic offspring with a tiny node budget: every

@@ -59,3 +59,13 @@ def test_config_fields_follow_the_dataclass():
         "threads", "chunk_size", "node_budget", "assume_critical", "kn_horizon"}
     assert cfg._INT_FIELDS == {
         "replicates", "seed", "min_survivors", "threads", "chunk_size", "node_budget", "kn_horizon"}
+
+
+def test_check_document_names_the_first_bad_field_in_document_order():
+    # a set of the bad fields would name either one, depending on the string hash seed
+    env = {"rule": "constant", "dist": {"kind": "geometric", "p": 0.5}}
+    for doc in ({"environment": env, "seed": "x", "threads": 1.5},
+                {"environment": env, "threads": 1.5, "seed": "x"}):
+        with pytest.raises(ConfigError) as err:
+            cfg.check_document(doc)
+        assert err.value.field == list(doc)[1]

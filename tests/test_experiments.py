@@ -36,6 +36,10 @@ def test_config_validation(e1):
         ex.ExperimentConfig(e1, horizons=[2], tolerances={"nope": 1.0})
     with pytest.raises(ex.ExperimentError, match="nonnegative"):
         ex.ExperimentConfig(e1, horizons=[2], lambda_grid=(0.5, -1.0))
+    with pytest.raises(ex.ExperimentError, match="node_budget must be positive"):
+        ex.ExperimentConfig(e1, horizons=[2], node_budget=0)
+    with pytest.raises(ex.ExperimentError, match="min_survivors must be nonnegative"):
+        ex.ExperimentConfig(e1, horizons=[2], min_survivors=-5)
     for retired in ("mc_horizons", "s_grid"):  # Monte Carlo at every horizon, a fixed s-grid
         with pytest.raises(TypeError, match=retired):
             ex.ExperimentConfig(e1, horizons=[2], **{retired: [2]})

@@ -157,11 +157,11 @@ def _experiment_config(args):
         raise ConfigError("config", "this command needs a --config file")
     doc = load_config_file(args.config)
     return build_experiment_config(doc, seed=args.seed, threads=args.threads,
-                                   replicates=getattr(args, "replicates", None)), doc
+                                   replicates=getattr(args, "replicates", None))
 
 
 def cmd_check(args) -> int:
-    config, _ = _experiment_config(args)
+    config = _experiment_config(args)
     runner = CHECKS[args.name]
     try:
         report = runner(config)
@@ -178,7 +178,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config, doc = _experiment_config(args)
+    config = _experiment_config(args)
     out_dir = args.out or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "yaglom":
@@ -187,8 +187,8 @@ def cmd_simulate(args) -> int:
         return _simulate_yaglom(config, out_dir, args.quiet)
 
     env = config.environment
-    n = args.n if args.n is not None else doc.get("n", config.horizons[-1])
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    n = args.n if args.n is not None else config.horizons[-1]
+    if n < 1:
         raise ConfigError("n", "horizon must be a positive integer")
     kind = args.kind.replace("-", "_")
     run = ex.collect_populations(config, f"simulate/{kind}", [n], kind)[0]

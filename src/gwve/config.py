@@ -17,10 +17,10 @@ Environment specs wrap them:
 Experiment config files are JSON documents with an "environment" field plus
 any field of `ExperimentConfig` (horizons, replicates, seed, lambda_grid,
 tolerances, min_survivors, threads, chunk_size, node_budget,
-assume_critical, kn_horizon) and the horizon n that `gwve simulate` reads.
-Every command refuses any other field as unknown (`check_document`).  Monte
-Carlo runs at every horizon, and the s-grid of the Yaglom and g-convergence
-checks is fixed (21 points on [0, 5]).
+assume_critical, kn_horizon); `gwve simulate` runs to `--n` or the largest
+horizon.  Every command refuses any other field as unknown
+(`check_document`).  Monte Carlo runs at every horizon, and the s-grid of
+the Yaglom and g-convergence checks is fixed (21 points on [0, 5]).
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ def _dist_list(spec: dict, field: str, context: str) -> list[OffspringDistributi
     return [parse_dist(d, f"{context}.{field}[{i}]") for i, d in enumerate(items)]
 
 
-def parse_environment(spec: dict, context: str = "environment") -> Environment:
+def parse_environment(spec: dict) -> Environment:
+    context = "environment"
     if not isinstance(spec, dict):
         raise ConfigError(context, "must be an object with a 'rule' tag")
     rule = _require(spec, "rule", context)
@@ -186,7 +187,7 @@ def check_document(doc: dict) -> None:
     """Raise on an unknown config field or one of the wrong JSON type; every
     command that reads a config document calls this before reading any field."""
     for key, value in doc.items():  # in document order, so the same field is named on every run
-        if key not in _CONFIG_FIELDS and key not in ("environment", "n"):
+        if key not in _CONFIG_FIELDS and key != "environment":
             raise ConfigError(key, "unknown config field")
         if key in _INT_FIELDS and not _is_int(value):
             raise ConfigError(key, f"must be an integer, not {value!r}")
@@ -210,7 +211,7 @@ def build_experiment_config(doc: dict, **overrides) -> ExperimentConfig:
     if "environment" not in doc:
         raise ConfigError("environment", "missing")
     env = parse_environment(doc["environment"])
-    kwargs = {k: v for k, v in doc.items() if k not in ("environment", "n")}
+    kwargs = {k: v for k, v in doc.items() if k != "environment"}
     kwargs.setdefault("horizons", [10, 100, 1000])
     try:
         return ExperimentConfig(environment=env, **kwargs)

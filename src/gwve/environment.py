@@ -24,6 +24,8 @@ from .offspring import DistributionError, OffspringDistribution
 
 __all__ = ["Environment", "RegimeDiagnostics"]
 
+_TREND_TOL = 1e-6  # of the finite-horizon trends that label environments with a head
+
 @dataclass(frozen=True)
 class RegimeDiagnostics:
     """Numeric evidence backing a regime label.
@@ -209,13 +211,13 @@ class Environment:
     # ------------------------------------------------------------------
     # Regime classification.
 
-    def classify(self, horizon: int = 10_000, tol: float = 1e-6) -> RegimeDiagnostics:
+    def classify(self, horizon: int = 10_000) -> RegimeDiagnostics:
         """Label the regime.
 
         Constant and periodic rules are classified exactly from one-cycle
         products.  Environments with a head fall back to finite-horizon
-        trends with the given tolerance, and report "inconclusive" whenever
-        the evidence matches no clause.
+        trends with tolerance `_TREND_TOL`, and report "inconclusive"
+        whenever the evidence matches no clause.
         """
         if horizon < 10:
             raise ValueError("classification horizon must be at least 10")
@@ -244,6 +246,7 @@ class Environment:
                 label = "inconclusive"
         else:
             method = "trend"
+            tol = _TREND_TOL
             s_diverges = s_f > s_h + tol
             mu_s_grows = mu_s_arr[-1] > mu_s_arr[half - 1] + tol
             log_growth = self._log_mu[horizon] - self._log_mu[half]

@@ -525,21 +525,20 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
             """`rows` of the chunks `members` from generation hs[i] - 1 on to
             hs[i], each chunk by its own `simulate_gw_populations` call,
             whose batch is reduced into totals[i]; None at the largest
-            horizon, where no run goes on.  One scan of the batch finds its
-            live rows, which give both its histogram and the rows that go
-            on."""
+            horizon, where no run goes on.  The batch's live rows, its first
+            `nodes.size` entries, give both its histogram and the rows that
+            go on."""
             parts = []
             for s, j in enumerate(members):
                 batch = sampler(env, hs[i], reps[j], rngs[j], budget, start=rows.batch(s, reps[j]))
+                live = spines.LiveRows.of(batch)
                 size = batch.x_n.size
-                x = batch.x_n[np.flatnonzero(batch.x_n != 0)]  # a mask first: see `spines._advance`
-                counts = np.bincount(x, minlength=min(size, 1))  # np.bincount(batch.x_n)
+                counts = np.bincount(live.x, minlength=min(size, 1))  # np.bincount(batch.x_n)
                 if size:
-                    counts[0] = size - x.size
+                    counts[0] = size - live.x.size
                 totals[i] = _add(totals[i], (batch.aborted, counts, None))
                 if i + 1 < len(hs):
-                    parts.append(spines.LiveRows(x, batch.nodes, np.array([0, x.size]),
-                                                 np.array([batch.aborted]), batch.n))
+                    parts.append(live)
                 del batch  # dropped before the next chunk's starts
             return spines.LiveRows.join(parts) if parts else None
 
@@ -616,7 +615,9 @@ def yaglom_ks(config: ExperimentConfig) -> list[tuple[Collected, int, float]]:
 def _require_critical(config: ExperimentConfig, experiment: str) -> None:
     if config.assume_critical:
         return
-    label = config.environment.classify().label
+    env = config.environment
+    # no head: one cycle gives the label and meets every law; a head's trend needs the horizon
+    label = env.classify(10_000 if env.head else max(10, len(env.cycle))).label
     if label != "critical":
         raise ExperimentError(
             f"{experiment} requires a critical environment (classified {label!r}); "

@@ -170,11 +170,11 @@ class PopulationDP:
         env: Environment,
         n: int,
         cap: int = DEFAULT_CAP,
-        tail_budget: float = DEFAULT_TAIL_BUDGET,
         cap_ceiling: int = CAP_CEILING,
     ) -> ExactPmf:
-        """Law of Z_n, doubling the cap until the tail budget is met (or the
-        ceiling is hit, in which case the oversized tail is simply reported)."""
+        """Law of Z_n, doubling the cap until the tail mass is within
+        `DEFAULT_TAIL_BUDGET` (or the ceiling is hit, in which case the
+        oversized tail is simply reported)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         if cap < 1:
@@ -193,7 +193,7 @@ class PopulationDP:
                         powers = self._powers[key, cap] = _Powers(q, cap)
                     child = state.next[key] = _State(*_step(state.probs, state.tail, powers))
                 state = child
-            if state.tail <= tail_budget or cap >= cap_ceiling:
+            if state.tail <= DEFAULT_TAIL_BUDGET or cap >= cap_ceiling:
                 probs = np.zeros(cap + 1)
                 probs[: state.probs.size] = state.probs
                 return ExactPmf(probs, state.tail)
@@ -204,11 +204,10 @@ def exact_pmf(
     env: Environment,
     n: int,
     cap: int = DEFAULT_CAP,
-    tail_budget: float = DEFAULT_TAIL_BUDGET,
     cap_ceiling: int = CAP_CEILING,
 ) -> ExactPmf:
     """Law of Z_n from a DP of its own; see `PopulationDP.exact_pmf`."""
-    return PopulationDP().exact_pmf(env, n, cap, tail_budget, cap_ceiling)
+    return PopulationDP().exact_pmf(env, n, cap, cap_ceiling)
 
 
 def transform_pmf(p: ExactPmf, kind: str) -> ExactPmf:

@@ -158,23 +158,20 @@ def _check_range(m: int, n: int) -> None:
         raise ValueError("need 0 <= m <= n")
 
 
-def compose(env: Environment, m: int, n: int, s, trace: CompositionTrace | None = None):
+def compose(env: Environment, m: int, n: int, s):
     """f_{m,n}(s) by backward iteration."""
     _check_range(m, n)
-    t = trace if trace is not None else CompositionTrace(env, n, s)
-    return t.value(m)
+    return CompositionTrace(env, n, s).value(m)
 
-def d1_compose(env: Environment, m: int, n: int, s, trace: CompositionTrace | None = None):
+def d1_compose(env: Environment, m: int, n: int, s):
     """f'_{m,n}(s)."""
     _check_range(m, n)
-    t = trace if trace is not None else CompositionTrace(env, n, s)
-    return t.d1(m)
+    return CompositionTrace(env, n, s).d1(m)
 
-def d2_compose(env: Environment, m: int, n: int, s, trace: CompositionTrace | None = None):
+def d2_compose(env: Environment, m: int, n: int, s):
     """f''_{m,n}(s)."""
     _check_range(m, n)
-    t = trace if trace is not None else CompositionTrace(env, n, s)
-    return t.d2(m)
+    return CompositionTrace(env, n, s).d2(m)
 
 
 def one_minus_compose(env: Environment, m: int, n: int, s: float) -> float:
@@ -207,7 +204,15 @@ def _lambdas(lam) -> np.ndarray:
 
 
 def _trace(env: Environment, n: int, lam: np.ndarray, trace: CompositionTrace | None) -> CompositionTrace:
-    return trace if trace is not None else CompositionTrace(env, n, np.exp(-lam))
+    """`trace`, checked to be the sweep to n over exp(-lam) within rounding
+    (`math.exp` and `np.exp` can differ by an ulp), or a new one."""
+    s = np.exp(-lam)
+    if trace is None:
+        return CompositionTrace(env, n, s)
+    grid = trace.values[trace.n]
+    if trace.n != n or grid.shape != s.shape or not np.allclose(grid, s, rtol=1e-15, atol=0.0):
+        raise ValueError(f"the trace is not the sweep to n = {n} over exp(-lambda)")
+    return trace
 
 
 def laplace_zdot(env: Environment, n: int, lam, trace: CompositionTrace | None = None):
@@ -289,7 +294,7 @@ def _g(t: CompositionTrace, lo: int, mean: np.ndarray, sf: np.ndarray) -> np.nda
     return closed
 
 
-def g_ratio(env: Environment, n: int, m: int, lam, trace: CompositionTrace | None = None):
+def g_ratio(env: Environment, n: int, m: int, lam):
     """Ratio of the pair-biased to size-biased hanging-subtree transforms,
     checked against its closed form (see `_g`)."""
     if not 0 <= m < n:
@@ -297,11 +302,11 @@ def g_ratio(env: Environment, n: int, m: int, lam, trace: CompositionTrace | Non
     lam = _lambdas(lam)
     if env.dist_at(m + 1).second_factorial() <= 0.0:
         raise DistributionError("no pair-biased law")
-    t = _trace(env, n, lam, trace)
+    t = CompositionTrace(env, n, np.exp(-lam))
     return _out(_g(t, m, *_moments(env, t, m, m + 1))[0])
 
 
-def g_gap_profile(env: Environment, n: int, lam, trace: CompositionTrace | None = None) -> np.ndarray:
+def g_gap_profile(env: Environment, n: int, lam) -> np.ndarray:
     """1 - g(n, m, lam) for every m in 0..n-1 (rows), NaN where nu_{m+1} = 0.
 
     Shares one trace across all m and keeps the agreement check of the two
@@ -309,7 +314,7 @@ def g_gap_profile(env: Environment, n: int, lam, trace: CompositionTrace | None 
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    t = _trace(env, n, _lambdas(lam), trace)
+    t = CompositionTrace(env, n, np.exp(-_lambdas(lam)))
     return 1.0 - _g(t, 0, *_moments(env, t, 0, n))
 
 

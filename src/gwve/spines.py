@@ -127,8 +127,7 @@ class LabeledTree:
         """Nodes of a generation carrying the given spine (1 or 2)."""
         lo, hi = int(self.level_starts[generation]), int(self.level_starts[generation + 1])
         marks = self.spine_mark[lo:hi]
-        want = MARK_BOTH if mark_bit == MARK_BOTH else mark_bit
-        sel = (marks == want) | (marks == MARK_BOTH)
+        sel = (marks == mark_bit) | (marks == MARK_BOTH)
         return np.nonzero(sel)[0] + lo
 
 
@@ -294,7 +293,9 @@ class PopulationBatch:
     branching generations for two-spine runs.  Plain and one-spine runs also
     keep the horizon reached and the node counts of their live replicates
     (in replicate order), which is what continuing them to a later horizon
-    needs."""
+    needs.  A plain batch holds its live replicates first, in replicate
+    order, as its first `nodes.size` entries, then a zero for each replicate
+    that died out."""
 
     x_n: np.ndarray
     aborted: int
@@ -354,46 +355,41 @@ class LiveRows:
         x[:hi - lo] = self.x[lo:hi]
         return PopulationBatch(x, int(self.aborted[i]), n=self.n, nodes=self.nodes[lo:hi])
 
+    @classmethod
+    def of(cls, batch: PopulationBatch) -> "LiveRows":
+        """The one-stream rows of a plain batch: its first `nodes.size`
+        entries, which are its live replicates, copied so that the rows do
+        not hold the batch's zeros."""
+        live = batch.nodes.size
+        return cls(batch.x_n[:live].copy(), batch.nodes, np.array([0, live]),
+                   np.array([batch.aborted]), batch.n)
+
     def advance(self, env: Environment, n: int, rngs: Sequence[np.random.Generator],
                 node_budget: int = DEFAULT_NODE_BUDGET, thin_to: int = 0) -> "LiveRows":
         """These rows at generation n, stream i's drawing from rngs[i]
         exactly what it would alone, or at the first generation from here
-        on at which at most `thin_to` of them live."""
-        return _advance(env, n, self, rngs, node_budget, thin_to)[0]
-
-
-def _advance(env: Environment, n: int, rows: LiveRows, rngs: Sequence[np.random.Generator],
-             node_budget: int, thin_to: int = 0, idx: np.ndarray | None = None):
-    """The plain batch loop of `LiveRows.advance` and
-    `simulate_gw_populations`: each generation is one `sum_sample` call over
-    every stream's rows, one budget check and one compaction that carries
-    the streams' bounds.  Returns the rows reached and, when `idx` labels
-    each row (`simulate_gw_populations` passes its replicate positions), the
-    labels of the rows kept and a list of arrays of those aborted."""
-    pop, cum, bounds, aborted = rows.x, rows.nodes.copy(), rows.bounds, rows.aborted
-    gone: list[np.ndarray] = []
-    k = rows.n
-    while k < n and pop.size > thin_to:
-        pop = env.dist_at(k + 1).sum_sample(rngs, pop, bounds=bounds)
-        k += 1
-        cum += pop
-        if cum.max() > node_budget:  # rare: the mask is built only then
-            over = cum > node_budget
-            aborted = aborted + np.diff(np.concatenate(([0], np.cumsum(over)))[bounds])
-            if idx is not None:
-                gone.append(idx[over])
-            pop[over] = 0
-        # From a boolean mask: np.flatnonzero on int64 rows takes numpy's
-        # slow path, 2-7 ns a row against about 1 ns for the mask and its scan.
-        live = np.flatnonzero(pop != 0)
-        if live.size < pop.size:
-            pop, cum = pop[live], cum[live]
-            bounds = np.searchsorted(live, bounds)
-            if idx is not None:
-                idx = idx[live]
-    if pop.size == 0:  # rows that all died out are at every later generation
-        k = max(k, n)
-    return LiveRows(pop, cum, bounds, aborted, k), idx, gone
+        on at which at most `thin_to` of them live.  Each generation is one
+        `sum_sample` call over every stream's rows, one budget check and one
+        compaction that carries the streams' bounds."""
+        pop, cum, bounds, aborted = self.x, self.nodes.copy(), self.bounds, self.aborted
+        k = self.n
+        while k < n and pop.size > thin_to:
+            pop = env.dist_at(k + 1).sum_sample(rngs, pop, bounds=bounds)
+            k += 1
+            cum += pop
+            if cum.max() > node_budget:  # rare: the mask is built only then
+                over = cum > node_budget
+                aborted = aborted + np.diff(np.concatenate(([0], np.cumsum(over)))[bounds])
+                pop[over] = 0
+            # From a boolean mask: np.flatnonzero on int64 rows takes numpy's
+            # slow path, 2-7 ns a row against about 1 ns for the mask and its scan.
+            live = np.flatnonzero(pop != 0)
+            if live.size < pop.size:
+                pop, cum = pop[live], cum[live]
+                bounds = np.searchsorted(live, bounds)
+        if pop.size == 0:  # rows that all died out are at every later generation
+            k = max(k, n)
+        return LiveRows(pop, cum, bounds, aborted, k)
 
 
 def simulate_gw_populations(
@@ -404,21 +400,14 @@ def simulate_gw_populations(
     node_budget: int = DEFAULT_NODE_BUDGET,
     start: PopulationBatch | None = None,
 ) -> PopulationBatch:
-    """Terminal populations of `reps` independent plain replicates.
+    """Terminal populations of `reps` independent plain replicates: the live
+    ones first, in replicate order, then a zero for each that died out.
 
     `start` continues an earlier batch of the same replicates from its horizon
     on the same generator; the draws, and so the result, are those of a single
     run to n.  Aborted counts are cumulative from generation 0."""
     start = _start_batch(start, n, reps)
-    idx = np.flatnonzero(start.x_n != 0)  # a mask first: see `_advance`
-    rows = LiveRows(start.x_n[idx], start.nodes, np.array([0, idx.size]),
-                    np.array([start.aborted]), start.n)
-    rows, idx, gone = _advance(env, n, rows, [rng], node_budget, idx=idx)
-    out = np.zeros(start.x_n.size, dtype=np.int64)
-    out[idx] = rows.x
-    if gone:
-        out = np.delete(out, np.concatenate(gone))
-    return PopulationBatch(out, int(rows.aborted[0]), n=n, nodes=rows.nodes)
+    return LiveRows.of(start).advance(env, n, [rng], node_budget).batch(0, reps)
 
 
 def simulate_one_spine_populations(

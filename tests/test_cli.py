@@ -367,6 +367,17 @@ def test_every_command_refuses_unknown_config_fields(tmp_path, capsys, command, 
 
 
 
+@pytest.mark.parametrize("command", [["check", "kolmogorov"], ["simulate", "yaglom"], ["constants"]],
+                         ids=lambda command: "-".join(command))
+def test_retired_n_field_is_refused_where_it_was_ignored(tmp_path, capsys, command):
+    # these commands never read `n`: beside a valid environment it is unknown
+    config = write_config(tmp_path, horizons=[5, 10], replicates=1000, n=7)
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert "config field 'n': unknown config field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_abort_fraction_exit_1(tmp_path):
     # explosive deterministic offspring with a tiny node budget: every
     # replicate aborts, so the abort-fraction contract must trip exit 1
@@ -536,6 +547,7 @@ def test_wrongly_typed_config_field_exit_2(tmp_path, capsys, field, value):
     ("y_grid_size", False),
     ("mc_horizons", [10]),
     ("s_grid", [0.0, 0.5]),
+    ("n", 7),  # simulate takes its horizon from --n or the largest of horizons
 ])
 def test_retired_config_field_exit_2(tmp_path, capsys, field, value):
     # a name that is no config field is refused as such, whatever its value

@@ -193,6 +193,36 @@ def test_kolmogorov_report(e1):
     assert ratios == pytest.approx([0.9, 0.99, 0.999], abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "binomial-0.25"])
+def test_require_critical_reads_one_cycle_of_a_headless_environment(name):
+    # the label comes from one cycle of laws, so the check builds no more
+    # generations of constants than one cycle (and at least 10)
+    from gwve.environment import Environment
+    from gwve.offspring import Binomial
+
+    def make():
+        if name == "binomial-0.25":
+            return Environment.constant(Binomial(2, 0.25))
+        return ex.reference_environment(name)
+
+    label, env = make().classify().label, make()
+    if label == "critical":
+        ex._require_critical(cfg(env), "kolmogorov")
+    else:
+        with pytest.raises(ex.ExperimentError, match=label):
+            ex._require_critical(cfg(env), "kolmogorov")
+    assert len(env._log_mu) == max(10, len(env.cycle)) + 1
+
+
+def test_require_critical_refuses_a_zero_mean_law_late_in_a_long_cycle():
+    from gwve.environment import Environment
+    from gwve.offspring import DistributionError, FiniteTable
+
+    env = Environment.periodic([FiniteTable([0.25, 0.5, 0.25])] * 40 + [FiniteTable([1.0])])
+    with pytest.raises(DistributionError, match="generation 41"):
+        ex._require_critical(cfg(env), "kolmogorov")
+
+
 def test_kolmogorov_requires_critical(e3):
     with pytest.raises(ex.ExperimentError):
         ex.run_kolmogorov(cfg(e3, horizons=[10, 100]))

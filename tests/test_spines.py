@@ -246,6 +246,18 @@ def test_one_spine_batch_continuation_matches_single_runs(e2):
         assert np.array_equal(batch.nodes, single.nodes)
 
 
+def test_plain_batches_hold_their_live_replicates_first(e1):
+    # live replicates first, as many as the node counts, then the dead ones,
+    # from a run from generation 0 and from a continuation alike
+    rng = stream(22, "layout")
+    batch = None
+    for n in (3, 9):
+        batch = sp.simulate_gw_populations(e1, n, 2000, rng, node_budget=60, start=batch)
+        live = batch.nodes.size
+        assert batch.aborted > 0 and 0 < live < batch.x_n.size
+        assert np.all(batch.x_n[:live] > 0) and not np.any(batch.x_n[live:])
+
+
 def test_gw_batch_continuation_rejects_mismatched_start(e1):
     batch = sp.simulate_gw_populations(e1, 10, 100, stream(20, "c"))
     with pytest.raises(ValueError):
@@ -365,6 +377,14 @@ def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.int64).tobytes()).hexdigest()[:16]
 
 
+def _plain_pins(plain):
+    """A plain batch's aborted count, population sum and digests of its
+    populations, of its survivors alone and of its node counts: the last
+    two hold whatever the batch's layout, and pin its draws."""
+    return (plain.aborted, int(plain.x_n.sum()), _digest(plain.x_n),
+            _digest(plain.x_n[plain.x_n > 0]), _digest(plain.nodes))
+
+
 @pytest.mark.parametrize("budget, expected", [
     (10**7, {"two": (0, 53709, 9066, "f4852f47df1f66fc", "e3ad447d926b90d9"),
              "one": (0, 38755, "4ef21d7a0a13ee3d")}),
@@ -385,10 +405,10 @@ def test_tables_only_batches_keep_their_draws(budget, expected):
 
 
 @pytest.mark.parametrize("budget, expected", [
-    (10**7, {"plain": (0, 3131, "14e38e7870175463"),
+    (10**7, {"plain": (0, 3131, "d397c1e8116f0c51", "90fe2a6a6354af0f", "35a4e9e9f97777d0"),
              "two": (0, 111576, 16846, "4a7788f53aa2443c", "06ad1e25ff12feda"),
              "one": (0, 75524, "46d5809f96f0d378")}),
-    (300, {"plain": (8, 2748, "36992aaf8a7c4d2a"),
+    (300, {"plain": (8, 2748, "9b69af3550c93f6c", "8bc232789c8063a4", "aa74cb24727a3c70"),
            "two": (670, 70093, 14224, "9bef38089935f99e", "c033283711eedd66"),
            "one": (295, 58062, "af4bef048fb54753")}),
 ])
@@ -402,17 +422,19 @@ def test_geometric_batches_keep_their_draws(e1, budget, expected):
     plain = sp.simulate_gw_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
     two = sp.simulate_two_spine_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
     one = sp.simulate_one_spine_populations(e1, 12, 3000, stream(42, "geometric"), node_budget=budget)
-    assert (plain.aborted, int(plain.x_n.sum()), _digest(plain.x_n)) == expected["plain"]
+    assert _plain_pins(plain) == expected["plain"]
     assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
         == expected["two"]
     assert (one.aborted, int(one.x_n.sum()), _digest(one.x_n)) == expected["one"]
 
 
 @pytest.mark.parametrize("budget, expected", [
-    (10**7, {"plain": (0, 20995633, "dffd0b9113a2bac8"),
+    (10**7, {"plain": (0, 20995633, "7b80c34e7a5480a6", "abfd6e0f2c7555d4",
+                       "173c2b1af9535fab"),
              "two": (0, 65609309, 170, "bb87f1776b66f424", "25173f42ee4fa393"),
              "one": (0, 43383217, "1a49b84851466bfe")}),
-    (2000, {"plain": (2195, 600981, "c0b5e90c7947d8d7"),
+    (2000, {"plain": (2195, 600981, "c1684aa64ffbc0d7", "9344f9249de13555",
+                      "27fcd0ded4982470"),
             "two": (2996, 5055, 1, "f32d7a974a4528a9", "6cc4f0e930b34481"),
             "one": (2906, 111635, "c04003b43ccfbd01")}),
 ])
@@ -427,7 +449,7 @@ def test_geometric_batches_past_the_coarse_reach_keep_their_draws(budget, expect
     plain = sp.simulate_gw_populations(env, 3, 3000, stream(43, "geometric-reach"), node_budget=budget)
     two = sp.simulate_two_spine_populations(env, 3, 3000, stream(43, "geometric-reach"), node_budget=budget)
     one = sp.simulate_one_spine_populations(env, 3, 3000, stream(43, "geometric-reach"), node_budget=budget)
-    assert (plain.aborted, int(plain.x_n.sum()), _digest(plain.x_n)) == expected["plain"]
+    assert _plain_pins(plain) == expected["plain"]
     assert (two.aborted, int(two.x_n.sum()), int(two.k.sum()), _digest(two.x_n), _digest(two.k)) \
         == expected["two"]
     assert (one.aborted, int(one.x_n.sum()), _digest(one.x_n)) == expected["one"]

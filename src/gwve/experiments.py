@@ -197,6 +197,15 @@ def _gated_at_last(config: ExperimentConfig, n: int, statistic: str, value: floa
                 note="" if final else "informational")
 
 
+def _sample_row(n: int, statistic: str, run: Collected, distance, tolerance: float,
+                note: str = "") -> ReportRow:
+    """A `distance(run.counts) <= tolerance` row; with no completed
+    replicate there is no sample, and the row fails with value inf."""
+    if not run.completed:
+        return _row(n, statistic, math.inf, "le", tolerance, "all replicates aborted")
+    return _row(n, statistic, distance(run.counts), "le", tolerance, note)
+
+
 def _decreasing(config: ExperimentConfig, statistic: str, values: list[float]) -> ReportRow:
     """A row, at the config's last horizon, passed iff `values` strictly decrease."""
     return _row(config.horizons[-1], statistic,
@@ -731,12 +740,10 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
             sb = oracle.transform_pmf(p, "size_biased")
             pb = oracle.transform_pmf(p, "pair_biased")
 
-            tv1 = oracle.tv_distance(oracle.histogram_pmf(one.counts, cap=p.cap), sb)
-            rows.append(_row(n, "tv_one_spine", tv1, "le", tv_tol, note))
+            rows.append(_sample_row(n, "tv_one_spine", one, _tv_to(sb), tv_tol, note))
 
             two = collect_populations(config, "identities/two", [n], "two_spine")[0]
-            tv2 = oracle.tv_distance(oracle.histogram_pmf(two.counts, cap=p.cap), pb)
-            rows.append(_row(n, "tv_two_spine", tv2, "le", tv_tol, note))
+            rows.append(_sample_row(n, "tv_two_spine", two, _tv_to(pb), tv_tol, note))
             aborted += two.aborted
 
             rows.append(_row(n, "lemma33_max_abs_gap", gap, "le", config.tol("lemma33_abs")))
@@ -763,6 +770,12 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
         rows.append(_row(n, "size_biased_integral_residual", abs(lhs - rhs), "le",
                          config.tol("quadrature_residual")))
     return ExperimentReport("transform_identities", config.seed, rows, aborted, t.elapsed)
+
+
+def _tv_to(law: oracle.ExactPmf):
+    """The total variation distance of a histogram's law, capped at law's
+    cap, to `law`."""
+    return lambda counts: oracle.tv_distance(oracle.histogram_pmf(counts, cap=law.cap), law)
 
 
 def _oracle_horizon(env: Environment, n: int, config: ExperimentConfig) -> tuple[oracle.ExactPmf, float]:
@@ -842,6 +855,7 @@ def run_exponential_characterization(config: ExperimentConfig) -> ExperimentRepo
     integral evaluated by quadrature.  Monte Carlo: pair-biased Z_n/a_n
     against the Gamma(3) CDF at the largest horizon.
     """
+    _require_critical(config, "exponential")
     env = config.environment
     rows = []
     with _Timer() as t:
@@ -853,6 +867,6 @@ def run_exponential_characterization(config: ExperimentConfig) -> ExperimentRepo
                              config.tol("closed_form")))
         n = config.horizons[-1]
         two = collect_populations(config, "exponential", [n], "two_spine")[0]
-        ks = ks_statistic_counts(np.arange(two.counts.size) / env.a(n), two.counts, gamma3_cdf)
-        rows.append(_row(n, "ks_pair_biased_gamma3", ks, "le", config.tol("ks")))
+        rows.append(_sample_row(n, "ks_pair_biased_gamma3", two, lambda counts: ks_statistic_counts(
+            np.arange(counts.size) / env.a(n), counts, gamma3_cdf), config.tol("ks")))
     return ExperimentReport("exponential_characterization", config.seed, rows, two.aborted, t.elapsed)

@@ -2,10 +2,10 @@
 
 Four families are supported: an explicit finite table and the geometric,
 Poisson and binomial laws.  Every family exposes its probability generating
-function f(s) = sum_k q(k) s^k together with the first three derivatives in
-closed form, the factorial moments at s = 1, and the two reweighted laws used
-by spine constructions: the size-biased law k*q(k)/f'(1) and the pair-biased
-law k*(k-1)*q(k)/f''(1).
+function f(s) = sum_k q(k) s^k together with its first two derivatives in
+closed form, the first three factorial moments at s = 1, and the two
+reweighted laws used by spine constructions: the size-biased law
+k*q(k)/f'(1) and the pair-biased law k*(k-1)*q(k)/f''(1).
 
 The geometric, Poisson and binomial families are closed under convolution,
 and so are their reweighted laws less the spine children: for geometric(p)
@@ -80,12 +80,12 @@ class DistributionError(ValueError):
     """Raised when an operation is undefined for the given distribution."""
 
 
-def _on_floats(formula, x, *args):
-    """formula(x, *args) with x as float64: an array stays an array, and a
-    scalar goes in as a numpy scalar (far cheaper than a 0-d array) and comes
-    back as a float."""
+def _on_floats(formula, x):
+    """formula(x) with x as float64: an array stays an array, and a scalar
+    goes in as a numpy scalar (far cheaper than a 0-d array) and comes back
+    as a float."""
     x = np.asarray(x, dtype=float)
-    return formula(x, *args) if x.ndim else float(formula(x[()], *args))
+    return formula(x) if x.ndim else float(formula(x[()]))
 
 
 def _entry_keys(columns: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
@@ -257,10 +257,10 @@ class OffspringDistribution:
     """Common interface for one generation's offspring law.
 
     A family supplies only its formulas: `_key` (its parameters, which define
-    equality and the hash), `_pmf(k)` for k >= 0, `_pgf(s, order)` and
-    `_branch_survival(u)` on a float64 array or numpy scalar, and
-    `_draw(rng, size)`.  The public methods here check and convert the
-    arguments, and return a float for a scalar argument.  Families whose
+    equality and the hash), `_pmf(k)` for k >= 0, `_jet(s)`, the triple
+    (f(s), f'(s), f''(s)), and `_branch_survival(u)` on a float64 array or
+    numpy scalar, and `_draw(rng, size)`.  The public methods here check and
+    convert the arguments, and return a float for a scalar argument.  Families whose
     `sum_sample` reads an alias table also supply `_alias_laws()`."""
 
     _key: tuple
@@ -277,10 +277,10 @@ class OffspringDistribution:
         return self._pmf(k)
 
     def pgf(self, s, order: int = 0):
-        """Evaluate f(s), f'(s), f''(s) or f'''(s); accepts scalars or arrays."""
-        if order not in (0, 1, 2, 3):
-            raise ValueError("order must be in {0, 1, 2, 3}")
-        return _on_floats(self._pgf, s, order)
+        """Evaluate f(s), f'(s) or f''(s); accepts scalars or arrays."""
+        if order not in (0, 1, 2):
+            raise ValueError("order must be in {0, 1, 2}")
+        return _on_floats(lambda x: self._jet(x)[order], s)
 
     def mean(self) -> float:
         """f'(1)."""
@@ -474,9 +474,9 @@ class FiniteTable(OffspringDistribution):
             math.fsum(k * (k - 1.0) * self.probs),
             math.fsum(k * (k - 1.0) * (k - 2.0) * self.probs),
         )
-        # Coefficient vectors of f and its first three derivatives.
+        # Coefficient vectors of f and its first two derivatives.
         self._dcoefs = [self.probs]
-        for r in range(1, 4):
+        for r in range(1, 3):
             prev = self._dcoefs[-1]
             self._dcoefs.append(prev[1:] * np.arange(1, prev.size, dtype=float))
 
@@ -486,16 +486,17 @@ class FiniteTable(OffspringDistribution):
     def _pmf(self, k: int) -> float:
         return float(self.probs[k]) if k < self.probs.size else 0.0
 
-    def _pgf(self, s, order):
-        # Horner's rule, term for term as `np.polynomial.polynomial.polyval`
-        # evaluates it, without importing numpy.polynomial (0.6 MB of modules).
-        c = self._dcoefs[order]
-        if not c.size:
-            return np.zeros_like(s)
-        value = c[-1] + s * 0
-        for coef in c[-2::-1]:
-            value = coef + value * s
-        return value
+    def _jet(self, s):
+        # Horner's rule on each coefficient vector, term for term as
+        # `np.polynomial.polynomial.polyval` evaluates it, without importing
+        # numpy.polynomial (0.6 MB of modules).
+        jet = []
+        for c in self._dcoefs:
+            value = c[-1] + s * 0 if c.size else np.zeros_like(s)
+            for coef in c[-2::-1]:
+                value = coef + value * s
+            jet.append(value)
+        return tuple(jet)
 
     def mean(self) -> float:
         return self._moments[0]
@@ -607,9 +608,10 @@ class Geometric(OffspringDistribution):
     def _pmf(self, k: int) -> float:
         return self.p * (1.0 - self.p) ** k
 
-    def _pgf(self, s, order):
-        q = 1.0 - self.p
-        return math.factorial(order) * self.p * q**order / (1.0 - q * s) ** (order + 1)
+    def _jet(self, s):
+        p, q = self.p, 1.0 - self.p
+        t = 1.0 - q * s
+        return p / t, p * q / t**2, 2 * p * q**2 / t**3
 
     def mean(self) -> float:
         return (1.0 - self.p) / self.p
@@ -756,8 +758,9 @@ class Poisson(OffspringDistribution):
     def _pmf(self, k: int) -> float:
         return math.exp(k * math.log(self.lam) - self.lam - math.lgamma(k + 1))
 
-    def _pgf(self, s, order):
-        return self.lam**order * np.exp(self.lam * (s - 1.0))
+    def _jet(self, s):
+        e = np.exp(self.lam * (s - 1.0))
+        return e, self.lam * e, self.lam**2 * e
 
     def mean(self) -> float:
         return self.lam
@@ -822,11 +825,11 @@ class Binomial(OffspringDistribution):
             return 0.0
         return math.comb(self.n, k) * self.p**k * (1.0 - self.p) ** (self.n - k)
 
-    def _pgf(self, s, order):
-        if order > self.n:
-            return np.zeros_like(s)
-        falling = math.prod(range(self.n - order + 1, self.n + 1))
-        return falling * self.p**order * (1.0 - self.p + self.p * s) ** (self.n - order)
+    def _jet(self, s):
+        n, p = self.n, self.p
+        base = 1.0 - p + p * s
+        fpp = np.zeros_like(s) if n == 1 else (n - 1) * n * p**2 * base ** (n - 2)
+        return base**n, n * p * base ** (n - 1), fpp
 
     def mean(self) -> float:
         return self.n * self.p

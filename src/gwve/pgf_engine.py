@@ -5,8 +5,8 @@ f_{m,n}(s) = f_{m+1}(f_{m+2}(... f_n(s))) and its first two derivatives come
 from one backward sweep (a `CompositionTrace`).  Starting from v_n = s, every
 generation l = n, ..., 1 evaluates
 
-  * v_{l-1} = f_l(v_l), so that v_m = f_{m,n}(s),
-  * the factors f'_l(v_l) and f''_l(v_l),
+  * v_{l-1} = f_l(v_l), so that v_m = f_{m,n}(s), and the factors f'_l(v_l)
+    and f''_l(v_l), from one call to the law's `_jet`,
   * the chain rule d1_{l-1} = f'_l(v_l) d1_l and
     d2_{l-1} = f''_l(v_l) d1_l^2 + f'_l(v_l) d2_l from d1_n = 1, d2_n = 0,
     so that d1_m = f'_{m,n}(s) and d2_m = f''_{m,n}(s).
@@ -41,7 +41,6 @@ from .offspring import DistributionError
 
 __all__ = [
     "CompositionTrace",
-    "EngineError",
     "composition_trace",
     "compose",
     "d1_compose",
@@ -67,18 +66,10 @@ __all__ = [
 # Survival below this is treated as extinction for conditional transforms.
 EXTINCT_EPS = 1e-300
 
-# The two algebraically equal forms of the subtree-ratio g must agree this
-# tightly; a larger gap means a regression in a derivative code path.
-_G_CONSISTENCY_TOL = 1e-12
-
 # The sweep rescales once x1 + x2 leaves [1/_WIDE, _WIDE].  One generation's
 # factors are far too small to carry a value from there past the float range.
 _WIDE = 2.0 ** 256
 _LN2 = math.log(2.0)
-
-
-class EngineError(RuntimeError):
-    """Internal consistency failure between redundant computation paths."""
 
 
 def _out(x):
@@ -121,11 +112,8 @@ class CompositionTrace:
         x1s[n], x2s[n], es[n] = x1, x2, e
         lo, hi = 1.0 / _WIDE, _WIDE
         for l in range(n, 0, -1):
-            d = env.dist_at(l)
-            v = values[l]
-            fp[l] = a = d.pgf(v, 1)
-            fpp[l] = b = d.pgf(v, 2)
-            values[l - 1] = d.pgf(v, 0)
+            f, a, b = env.dist_at(l)._jet(values[l])
+            values[l - 1], fp[l], fpp[l] = f, a, b
             x1, x2 = a * x1, b * x1 * x1 + a * x2
             t = x1 + x2
             low, high = (t.min(initial=1.0), t.max(initial=1.0)) if grid.ndim else (t, t)
@@ -275,28 +263,17 @@ def _g(t: CompositionTrace, lo: int, mean: np.ndarray, sf: np.ndarray) -> np.nda
     """g(n, m, lam) for m = lo, lo + 1, ..., given f'_{m+1}(1) and f''_{m+1}(1)
     (`_moments`); NaN where nu_{m+1} = 0.
 
-    Evaluates both the closed form f'_{m+1}(1) f''_{m+1}(v) / (f'_{m+1}(v)
-    f''_{m+1}(1)), v = f_{m+1,n}(e^-lam), and the quotient of the two hanging
-    transforms, and insists they agree; a mismatch indicates a regression in
-    one of the derivative paths.
+    The closed form f'_{m+1}(1) f''_{m+1}(v) / (f'_{m+1}(v) f''_{m+1}(1)),
+    v = f_{m+1,n}(e^-lam), the quotient of the two hanging transforms.
     """
     fp, fpp = t.fp[lo + 1:lo + 1 + len(mean)], t.fpp[lo + 1:lo + 1 + len(mean)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        closed = np.where(sf > 0.0, (mean / fp) * (fpp / sf), math.nan)
-        quotient = (fpp / (sf / (mean * mean) * mean**2)) / (fp / mean)
-    bad = np.abs(closed - quotient) > _G_CONSISTENCY_TOL * np.maximum(1.0, np.abs(closed))
-    if np.any(bad):
-        m = lo + int(np.argwhere(bad)[0][0])
-        raise EngineError(
-            f"g-ratio forms disagree at n={t.n}, m={m}: "
-            f"{closed[bad].flat[0]!r} vs {quotient[bad].flat[0]!r}"
-        )
-    return closed
+        return np.where(sf > 0.0, (mean / fp) * (fpp / sf), math.nan)
 
 
 def g_ratio(env: Environment, n: int, m: int, lam):
-    """Ratio of the pair-biased to size-biased hanging-subtree transforms,
-    checked against its closed form (see `_g`)."""
+    """Ratio of the pair-biased to size-biased hanging-subtree transforms, in
+    closed form (see `_g`)."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
     lam = _lambdas(lam)
@@ -307,11 +284,8 @@ def g_ratio(env: Environment, n: int, m: int, lam):
 
 
 def g_gap_profile(env: Environment, n: int, lam) -> np.ndarray:
-    """1 - g(n, m, lam) for every m in 0..n-1 (rows), NaN where nu_{m+1} = 0.
-
-    Shares one trace across all m and keeps the agreement check of the two
-    g forms.
-    """
+    """1 - g(n, m, lam) for every m in 0..n-1 (rows), NaN where nu_{m+1} = 0,
+    from one trace shared across all m."""
     if n < 1:
         raise ValueError("need n >= 1")
     t = CompositionTrace(env, n, np.exp(-_lambdas(lam)))

@@ -133,6 +133,36 @@ def test_check_precondition_exit_2(tmp_path, capsys):
         assert "requires a critical environment" in capsys.readouterr().err
 
 
+def test_check_exponential_on_a_supercritical_environment_exit_2(tmp_path, capsys):
+    # on E3 every two-spine replicate outgrows the node budget
+    doc_env = {"rule": "constant", "dist": {"kind": "binomial", "n": 2, "p": 0.75}}
+    config = write_config(tmp_path, environment=doc_env, horizons=[10, 50], replicates=20_000)
+    out = tmp_path / "out"
+    assert main(["check", "exponential", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert "exponential requires a critical environment" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, report, horizons, budget, passes, statistics", [
+    ("exponential", "exponential_characterization", [10, 100], 5, 1, {"ks_pair_biased_gamma3"}),
+    ("identities", "transform_identities", [2, 6], 1, 3, {"tv_one_spine", "tv_two_spine"}),
+], ids=["exponential", "identities"])
+def test_check_with_every_replicate_aborted_exit_1(tmp_path, name, report, horizons, budget, passes,
+                                                   statistics):
+    # a pass with no completed replicate gives failing rows, and the report is written
+    config = write_config(tmp_path, horizons=horizons, replicates=3_000, node_budget=budget)
+    out = tmp_path / "out"
+    assert main(["check", name, "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    lines = (out / f"{report}.csv").read_text().splitlines()[1:]
+    sampled = [line.split(",") for line in lines if line.split(",")[2] in statistics]
+    assert {row[2] for row in sampled} == statistics
+    assert all(row[3] == "inf" and row[6] == "false" and row[7] == "all replicates aborted"
+               for row in sampled)
+    summary = json.loads((out / f"{report}_summary.json").read_text())
+    assert summary["aborted_replicates"] == passes * 3_000
+    assert sorted(summary["failed_rows"]) == sorted(row[2] for row in sampled)
+
+
 def test_check_yaglom_writes_the_runner_report(tmp_path):
     config = write_config(tmp_path, horizons=[20, 50], replicates=100_000,
                           tolerances={"ks": 0.06, "yaglom_exact": 0.06})

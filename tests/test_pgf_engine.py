@@ -102,6 +102,26 @@ def test_last_generation_second_derivative_exact(e3):
     assert abs(t.d2(n - 1) - expected) <= 1e-15 * expected
 
 
+@pytest.mark.parametrize("law", [Geometric(0.6), Poisson(1.3), Binomial(3, 0.25), Binomial(1, 0.9),
+                                 FiniteTable([0.1, 0.2, 0.3, 0.4]), FiniteTable([1.0])],
+                         ids=repr)
+@pytest.mark.parametrize("s", [0.3, np.linspace(0.0, 1.0, 9)], ids=["scalar", "grid"])
+def test_sweep_matches_pgf_bit_for_bit(law, s):
+    # the sweep's one jet per generation gives what pgf gives order by order;
+    # Binomial(1, p) has f'' = 0, and FiniteTable([1.0]) empty derivative vectors
+    env = Environment.periodic([law, Geometric(0.5)])
+    n = 12
+    t = en.CompositionTrace(env, n, s)
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    for l in range(1, n + 1):
+        d, v = env.dist_at(l), t.values[l]
+        for got, order in ((t.values[l - 1], 0), (t.fp[l], 1), (t.fpp[l], 2)):
+            assert np.array_equal(bits(got), bits(d.pgf(v, order))), (l, order)
+
+
 def test_range_validation(e1):
     with pytest.raises(ValueError):
         en.compose(e1, 3, 2, 0.5)

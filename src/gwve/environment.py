@@ -9,6 +9,10 @@ prepended environments keep exact constants.
 Cached per environment: log mu_n (running sum of log means), the series
 S_n = sum_{k<n} nu_{k+1}/mu_k accumulated with Kahan compensation, and the
 individual terms of that series.
+
+The regime label is exact and has one rule, read off the laws: a finite head
+cannot change it, so the cycle decides (see `Environment.classify`).  The
+horizon given to `classify` sets only the window of its diagnostics.
 """
 
 from __future__ import annotations
@@ -24,19 +28,19 @@ from .offspring import DistributionError, OffspringDistribution
 
 __all__ = ["Environment", "RegimeDiagnostics"]
 
-_TREND_TOL = 1e-6  # of the finite-horizon trends that label environments with a head
 
 @dataclass(frozen=True)
 class RegimeDiagnostics:
-    """Numeric evidence backing a regime label.
+    """A regime label and numeric diagnostics over the first `horizon`
+    generations.
 
-    The liminf quantities of the subcritical clause cannot be certified from
-    a finite horizon; `mu_min` and `mu_s_min` are the minima over the
-    observed window and are labelled as proxies.
+    The label is exact (see `Environment.classify`); the window only bounds
+    the diagnostics.  The liminf quantities of the subcritical clause cannot
+    be read off a finite window, so `mu_min` and `mu_s_min` are the minima
+    over it and are labelled as proxies.
     """
 
     label: str
-    method: str  # "exact-cycle" or "trend"
     horizon: int
     mu_final: float
     mu_half: float
@@ -212,54 +216,35 @@ class Environment:
     # Regime classification.
 
     def classify(self, horizon: int = 10_000) -> RegimeDiagnostics:
-        """Label the regime.
+        """Label the regime from the cycle's laws.
 
-        Constant and periodic rules are classified exactly from one-cycle
-        products.  Environments with a head fall back to finite-horizon
-        trends with tolerance `_TREND_TOL`, and report "inconclusive"
-        whenever the evidence matches no clause.
+        A head scales mu_n by a constant and adds a finite sum to S_n, so
+        the cycle fixes the label: the sign of the log mean product over one
+        cycle, then whether a cycle law has f''(1) > 0 (critical).  A cycle
+        of point masses at 1 is asymptotically degenerate after a head with
+        f''(1) > 0 and inconclusive otherwise.  The constants are built
+        through the head and one cycle, so every law's mean is checked;
+        `horizon` only sets the window of the diagnostics.
         """
         if horizon < 10:
             raise ValueError("classification horizon must be at least 10")
-        self._extend(horizon)
+        self._extend(max(horizon, len(self.head) + len(self.cycle)))
         half = horizon // 2
-        mu_f, mu_h = self.mu(horizon), self.mu(half)
-        s_f, s_h = self._s[horizon], self._s[half]
-        log_mu_arr = np.asarray(self._log_mu[1 : horizon + 1])
         with np.errstate(over="ignore"):
-            mu_arr = np.exp(log_mu_arr)
+            mu_arr = np.exp(np.asarray(self._log_mu[1 : horizon + 1]))
         mu_s_arr = np.asarray(self._mu_s[1 : horizon + 1])
-        mu_min = float(np.min(mu_arr))
-        mu_s_min = float(np.min(mu_s_arr))
 
-        if not self.head:
-            method = "exact-cycle"
-            log_cycle = math.fsum(math.log(d.mean()) for d in self.cycle)
-            any_nu = any(d.second_factorial() > 0.0 for d in self.cycle)
-            if log_cycle > 1e-12:
-                label = "supercritical"
-            elif log_cycle < -1e-12:
-                label = "subcritical"
-            elif any_nu:
-                label = "critical"
-            else:
-                label = "inconclusive"
+        log_cycle = math.fsum(math.log(d.mean()) for d in self.cycle)
+        if log_cycle > 1e-12:
+            label = "supercritical"
+        elif log_cycle < -1e-12:
+            label = "subcritical"
+        elif any(d.second_factorial() > 0.0 for d in self.cycle):
+            label = "critical"
+        elif any(d.second_factorial() > 0.0 for d in self.head):
+            label = "asymptotically-degenerate"
         else:
-            method = "trend"
-            tol = _TREND_TOL
-            s_diverges = s_f > s_h + tol
-            mu_s_grows = mu_s_arr[-1] > mu_s_arr[half - 1] + tol
-            log_growth = self._log_mu[horizon] - self._log_mu[half]
-            if s_diverges and mu_s_grows:
-                label = "critical"
-            elif not s_diverges and log_growth > tol:
-                label = "supercritical"
-            elif not s_diverges and abs(log_growth) <= tol and tol < mu_f < 1.0 / tol:
-                label = "asymptotically-degenerate"
-            elif mu_min < tol and not mu_s_grows:
-                label = "subcritical"
-            else:
-                label = "inconclusive"
+            label = "inconclusive"
 
         sup_reg = -math.inf
         sup_cond = -math.inf
@@ -274,16 +259,15 @@ class Environment:
                 pass
         return RegimeDiagnostics(
             label=label,
-            method=method,
             horizon=horizon,
-            mu_final=mu_f,
-            mu_half=mu_h,
-            s_final=s_f,
-            s_half=s_h,
+            mu_final=self.mu(horizon),
+            mu_half=self.mu(half),
+            s_final=self._s[horizon],
+            s_half=self._s[half],
             mu_s_final=float(mu_s_arr[-1]),
             mu_s_half=float(mu_s_arr[half - 1]),
-            mu_min_proxy=mu_min,
-            mu_s_min_proxy=mu_s_min,
+            mu_min_proxy=float(np.min(mu_arr)),
+            mu_s_min_proxy=float(np.min(mu_s_arr)),
             sup_regularity_ratio=sup_reg if sup_reg > -math.inf else math.nan,
             sup_condition_a_ratio=sup_cond if sup_cond > -math.inf else math.nan,
         )

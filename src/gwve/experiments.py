@@ -624,9 +624,7 @@ def yaglom_ks(config: ExperimentConfig) -> list[tuple[Collected, int, float]]:
 def _require_critical(config: ExperimentConfig, experiment: str) -> None:
     if config.assume_critical:
         return
-    env = config.environment
-    # no head: one cycle gives the label and meets every law; a head's trend needs the horizon
-    label = env.classify(10_000 if env.head else max(10, len(env.cycle))).label
+    label = config.environment.classify(10).label
     if label != "critical":
         raise ExperimentError(
             f"{experiment} requires a critical environment (classified {label!r}); "
@@ -716,6 +714,9 @@ def run_g_convergence(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("g_convergence", config.seed, rows, wall_time=t.elapsed)
 
 
+_OVER_BUDGET = "oracle tail budget exceeded"
+
+
 def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
     """Sampler laws vs exact oracle laws, the five closed-form transforms vs
     oracle transforms, and the size-biased integral identity."""
@@ -734,19 +735,20 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
         ones = collect_populations(config, "identities/one", oracle_horizons, "one_spine")
         aborted = ones[-1].aborted
         for n, one, (p, gap) in zip(oracle_horizons, ones, laws):
-            note = ""
+            # A law truncated past the tail budget is not reweighted: its rows fail.
             if p.tail_mass > oracle.DEFAULT_TAIL_BUDGET:
-                note = "oracle tail budget exceeded"
-            sb = oracle.transform_pmf(p, "size_biased")
-            pb = oracle.transform_pmf(p, "pair_biased")
+                rows += [_row(n, stat, math.inf, "le", tv_tol, _OVER_BUDGET)
+                         for stat in ("tv_one_spine", "tv_two_spine")]
+            else:
+                sb = oracle.transform_pmf(p, "size_biased")
+                pb = oracle.transform_pmf(p, "pair_biased")
+                rows.append(_sample_row(n, "tv_one_spine", one, _tv_to(sb), tv_tol))
+                two = collect_populations(config, "identities/two", [n], "two_spine")[0]
+                rows.append(_sample_row(n, "tv_two_spine", two, _tv_to(pb), tv_tol))
+                aborted += two.aborted
 
-            rows.append(_sample_row(n, "tv_one_spine", one, _tv_to(sb), tv_tol, note))
-
-            two = collect_populations(config, "identities/two", [n], "two_spine")[0]
-            rows.append(_sample_row(n, "tv_two_spine", two, _tv_to(pb), tv_tol, note))
-            aborted += two.aborted
-
-            rows.append(_row(n, "lemma33_max_abs_gap", gap, "le", config.tol("lemma33_abs")))
+            rows.append(_row(n, "lemma33_max_abs_gap", gap, "le", config.tol("lemma33_abs"),
+                             _OVER_BUDGET if math.isinf(gap) else ""))
 
         # Branching-generation law: the two-spine sampler's first draw on each
         # chunk's stream, with no trees grown, counted chunk by chunk.
@@ -781,20 +783,25 @@ def _tv_to(law: oracle.ExactPmf):
 def _oracle_horizon(env: Environment, n: int, config: ExperimentConfig) -> tuple[oracle.ExactPmf, float]:
     """The oracle law p of Z_n, and the worst discrepancy between the five
     closed-form Laplace transforms of Lemma 3.3 and the oracle's discrete
-    transforms at horizon n.  Its 3n laws come from one DP, whose tables go
-    when it returns."""
+    transforms at horizon n, inf when a law it needs is truncated past the
+    tail budget.  Its 3n laws come from one DP, whose tables go when it
+    returns."""
     dp = oracle.PopulationDP()
     p = dp.exact_pmf(env, n)
     lams = np.array(config.lambda_grid)
 
-    def oracle_laplace(pmf):
+    def oracle_laplace(pmf, kind=None):
+        """The Laplace transform of pmf, or of its `kind` reweighting; inf
+        for a law truncated past the budget, which is neither."""
+        if pmf.tail_mass > oracle.DEFAULT_TAIL_BUDGET:
+            return np.full(lams.size, math.inf)
+        if kind:
+            pmf = oracle.transform_pmf(pmf, kind)
         return np.array([oracle.laplace_from_pmf(pmf, lam) for lam in config.lambda_grid])
 
     trace = engine.composition_trace(env, n, np.exp(-lams))
-    gaps = [oracle_laplace(oracle.transform_pmf(p, "size_biased"))
-            - engine.laplace_zdot(env, n, lams, trace),
-            oracle_laplace(oracle.transform_pmf(p, "pair_biased"))
-            - engine.laplace_zddot(env, n, lams, trace)]
+    gaps = [oracle_laplace(p, "size_biased") - engine.laplace_zdot(env, n, lams, trace),
+            oracle_laplace(p, "pair_biased") - engine.laplace_zddot(env, n, lams, trace)]
     for m in range(n):
         d = env.dist_at(m + 1)
         shifted = env.shift(m + 1)
@@ -805,7 +812,7 @@ def _oracle_horizon(env: Environment, n: int, config: ExperimentConfig) -> tuple
         rest = n - (m + 1)
         if rest > 0:
             p_shift = dp.exact_pmf(shifted, rest)
-            ref = oracle_laplace(oracle.transform_pmf(p_shift, "size_biased"))
+            ref = oracle_laplace(p_shift, "size_biased")
         else:
             ref = np.exp(-lams)  # one fresh particle
         gaps += [oracle_laplace(p_dot) - engine.laplace_hanging_qdot(env, n, m, lams, trace),

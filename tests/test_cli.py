@@ -133,6 +133,29 @@ def test_check_precondition_exit_2(tmp_path, capsys):
         assert "requires a critical environment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc_env", [
+    {"rule": "general", "head": [{"kind": "table", "pmf": [0.4, 0.3, 0.3]}],
+     "cycle": [{"kind": "poisson", "lambda": 0.5}, {"kind": "table", "pmf": [0.25, 0.5, 0.25]},
+               {"kind": "geometric", "p": 0.4}]},
+    {"rule": "explicit", "head": [{"kind": "geometric", "p": 0.5}],
+     "tail": {"kind": "geometric", "p": 0.500025001250062}},
+], ids=["three-cycle", "mean-0.9999-tail"])
+def test_check_kolmogorov_on_a_subcritical_cycle_after_a_head_exit_2(tmp_path, capsys, doc_env):
+    # the cycle's mean products are 0.75 and 0.9999: a head cannot make them critical
+    config = write_config(tmp_path, environment=doc_env, horizons=[10, 100], threads=1)
+    out = tmp_path / "out"
+    assert main(["check", "kolmogorov", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert "(classified 'subcritical')" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_classify_a_zero_mean_law_past_the_horizon_exit_2(capsys):
+    cycle = [{"kind": "geometric", "p": 0.5}] * 12 + [{"kind": "table", "pmf": [1.0]}]
+    spec = json.dumps({"rule": "periodic", "cycle": cycle})
+    assert main(["classify", "--env", spec, "--horizon", "10"]) == 2
+    assert "generation 13 has mean f'(1) = 0" in capsys.readouterr().err
+
+
 def test_check_exponential_on_a_supercritical_environment_exit_2(tmp_path, capsys):
     # on E3 every two-spine replicate outgrows the node budget
     doc_env = {"rule": "constant", "dist": {"kind": "binomial", "n": 2, "p": 0.75}}
@@ -141,6 +164,26 @@ def test_check_exponential_on_a_supercritical_environment_exit_2(tmp_path, capsy
     assert main(["check", "exponential", "--config", str(config), "--out", str(out), "--quiet"]) == 2
     assert "exponential requires a critical environment" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("low, failing", [
+    ([0.4, 0.4, 0.2 - 1e-6], {"tv_one_spine", "tv_two_spine", "lemma33_max_abs_gap"}),
+    ([0.5, 0.5 - 1e-6], {"tv_one_spine", "tv_two_spine", "lemma33_max_abs_gap"}),
+    ([0.4, 0.4, 0.2 - 5e-11], {"lemma33_max_abs_gap"}),
+], ids=["law-over-budget", "law-over-budget-no-pairs", "hanging-law-over-budget"])
+def test_check_identities_with_an_oracle_law_over_the_tail_budget_exit_1(tmp_path, low, failing):
+    # the atom at 69,999 is past the oracle's cap ceiling, so its mass (1e-6)
+    # is tail, or (5e-11) is within budget for Z_1 but not for a size-biased
+    # hanging law: a truncated law is not reweighted, its rows fail with inf
+    pmf = low + [0.0] * (69_999 - len(low)) + [1.0 - math.fsum(low)]
+    config = write_config(tmp_path, environment={"rule": "constant", "dist": {"kind": "table", "pmf": pmf}},
+                          horizons=[1], replicates=2_000, kn_horizon=1, threads=1)
+    out = tmp_path / "out"
+    assert main(["check", "identities", "--config", str(config), "--out", str(out), "--quiet"]) == 1
+    rows = [line.split(",") for line in (out / "transform_identities.csv").read_text().splitlines()[1:]]
+    over = [row for row in rows if row[7] == "oracle tail budget exceeded"]
+    assert {row[2] for row in over} == failing
+    assert all(row[3] == "inf" and row[6] == "false" for row in over)
 
 
 @pytest.mark.parametrize("name, report, horizons, budget, passes, statistics", [

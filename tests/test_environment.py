@@ -1,7 +1,10 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gwve.environment import Environment
 from gwve.offspring import Binomial, DistributionError, FiniteTable, Geometric, Poisson
@@ -149,9 +152,40 @@ def test_classify_explicit_rules():
     assert degen.classify(1000).label == "asymptotically-degenerate"
 
 
+# Laws with positive means: random ones, and mean-1 ones so that critical and
+# point-mass cycles are drawn too.
+_LAWS = st.one_of(
+    st.floats(0.05, 0.95).map(Geometric),
+    st.floats(0.05, 3.0).map(Poisson),
+    st.builds(Binomial, st.integers(1, 4), st.floats(0.05, 1.0)),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4)
+    .filter(lambda w: sum(w[1:]) > 0.1).map(lambda w: FiniteTable(np.asarray(w) / sum(w))),
+    st.sampled_from([Geometric(0.5), Poisson(1.0), Binomial(2, 0.5),
+                     FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.0, 1.0])]),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_LAWS, min_size=1, max_size=3), st.lists(_LAWS, min_size=1, max_size=3))
+@example([FiniteTable([0.4, 0.3, 0.3])],
+         [Poisson(0.5), FiniteTable([0.25, 0.5, 0.25]), Geometric(0.4)])  # cycle mean product 0.75
+def test_classify_a_head_keeps_the_label_of_its_cycle(head, cycle):
+    # a head scales mu_n by a constant and adds a finite sum to S_n; only a
+    # cycle of point masses at 1 lets the head decide (asymptotically degenerate)
+    assume(not all(d.mean() == 1.0 and d.second_factorial() == 0.0 for d in cycle))
+    label = Environment(head, cycle).classify(10).label
+    assert label == Environment((), cycle).classify(10).label
+
+
+def test_classify_refuses_a_zero_mean_law_past_the_horizon():
+    # generation 13 is past the window of 10, yet its mean is checked
+    env = Environment.periodic([Geometric(0.5)] * 12 + [FiniteTable([1.0])])
+    with pytest.raises(DistributionError, match="generation 13 has mean f'\\(1\\) = 0"):
+        env.classify(10)
+
+
 def test_classify_diagnostics_fields(e1):
     d = e1.classify(horizon=100)
-    assert d.method == "exact-cycle"
     assert d.horizon == 100
     assert d.sup_condition_a_ratio == pytest.approx(1.5, abs=1e-12)
     assert d.s_final == pytest.approx(200.0, abs=1e-10)

@@ -214,6 +214,25 @@ def test_require_critical_reads_one_cycle_of_a_headless_environment(name):
     assert len(env._log_mu) == max(10, len(env.cycle)) + 1
 
 
+@pytest.mark.parametrize("head, cycle, label", [
+    (1, 1, "critical"), (5, 8, "critical"), (30, 1, "critical"), (1, 3, "subcritical")])
+def test_require_critical_reads_the_head_and_one_cycle(head, cycle, label):
+    # a head cannot change the label, so the check builds the head and one
+    # cycle of constants (and at least 10 generations), not a long window
+    from gwve.environment import Environment
+    from gwve.offspring import FiniteTable, Geometric, Poisson
+
+    laws = {"critical": [Geometric(0.5), FiniteTable([0.25, 0.5, 0.25])],
+            "subcritical": [Poisson(0.5), FiniteTable([0.25, 0.5, 0.25]), Geometric(0.4)]}[label]
+    env = Environment([FiniteTable([0.4, 0.3, 0.3])] * head, [laws[k % len(laws)] for k in range(cycle)])
+    if label == "critical":
+        ex._require_critical(cfg(env), "kolmogorov")
+    else:
+        with pytest.raises(ex.ExperimentError, match=label):
+            ex._require_critical(cfg(env), "kolmogorov")
+    assert len(env._log_mu) == max(10, head + cycle) + 1
+
+
 def test_require_critical_refuses_a_zero_mean_law_late_in_a_long_cycle():
     from gwve.environment import Environment
     from gwve.offspring import DistributionError, FiniteTable

@@ -222,10 +222,13 @@ def cmd_simulate(args) -> int:
         summary["tv_vs_oracle"] = None  # every replicate aborted: no sample to compare
     elif n <= 8:
         law = oracle.exact_pmf(env, n)
-        # read before reweighting: transform_pmf returns a law with no tail
         summary["oracle_tail_mass"] = law.tail_mass
         if kind != "gw":
-            law = oracle.transform_pmf(law, "size_biased" if kind == "one_spine" else "pair_biased")
+            # the spines' law is a reweighting: its tail is the weighted mass it misses
+            weighting = "size_biased" if kind == "one_spine" else "pair_biased"
+            reweighted = oracle.transform_pmf(law, weighting)
+            summary["oracle_tail_mass"] = oracle.reweighting_cut(law, weighting, env, n)
+            law = reweighted
         summary["tv_vs_oracle"] = oracle.tv_distance(oracle.histogram_pmf(run.counts, cap=law.cap),
                                                      law)
     summary_path = out_dir / f"simulate_{kind}_n{n}_summary.json"

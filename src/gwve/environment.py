@@ -241,7 +241,8 @@ class Environment:
             label = "subcritical"
         elif any(d.second_factorial() > 0.0 for d in self.cycle):
             label = "critical"
-        elif any(d.second_factorial() > 0.0 for d in self.head):
+        elif (all(d.pmf(1) == 1.0 for d in self.cycle)
+              and any(d.second_factorial() > 0.0 for d in self.head)):
             label = "asymptotically-degenerate"
         else:
             label = "inconclusive"

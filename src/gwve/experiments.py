@@ -643,9 +643,8 @@ def run_decomposition_check(config: ExperimentConfig) -> ExperimentReport:
     with _Timer() as t:
         lams = np.array(config.lambda_grid)
         for n in config.horizons:
-            trace = engine.composition_trace(config.environment, n, np.exp(-lams))
-            lhs = engine.laplace_zddot(config.environment, n, lams, trace)
-            rhs = engine.two_spine_rhs(config.environment, n, lams, trace)
+            lhs = engine.laplace_zddot(config.environment, n, lams)
+            rhs = engine.two_spine_rhs(config.environment, n, lams)
             with np.errstate(divide="ignore", invalid="ignore"):
                 rel = np.abs(lhs - rhs) / np.abs(lhs)
             for lam, gap in zip(config.lambda_grid, rel):
@@ -735,14 +734,16 @@ def run_transform_identities(config: ExperimentConfig) -> ExperimentReport:
         ones = collect_populations(config, "identities/one", oracle_horizons, "one_spine")
         aborted = ones[-1].aborted
         for n, one, (p, gap) in zip(oracle_horizons, ones, laws):
-            # A law truncated past the tail budget is not reweighted: its rows fail.
-            if p.tail_mass > oracle.DEFAULT_TAIL_BUDGET:
-                rows += [_row(n, stat, math.inf, "le", tv_tol, _OVER_BUDGET)
-                         for stat in ("tv_one_spine", "tv_two_spine")]
+            # A reweighted law cut past the tail budget fails its row.
+            sb = _reweighted(p, "size_biased", env, n)
+            pb = _reweighted(p, "pair_biased", env, n)
+            if sb is None:
+                rows.append(_row(n, "tv_one_spine", math.inf, "le", tv_tol, _OVER_BUDGET))
             else:
-                sb = oracle.transform_pmf(p, "size_biased")
-                pb = oracle.transform_pmf(p, "pair_biased")
                 rows.append(_sample_row(n, "tv_one_spine", one, _tv_to(sb), tv_tol))
+            if pb is None:
+                rows.append(_row(n, "tv_two_spine", math.inf, "le", tv_tol, _OVER_BUDGET))
+            else:
                 two = collect_populations(config, "identities/two", [n], "two_spine")[0]
                 rows.append(_sample_row(n, "tv_two_spine", two, _tv_to(pb), tv_tol))
                 aborted += two.aborted
@@ -780,28 +781,35 @@ def _tv_to(law: oracle.ExactPmf):
     return lambda counts: oracle.tv_distance(oracle.histogram_pmf(counts, cap=law.cap), law)
 
 
+def _reweighted(p: oracle.ExactPmf, kind: str, env: Environment, n: int) -> oracle.ExactPmf | None:
+    """The `kind` reweighting of p, the oracle law of Z_n under env; None
+    when p's tail or the weighted mass the reweighting misses is past the
+    tail budget."""
+    if p.tail_mass > oracle.DEFAULT_TAIL_BUDGET:
+        return None
+    law = oracle.transform_pmf(p, kind)
+    return None if oracle.reweighting_cut(p, kind, env, n) > oracle.DEFAULT_TAIL_BUDGET else law
+
+
 def _oracle_horizon(env: Environment, n: int, config: ExperimentConfig) -> tuple[oracle.ExactPmf, float]:
     """The oracle law p of Z_n, and the worst discrepancy between the five
     closed-form Laplace transforms of Lemma 3.3 and the oracle's discrete
-    transforms at horizon n, inf when a law it needs is truncated past the
-    tail budget.  Its 3n laws come from one DP, whose tables go when it
+    transforms at horizon n, inf when a law it needs is cut past the tail
+    budget.  Its 3n laws come from one DP, whose tables go when it
     returns."""
     dp = oracle.PopulationDP()
     p = dp.exact_pmf(env, n)
     lams = np.array(config.lambda_grid)
 
-    def oracle_laplace(pmf, kind=None):
-        """The Laplace transform of pmf, or of its `kind` reweighting; inf
-        for a law truncated past the budget, which is neither."""
-        if pmf.tail_mass > oracle.DEFAULT_TAIL_BUDGET:
+    def oracle_laplace(pmf):
+        """The Laplace transform of pmf; inf for no law (None) or one
+        truncated past the budget."""
+        if pmf is None or pmf.tail_mass > oracle.DEFAULT_TAIL_BUDGET:
             return np.full(lams.size, math.inf)
-        if kind:
-            pmf = oracle.transform_pmf(pmf, kind)
         return np.array([oracle.laplace_from_pmf(pmf, lam) for lam in config.lambda_grid])
 
-    trace = engine.composition_trace(env, n, np.exp(-lams))
-    gaps = [oracle_laplace(p, "size_biased") - engine.laplace_zdot(env, n, lams, trace),
-            oracle_laplace(p, "pair_biased") - engine.laplace_zddot(env, n, lams, trace)]
+    gaps = [oracle_laplace(_reweighted(p, "size_biased", env, n)) - engine.laplace_zdot(env, n, lams),
+            oracle_laplace(_reweighted(p, "pair_biased", env, n)) - engine.laplace_zddot(env, n, lams)]
     for m in range(n):
         d = env.dist_at(m + 1)
         shifted = env.shift(m + 1)
@@ -811,13 +819,12 @@ def _oracle_horizon(env: Environment, n: int, config: ExperimentConfig) -> tuple
         p_ddot = dp.exact_pmf(hang_ddot, n - m)
         rest = n - (m + 1)
         if rest > 0:
-            p_shift = dp.exact_pmf(shifted, rest)
-            ref = oracle_laplace(p_shift, "size_biased")
+            ref = oracle_laplace(_reweighted(dp.exact_pmf(shifted, rest), "size_biased", shifted, rest))
         else:
             ref = np.exp(-lams)  # one fresh particle
-        gaps += [oracle_laplace(p_dot) - engine.laplace_hanging_qdot(env, n, m, lams, trace),
-                 oracle_laplace(p_ddot) - engine.laplace_hanging_qddot(env, n, m, lams, trace),
-                 ref - engine.laplace_zdot_shifted(env, n, m, lams, trace)]
+        gaps += [oracle_laplace(p_dot) - engine.laplace_hanging_qdot(env, n, m, lams),
+                 oracle_laplace(p_ddot) - engine.laplace_hanging_qddot(env, n, m, lams),
+                 ref - engine.laplace_zdot_shifted(env, n, m, lams)]
     return p, float(np.max(np.abs(gaps)))
 
 

@@ -7,7 +7,8 @@ Everything is truncated at a cap; mass pushed beyond the cap, or attached to
 population sizes whose total probability is below a negligible cut, is
 accumulated into an explicit `tail_mass` and treated as absorbing.  A
 comparison against an ExactPmf is meaningful only while `tail_mass` stays
-below the configured budget.
+below the configured budget, and one against its size- or pair-biased law
+only while the weighted mass that law misses (`reweighting_cut`) does too.
 
 A `PopulationDP` answers many requests and shares their work.  The powers
 q^{*j}, cut at the cap, and the mass each cut removed depend only on the
@@ -41,6 +42,7 @@ __all__ = [
     "TailBudgetError",
     "exact_pmf",
     "transform_pmf",
+    "reweighting_cut",
     "laplace_from_pmf",
     "tv_distance",
     "histogram_pmf",
@@ -210,15 +212,21 @@ def exact_pmf(
     return PopulationDP().exact_pmf(env, n, cap, cap_ceiling)
 
 
-def transform_pmf(p: ExactPmf, kind: str) -> ExactPmf:
-    """Exact law of the size-biased or pair-biased population."""
+def _weights(p: ExactPmf, kind: str) -> np.ndarray:
+    """k p_k for the size-biased law, k (k - 1) p_k for the pair-biased one."""
     k = np.arange(p.support, dtype=float)
     if kind == "size_biased":
-        w = k * p.probs[: p.support]
-    elif kind == "pair_biased":
-        w = k * (k - 1.0) * p.probs[: p.support]
-    else:
-        raise ValueError("kind must be 'size_biased' or 'pair_biased'")
+        return k * p.probs[: p.support]
+    if kind == "pair_biased":
+        return k * (k - 1.0) * p.probs[: p.support]
+    raise ValueError("kind must be 'size_biased' or 'pair_biased'")
+
+
+def transform_pmf(p: ExactPmf, kind: str) -> ExactPmf:
+    """Exact law of the size-biased or pair-biased population, normalized
+    by the weighted mass p captures (see `reweighting_cut` for what it
+    misses)."""
+    w = _weights(p, kind)
     total = math.fsum(w.tolist())
     if total <= 0.0:
         raise DistributionError(f"no {kind} law: zero weighted mass")
@@ -227,6 +235,17 @@ def transform_pmf(p: ExactPmf, kind: str) -> ExactPmf:
     out = np.zeros(p.probs.size)
     out[: p.support] = w
     return ExactPmf(out, 0.0)
+
+
+def reweighting_cut(p: ExactPmf, kind: str, env: Environment, n: int) -> float:
+    """The share of the exact weighted mass that the `kind` reweighting of
+    p, the oracle law of Z_n under env, misses: 1 - captured / exact, where
+    captured is p's k- or k(k-1)-weighted sum and exact is E[Z_n] = mu_n or
+    E[Z_n (Z_n - 1)] = mu_n^2 S_n.  A tail that is light by count can carry
+    a heavy weight; rounding below zero reads as 0."""
+    captured = math.fsum(_weights(p, kind).tolist())
+    exact = env.mu(n) if kind == "size_biased" else env.mu(n) ** 2 * env.cum_nu_over_mu(n)
+    return max(0.0, 1.0 - captured / exact)
 
 
 def laplace_from_pmf(p: ExactPmf, lam: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> float:

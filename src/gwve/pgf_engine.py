@@ -22,7 +22,10 @@ pair-biased and hanging-subtree populations (lambda a scalar or a 1-d array;
 the plain one is `compose(env, 0, n, exp(-lambda))`), the law of the spine
 branching generation K_n, the partition points A_{n,m} with the step CDF of
 A_{n,K_n} over a scalar or an array of y, and the two sides of the spine
-decomposition identity, whose sum over m is one array expression.
+decomposition identity, whose sum over m is one array expression.  Each
+transform takes (env, n[, m], lambda) and makes its own sweep from them;
+`two_spine_rhs` makes one for all of its factors.  No caller hands a sweep
+in, so none can pair a transform with the sweep of another environment.
 
 Quantities of the form 1 - f_{m,n}(s) (survival probabilities, conditional
 transforms) are computed by iterating the complement map u -> 1 - f(1 - u)
@@ -191,54 +194,46 @@ def _lambdas(lam) -> np.ndarray:
     return lam
 
 
-def _trace(env: Environment, n: int, lam: np.ndarray, trace: CompositionTrace | None) -> CompositionTrace:
-    """`trace`, checked to be the sweep to n over exp(-lam) within rounding
-    (`math.exp` and `np.exp` can differ by an ulp), or a new one."""
-    s = np.exp(-lam)
-    if trace is None:
-        return CompositionTrace(env, n, s)
-    grid = trace.values[trace.n]
-    if trace.n != n or grid.shape != s.shape or not np.allclose(grid, s, rtol=1e-15, atol=0.0):
-        raise ValueError(f"the trace is not the sweep to n = {n} over exp(-lambda)")
-    return trace
-
-
-def laplace_zdot(env: Environment, n: int, lam, trace: CompositionTrace | None = None):
+def laplace_zdot(env: Environment, n: int, lam):
     """E[exp(-lam Zdot_n)] = f'_{0,n}(e^-lam) e^-lam / mu_n."""
     lam = _lambdas(lam)
-    t = _trace(env, n, lam, trace)
+    return _zdot(env, n, lam, CompositionTrace(env, n, np.exp(-lam)))
+
+
+def _zdot(env: Environment, n: int, lam: np.ndarray, t: CompositionTrace):
+    """`laplace_zdot` from t, the sweep to n over exp(-lam)."""
     return _scaled(t._x1[0], t._e[0], -env.log_mu(n) - lam)
 
 
-def laplace_zdot_shifted(env: Environment, n: int, m: int, lam, trace: CompositionTrace | None = None):
+def laplace_zdot_shifted(env: Environment, n: int, m: int, lam):
     """E[exp(-lam Zdot^{(m+1)}_{n-(m+1)})] = (mu_{m+1}/mu_n) f'_{m+1,n}(e^-lam) e^-lam."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
     lam = _lambdas(lam)
-    t = _trace(env, n, lam, trace)
+    t = CompositionTrace(env, n, np.exp(-lam))
     return _scaled(t._x1[m + 1], t._e[m + 1], env.log_mu(m + 1) - env.log_mu(n) - lam)
 
 
-def laplace_zddot(env: Environment, n: int, lam, trace: CompositionTrace | None = None):
+def laplace_zddot(env: Environment, n: int, lam):
     """E[exp(-lam Zddot_n)] = f''_{0,n}(e^-lam) e^-2lam / (mu_n^2 S_n)."""
     if n < 1:
         raise ValueError("the pair-biased process needs n >= 1")
     lam = _lambdas(lam)
     s_n = _s_n(env, n)
-    t = _trace(env, n, lam, trace)
+    t = CompositionTrace(env, n, np.exp(-lam))
     return _scaled(t._x2[0], 2 * t._e[0], -2.0 * env.log_mu(n) - math.log(s_n) - 2.0 * lam)
 
 
-def laplace_hanging_qdot(env: Environment, n: int, m: int, lam, trace: CompositionTrace | None = None):
+def laplace_hanging_qdot(env: Environment, n: int, m: int, lam):
     """Laplace transform of the subtree grown from a shifted size-biased root,
     f'_{m+1}(f_{m+1,n}(e^-lam)) / f'_{m+1}(1)."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    t = _trace(env, n, _lambdas(lam), trace)
+    t = CompositionTrace(env, n, np.exp(-_lambdas(lam)))
     return _out(t.fp[m + 1] / env.dist_at(m + 1).mean())
 
 
-def laplace_hanging_qddot(env: Environment, n: int, m: int, lam, trace: CompositionTrace | None = None):
+def laplace_hanging_qddot(env: Environment, n: int, m: int, lam):
     """Laplace transform of the subtree grown from a shifted pair-biased root,
     f''_{m+1}(f_{m+1,n}(e^-lam)) / (nu_{m+1} f'_{m+1}(1)^2)."""
     if not 0 <= m < n:
@@ -247,7 +242,7 @@ def laplace_hanging_qddot(env: Environment, n: int, m: int, lam, trace: Composit
     d = env.dist_at(m + 1)
     if d.second_factorial() <= 0.0:
         raise DistributionError("no pair-biased law")
-    t = _trace(env, n, lam, trace)
+    t = CompositionTrace(env, n, np.exp(-lam))
     return _out(t.fpp[m + 1] / (d.nu() * d.mean() ** 2))
 
 
@@ -350,7 +345,7 @@ def conditional_laplace_z(env: Environment, n: int, lam: float) -> float:
     return 1.0 - one_minus_compose(env, 0, n, math.exp(-lam)) / surv
 
 
-def two_spine_rhs(env: Environment, n: int, lam, trace: CompositionTrace | None = None):
+def two_spine_rhs(env: Environment, n: int, lam):
     """Right-hand side of the spine decomposition of E[exp(-lam Zddot_n)]:
 
         E[e^{-lam Zdot_n}] * sum_m P(K_n=m) E[e^{-lam Zdot^{(m+1)}_{n-(m+1)}}] g(n,m,lam)
@@ -360,7 +355,7 @@ def two_spine_rhs(env: Environment, n: int, lam, trace: CompositionTrace | None 
     if n < 1:
         raise ValueError("need n >= 1")
     lam = _lambdas(lam)
-    t = _trace(env, n, lam, trace)
+    t = CompositionTrace(env, n, np.exp(-lam))
     weights = kn_pmf_vector(env, n)
     mean, sf = _moments(env, t, 0, n)
     # log(mu_{m+1} / mu_n) = -sum_{l=m+2}^{n} log f'_l(1), summed from l = n down.
@@ -371,4 +366,4 @@ def two_spine_rhs(env: Environment, n: int, lam, trace: CompositionTrace | None 
     terms = weights.reshape(mean.shape)[keep] * shifted[keep] * _g(t, 0, mean, sf)[keep]
     # One exactly rounded sum per grid point.
     sums = [math.fsum(col.tolist()) for col in terms.reshape(len(terms), -1).T]
-    return _out(laplace_zdot(env, n, lam, t) * np.reshape(sums, lam.shape))
+    return _out(_zdot(env, n, lam, t) * np.reshape(sums, lam.shape))

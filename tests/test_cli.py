@@ -169,12 +169,13 @@ def test_check_exponential_on_a_supercritical_environment_exit_2(tmp_path, capsy
 @pytest.mark.parametrize("low, failing", [
     ([0.4, 0.4, 0.2 - 1e-6], {"tv_one_spine", "tv_two_spine", "lemma33_max_abs_gap"}),
     ([0.5, 0.5 - 1e-6], {"tv_one_spine", "tv_two_spine", "lemma33_max_abs_gap"}),
-    ([0.4, 0.4, 0.2 - 5e-11], {"lemma33_max_abs_gap"}),
+    ([0.4, 0.4, 0.2 - 5e-11], {"tv_one_spine", "tv_two_spine", "lemma33_max_abs_gap"}),
 ], ids=["law-over-budget", "law-over-budget-no-pairs", "hanging-law-over-budget"])
 def test_check_identities_with_an_oracle_law_over_the_tail_budget_exit_1(tmp_path, low, failing):
     # the atom at 69,999 is past the oracle's cap ceiling, so its mass (1e-6)
-    # is tail, or (5e-11) is within budget for Z_1 but not for a size-biased
-    # hanging law: a truncated law is not reweighted, its rows fail with inf
+    # is tail, or (5e-11) is within budget for Z_1 but not once weighted by
+    # k or k(k-1), nor for a size-biased hanging law: a truncated law, and a
+    # reweighted law that misses more than the budget, fail their rows with inf
     pmf = low + [0.0] * (69_999 - len(low)) + [1.0 - math.fsum(low)]
     config = write_config(tmp_path, environment={"rule": "constant", "dist": {"kind": "table", "pmf": pmf}},
                           horizons=[1], replicates=2_000, kn_horizon=1, threads=1)
@@ -296,7 +297,7 @@ def test_simulate_gw_survival(tmp_path):
 
 
 def test_simulate_reports_the_oracle_tail_mass(tmp_path):
-    # the tail of the oracle's law of Z_2 on E1, read before size-biasing it
+    # the size-biased mass that the oracle's law of Z_2 on E1 misses
     out = tmp_path / "sim"
     assert main(["simulate", "one-spine", "--config", str(write_config(tmp_path)), "--n", "2",
                  "--replicates", "20000", "--out", str(out), "--quiet"]) == 0
@@ -304,6 +305,21 @@ def test_simulate_reports_the_oracle_tail_mass(tmp_path):
     assert isinstance(summary["oracle_tail_mass"], float)
     assert 0.0 <= summary["oracle_tail_mass"] <= 1e-10
     assert summary["tv_vs_oracle"] < 0.02
+
+
+@pytest.mark.parametrize("kind, weight", [("gw", None), ("one-spine", "k"), ("two-spine", "k(k-1)")])
+def test_simulate_reports_the_weighted_mass_a_spine_law_misses(tmp_path, kind, weight):
+    # Z_1's tail at cap 4096 is 5e-11; the atom at 5000 carries 3.1e-7 of
+    # E[Z_1] and 0.31% of E[Z_1 (Z_1 - 1)], which the spines' laws miss
+    pmf = [0.4, 0.4, 0.2 - 5e-11] + [0.0] * 4997 + [5e-11]
+    config = write_config(tmp_path, environment={"rule": "constant", "dist": {"kind": "table", "pmf": pmf}},
+                          replicates=2_000, threads=1)
+    out = tmp_path / "sim"
+    main(["simulate", kind, "--config", str(config), "--n", "1", "--out", str(out), "--quiet"])
+    summary = json.loads((out / f"simulate_{kind.replace('-', '_')}_n1_summary.json").read_text())
+    captured = {None: 1.0 - 5e-11, "k": 0.8 - 1e-10, "k(k-1)": 0.4 - 1e-10}[weight]
+    exact = {None: 1.0, "k": captured + 5000 * 5e-11, "k(k-1)": captured + 5000 * 4999 * 5e-11}[weight]
+    assert summary["oracle_tail_mass"] == pytest.approx(1.0 - captured / exact, rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["gw", "one-spine"])

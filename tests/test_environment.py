@@ -169,6 +169,7 @@ _LAWS = st.one_of(
 @given(st.lists(_LAWS, min_size=1, max_size=3), st.lists(_LAWS, min_size=1, max_size=3))
 @example([FiniteTable([0.4, 0.3, 0.3])],
          [Poisson(0.5), FiniteTable([0.25, 0.5, 0.25]), Geometric(0.4)])  # cycle mean product 0.75
+@example([Geometric(0.5)], [Binomial(1, 1 - 2**-53)])  # mean within the band, not a point mass
 def test_classify_a_head_keeps_the_label_of_its_cycle(head, cycle):
     # a head scales mu_n by a constant and adds a finite sum to S_n; only a
     # cycle of point masses at 1 lets the head decide (asymptotically degenerate)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import gwve.experiments as ex
-from gwve import spines
+from gwve import oracle, spines
+from gwve.environment import Environment
+from gwve.offspring import FiniteTable
 from gwve.streams import stream
 
 
@@ -276,6 +278,26 @@ def test_transform_identities_report(e2):
     assert stats["size_biased_integral_residual"].value < 1e-8
 
 
+def test_identities_gate_each_reweighted_law_by_its_cut_mass():
+    # Z_1's tail at cap 4096, 5e-11, is within the budget, yet the atom at
+    # 5000 carries 0.31% of E[Z_1 (Z_1 - 1)]: the pair-biased law misses it,
+    # so every row built on a reweighted law fails as over budget
+    pmf = np.zeros(5001)
+    pmf[:3], pmf[-1] = [0.4, 0.4, 0.2 - 5e-11], 5e-11
+    env = Environment.constant(FiniteTable(pmf))
+    p = oracle.exact_pmf(env, 1)
+    assert 0.0 < p.tail_mass <= oracle.DEFAULT_TAIL_BUDGET
+    captured = 2.0 * pmf[2]
+    assert oracle.reweighting_cut(p, "pair_biased", env, 1) == pytest.approx(
+        1.0 - captured / (captured + 5000 * 4999 * pmf[-1]), rel=1e-9)
+    r = ex.run_transform_identities(cfg(env, horizons=[1], replicates=2_000, kn_horizon=1,
+                                        threads=1, assume_critical=True))
+    rows = {row.statistic: row for row in r.rows}
+    for stat in ("tv_one_spine", "tv_two_spine", "lemma33_max_abs_gap"):
+        assert (rows[stat].value, rows[stat].passed, rows[stat].note) \
+            == (math.inf, False, "oracle tail budget exceeded")
+
+
 # float.hex of the rows of `check identities` that involve no draws, on the
 # shipped reference environments: (lemma33_max_abs_gap at n = 2 and 6,
 # size_biased_integral_residual with the oracle horizons ending at 2 and 6)
@@ -345,10 +367,29 @@ _PINNED_REPORTS = [
 ]
 
 
+# The exact engine's decomposition identity and the oracle's reweighted laws
+# against the samplers: how the transforms are evaluated must not move a bit.
+_PINNED_TRANSFORM_REPORTS = [
+    ("run_decomposition_check", "E2", {"horizons": [10, 100, 1000]},
+     "1210bfe875d19f2919d2d2d11e7c50aa7fd9705b43a31f51aac61c1de9202765"),
+    ("run_transform_identities", "E2", {"horizons": [2, 6], "replicates": 20_000, "threads": 1},
+     "be56e9970e29d25d1dd93e40341c8abc5d8e62c0331d81192808be4b264316db"),
+]
+
+
+def _report_digest(runner, env_name, kw):
+    r = getattr(ex, runner)(cfg(ex.reference_environment(env_name), **kw))
+    return hashlib.sha256(r.to_csv_text().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("runner, env_name, kw, digest", _PINNED_REPORTS)
 def test_convergence_reports_are_pinned(runner, env_name, kw, digest):
-    r = getattr(ex, runner)(cfg(ex.reference_environment(env_name), **kw))
-    assert hashlib.sha256(r.to_csv_text().encode()).hexdigest() == digest
+    assert _report_digest(runner, env_name, kw) == digest
+
+
+@pytest.mark.parametrize("runner, env_name, kw, digest", _PINNED_TRANSFORM_REPORTS)
+def test_transform_reports_are_pinned(runner, env_name, kw, digest):
+    assert _report_digest(runner, env_name, kw) == digest
 
 
 def test_pinned_reports_reach_every_row_kind():

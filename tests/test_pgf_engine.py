@@ -499,9 +499,8 @@ def test_decomposition_identity_off_critical(env_factory, horizons):
     env = env_factory()
     lams = np.array([0.1, 1.0, 5.0])
     for n in horizons:
-        t = en.composition_trace(env, n, np.exp(-lams))
-        lhs = en.laplace_zddot(env, n, lams, t)
-        rhs = en.two_spine_rhs(env, n, lams, t)
+        lhs = en.laplace_zddot(env, n, lams)
+        rhs = en.two_spine_rhs(env, n, lams)
         # a positive normal lhs, so the relative gap says something
         assert np.all(lhs >= sys.float_info.min)
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * lhs)
@@ -535,39 +534,6 @@ def test_lambda_grid_matches_scalar(env_name, request):
         _assert_grid_matches_scalars(lambda x: f(env, n, x), lams)
     for f in (en.laplace_zdot_shifted, en.laplace_hanging_qdot, en.laplace_hanging_qddot, en.g_ratio):
         _assert_grid_matches_scalars(lambda x: f(env, n, m, x), lams)
-    # one shared trace over the grid gives the same numbers
-    t = en.composition_trace(env, n, np.exp(-np.array(lams)))
-    np.testing.assert_allclose(en.two_spine_rhs(env, n, np.array(lams), t),
-                               [en.two_spine_rhs(env, n, x) for x in lams], rtol=1e-14, atol=0.0)
-
-
-# The transforms that take a shared trace, each as (env, n, lam, trace) -> value.
-TRACE_TRANSFORMS = {
-    "laplace_zdot": en.laplace_zdot,
-    "laplace_zdot_shifted": lambda env, n, lam, t: en.laplace_zdot_shifted(env, n, 2, lam, t),
-    "laplace_zddot": en.laplace_zddot,
-    "laplace_hanging_qdot": lambda env, n, lam, t: en.laplace_hanging_qdot(env, n, 2, lam, t),
-    "laplace_hanging_qddot": lambda env, n, lam, t: en.laplace_hanging_qddot(env, n, 2, lam, t),
-    "two_spine_rhs": en.two_spine_rhs,
-}
-
-
-@pytest.mark.parametrize("name", sorted(TRACE_TRANSFORMS))
-def test_shared_trace_must_be_the_sweep_asked_for(e2, name):
-    transform, n, lams = TRACE_TRANSFORMS[name], 5, np.array([0.3, 1.0])
-    for lam in (0.3, lams):
-        trace = en.composition_trace(e2, n, np.exp(-lam))
-        assert np.asarray(transform(e2, n, lam, trace)).tobytes() \
-            == np.asarray(transform(e2, n, lam, None)).tobytes()
-    # a grid made with math.exp is the same sweep within rounding
-    assert transform(e2, n, 0.3, en.composition_trace(e2, n, math.exp(-0.3))) \
-        == pytest.approx(transform(e2, n, 0.3, None), rel=1e-14)
-    for trace, lam in [(en.composition_trace(e2, n, math.exp(-0.3)), 1.0),  # another grid
-                       (en.composition_trace(e2, 9, math.exp(-0.3)), 0.3),  # another horizon
-                       (en.composition_trace(e2, n, np.exp(-lams)), 0.3),  # another shape
-                       (en.composition_trace(e2, n, math.exp(-0.3)), lams)]:
-        with pytest.raises(ValueError, match="not the sweep"):
-            transform(e2, n, lam, trace)
 
 
 def test_s_grid_matches_scalar_with_vanishing_factor():

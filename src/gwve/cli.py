@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # only the commands that build an ExperimentConfig read these
     runs = argparse.ArgumentParser(add_help=False, parents=[shared])
     runs.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    runs.add_argument("--threads", type=int, help="worker processes for replicate chunks")
+    runs.add_argument("--threads", type=int,
+                      help="worker processes for replicate chunks (at most one per usable core)")
 
     parser = argparse.ArgumentParser(
         prog="gwve",

@@ -486,14 +486,14 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     replicate count.
 
     With `config.threads` > 1, several chunks and at least `_POOL_MIN_WORK`
-    replicates x largest horizon, the groups run on min(threads, chunks)
-    worker processes made by fork; otherwise, and where the platform cannot
-    fork, they run in this process.  Each worker first lets the C library
-    keep its freed heap pages (`_keep_freed_memory`), so that its
-    generations reuse them instead of faulting in zeroed ones; this
-    process's allocator is left as it is.  No worker outlives the call, an
-    error raised in a worker is raised here, and a worker that dies raises
-    BrokenProcessPool."""
+    replicates x largest horizon, the groups run on min(threads, cores,
+    chunks) worker processes made by fork, cores being `_available_cores()`;
+    otherwise, and where the platform cannot fork, they run in this process.
+    Each worker first lets the C library keep its freed heap pages
+    (`_keep_freed_memory`), so that its generations reuse them instead of
+    faulting in zeroed ones; this process's allocator is left as it is.  No
+    worker outlives the call, an error raised in a worker is raised here,
+    and a worker that dies raises BrokenProcessPool."""
     sampler = getattr(spines, f"simulate_{kind}_populations", None)
     if sampler is None:
         raise ValueError(f"unknown population kind {kind!r}")
@@ -584,7 +584,7 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
 
     work = plain if kind == "gw" else alone
 
-    workers = min(config.threads, len(sizes))
+    workers = min(config.threads, _available_cores(), len(sizes))
     groups = _chunk_groups(sizes, max(workers, -(-len(sizes) // _GROUP_CHUNKS)))
     if workers > 1 and config.replicates * hs[-1] >= _POOL_MIN_WORK:
         import multiprocessing

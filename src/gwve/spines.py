@@ -24,24 +24,25 @@ geometric law) and every spine birth from the reweighted tables, an
 independent implementation of the same law.  The batch samplers are what
 make million-replicate comparisons cheap.
 
-Plain batches advance as `LiveRows`, the live replicates of one or more
-streams, each stream's rows in one run: each generation is one `sum_sample`
-call over all rows, in which every stream's rows draw from that stream what
-they would alone, one budget check and one compaction that carries the
-streams' row bounds.  Plain replicates die out, so a thinned batch's calls
-hold few rows, and advancing thinned batches together saves a call per
-stream and generation.
+Batches advance as `LiveRows`, the live replicates of one or more streams,
+each stream's rows in one run: each generation is one `sum_sample` call over
+all rows, in which every stream's rows draw from that stream what they would
+alone, one budget check and one compaction that carries the streams' row
+bounds.  A spine row differs from a plain one only by the spine parents its
+branching generation K adds to that call, and by never dying out.  Plain
+replicates die out, so a thinned batch's calls hold few rows, and advancing
+thinned batches together saves a call per stream and generation.
 
-The one-spine tree is the two-spine tree with no branch before the horizon,
-so the two constructions share one loop per representation: the arena loop
-and the batch loop both take the branching generation K, and the one-spine
-samplers pass K = n, one scalar for the whole batch.  Since that tree never
-branches, its law up to generation k does not depend on n, and a one-spine
-batch continues to a later horizon the way a plain batch does.
+The one-spine tree is the two-spine tree with no branch before the horizon:
+the arena samplers share one loop that takes K, to which the one-spine
+sampler passes K = n, and a one-spine row carries K = inf.  Since that tree
+never branches, its law up to generation k does not depend on n, and a
+one-spine batch continues to a later horizon the way a plain batch does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -319,27 +320,37 @@ def _start_batch(start: PopulationBatch | None, n: int, reps: int) -> Population
 
 @dataclass
 class LiveRows:
-    """The live replicates of plain runs on one or more streams at
-    generation n: populations `x` and node counts `nodes`, stream after
-    stream, stream i's at rows bounds[i]:bounds[i+1], each stream's in the
-    order of its replicates; `aborted` counts each stream's replicates lost
-    to the node budget since generation 0.  The other replicates died out."""
+    """The live replicates of runs on one or more streams at generation n:
+    populations `x` and node counts `nodes`, stream after stream, stream i's
+    at rows bounds[i]:bounds[i+1], each stream's in the order of its
+    replicates; `aborted` counts each stream's replicates lost to the node
+    budget since generation 0.
+
+    Plain rows have K None, and the replicates not among them died out.
+    Spine rows carry the branching generation K of their trees: an int64
+    array, one per row, for two-spine rows, and math.inf for one-spine rows,
+    which never branch.  Their `x` is the off-spine population, and they
+    never die out, so a spine row leaves only through the node budget."""
 
     x: np.ndarray
     nodes: np.ndarray
     bounds: np.ndarray
     aborted: np.ndarray
     n: int
+    K: np.ndarray | float | None = None
 
     @classmethod
-    def start(cls, reps: int) -> "LiveRows":
-        """`reps` one-node replicates of one stream at generation 0."""
-        return cls(np.ones(reps, dtype=np.int64), np.ones(reps, dtype=np.int64),
-                   np.array([0, reps]), np.zeros(1, dtype=np.int64), 0)
+    def start(cls, reps: int, K=None) -> "LiveRows":
+        """`reps` one-node replicates of one stream at generation 0: plain,
+        or spine rows branching at K, whose one node is on the spine."""
+        return cls(np.full(reps, int(K is None), dtype=np.int64), np.ones(reps, dtype=np.int64),
+                   np.array([0, reps]), np.zeros(1, dtype=np.int64), 0, K)
 
     @classmethod
     def join(cls, parts: Sequence["LiveRows"]) -> "LiveRows":
-        """The streams of `parts`, all at one generation, in that order."""
+        """The plain streams of `parts`, all at one generation, in that order."""
+        if any(part.K is not None for part in parts):
+            raise ValueError("only plain rows join")
         ends = np.cumsum([0] + [part.x.size for part in parts])
         return cls(np.concatenate([part.x for part in parts]),
                    np.concatenate([part.nodes for part in parts]),
@@ -348,21 +359,23 @@ class LiveRows:
                    np.concatenate([part.aborted for part in parts]), parts[0].n)
 
     def batch(self, i: int, reps: int) -> PopulationBatch:
-        """Stream i's `reps` replicates as a batch to continue: its live
-        replicates first, in their order, then the ones that died out."""
+        """Stream i's `reps` plain replicates as a batch to continue: its
+        live replicates first, in their order, then the ones that died out."""
+        if self.K is not None:
+            raise ValueError("only plain rows make a plain batch")
         lo, hi = self.bounds[i], self.bounds[i + 1]
         x = np.zeros(reps - self.aborted[i], dtype=np.int64)
         x[:hi - lo] = self.x[lo:hi]
         return PopulationBatch(x, int(self.aborted[i]), n=self.n, nodes=self.nodes[lo:hi])
 
     @classmethod
-    def of(cls, batch: PopulationBatch) -> "LiveRows":
+    def of(cls, batch: PopulationBatch, K=None) -> "LiveRows":
         """The one-stream rows of a plain batch: its first `nodes.size`
         entries, which are its live replicates, copied so that the rows do
-        not hold the batch's zeros."""
+        not hold the batch's zeros; or, with K = inf, of a one-spine batch."""
         live = batch.nodes.size
-        return cls(batch.x_n[:live].copy(), batch.nodes, np.array([0, live]),
-                   np.array([batch.aborted]), batch.n)
+        x = batch.x_n[:live].copy() if K is None else batch.x_n - 1
+        return cls(x, batch.nodes, np.array([0, live]), np.array([batch.aborted]), batch.n, K)
 
     def advance(self, env: Environment, n: int, rngs: Sequence[np.random.Generator],
                 node_budget: int = DEFAULT_NODE_BUDGET, thin_to: int = 0) -> "LiveRows":
@@ -370,26 +383,37 @@ class LiveRows:
         exactly what it would alone, or at the first generation from here
         on at which at most `thin_to` of them live.  Each generation is one
         `sum_sample` call over every stream's rows, one budget check and one
-        compaction that carries the streams' bounds."""
-        pop, cum, bounds, aborted = self.x, self.nodes.copy(), self.bounds, self.aborted
-        k = self.n
+        compaction that carries the streams' bounds and the rows' K.  A spine
+        row's call adds one size-biased parent before K, one pair-biased
+        parent at K and two size-biased parents after it."""
+        pop, cum, bounds, aborted, k, K = (self.x, self.nodes.copy(), self.bounds,
+                                           self.aborted, self.n, self.K)
+        del self  # rows made for this call (the spine samplers') free their arrays as it goes
         while k < n and pop.size > thin_to:
-            pop = env.dist_at(k + 1).sum_sample(rngs, pop, bounds=bounds)
+            d = env.dist_at(k + 1)
+            if K is None:
+                pop = d.sum_sample(rngs, pop, bounds=bounds)
+            else:
+                pop = d.sum_sample(rngs, pop, 2 * (K < k) + (K > k), K == k, bounds=bounds)
+                cum += 2 - (K > k)  # spine nodes: one before the branch, two from it on
             k += 1
             cum += pop
+            keep = pop != 0 if K is None else None  # spine rows never die out
             if cum.max() > node_budget:  # rare: the mask is built only then
                 over = cum > node_budget
                 aborted = aborted + np.diff(np.concatenate(([0], np.cumsum(over)))[bounds])
-                pop[over] = 0
-            # From a boolean mask: np.flatnonzero on int64 rows takes numpy's
-            # slow path, 2-7 ns a row against about 1 ns for the mask and its scan.
-            live = np.flatnonzero(pop != 0)
-            if live.size < pop.size:
-                pop, cum = pop[live], cum[live]
-                bounds = np.searchsorted(live, bounds)
-        if pop.size == 0:  # rows that all died out are at every later generation
+                keep = ~over if keep is None else keep & ~over
+            if keep is not None:
+                # From a boolean mask: np.flatnonzero on int64 rows takes numpy's
+                # slow path, 2-7 ns a row against about 1 ns for the mask and its scan.
+                live = np.flatnonzero(keep)
+                if live.size < pop.size:
+                    pop, cum = pop[live], cum[live]
+                    K = K[live] if np.ndim(K) else K
+                    bounds = np.searchsorted(live, bounds)
+        if pop.size == 0:  # rows that are all gone are at every later generation
             k = max(k, n)
-        return LiveRows(pop, cum, bounds, aborted, k)
+        return LiveRows(pop, cum, bounds, aborted, k, K)
 
 
 def simulate_gw_populations(
@@ -424,9 +448,8 @@ def simulate_one_spine_populations(
     generation does not depend on n, and `start` continues an earlier batch
     exactly as for `simulate_gw_populations`."""
     start = _start_batch(start, n, reps)
-    off, cum, aborted, _ = _spine_batch(env, start.n, n, n, start.x_n - 1, start.nodes,
-                                        rng, node_budget)
-    return PopulationBatch(off + 1, start.aborted + aborted, n=n, nodes=cum)
+    rows = LiveRows.of(start, math.inf).advance(env, n, [rng], node_budget)
+    return PopulationBatch(rows.x + 1, int(rows.aborted[0]), n=n, nodes=rows.nodes)
 
 
 def simulate_two_spine_populations(
@@ -440,32 +463,5 @@ def simulate_two_spine_populations(
     if n < 1 or reps < 0:
         raise ValueError("need n >= 1 and reps >= 0")
     K = sample_branch_generation(env, n, rng, reps)
-    off, _, aborted, K = _spine_batch(env, 0, n, K, np.zeros(reps, dtype=np.int64),
-                                      np.ones(reps, dtype=np.int64), rng, node_budget)
-    return PopulationBatch(off + np.where(K < n, 2, 1), aborted, k=K)
-
-
-def _spine_batch(env: Environment, k0: int, n: int, K, off: np.ndarray, cum: np.ndarray,
-                 rng: np.random.Generator, node_budget: int):
-    """Advance spine replicates branching at generation K from generation k0
-    to n: `off` holds their off-spine populations and `cum` their node counts.
-    K is an array, one per replicate, or a scalar shared by all (K >= n for
-    no branch before n).  Returns the off-spine populations and node counts
-    of the replicates within the budget, the number aborted and K, narrowed
-    to the replicates kept when it is an array."""
-    aborted = 0
-    cum = cum.copy()
-    for k in range(k0, n):
-        before, at = K > k, K == k
-        size_biased = 2 * (K < k) + before  # one parent before the branch, two after
-        off = env.dist_at(k + 1).sum_sample(rng, off, size_biased, at)
-        cum += off
-        cum += 2  # spine nodes in generation k + 1: two, one before the branch
-        cum -= before
-        if cum.max(initial=0) > node_budget:  # rare: the mask is built only then
-            keep = cum <= node_budget
-            aborted += int(keep.size - np.count_nonzero(keep))
-            off, cum = off[keep], cum[keep]
-            if np.ndim(K):
-                K = K[keep]
-    return off, cum, aborted, K
+    rows = LiveRows.start(reps, K).advance(env, n, [rng], node_budget)
+    return PopulationBatch(rows.x + np.where(rows.K < n, 2, 1), int(rows.aborted[0]), k=rows.K)

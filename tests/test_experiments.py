@@ -568,8 +568,9 @@ def test_threads_default_to_available_cores(e1):
 @pytest.fixture
 def pools(monkeypatch):
     """(worker count, pool) of every process pool the test starts, with the
-    work threshold lifted so that small runs start one; holding the pools
-    keeps garbage collection from cleaning up after them."""
+    work threshold lifted so that small runs start one and 8 usable cores
+    on any host; holding the pools keeps garbage collection from cleaning up
+    after them."""
     import concurrent.futures
 
     started = []
@@ -581,6 +582,7 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(ex, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(ex, "_available_cores", lambda: 8)
     return started
 
 
@@ -588,6 +590,12 @@ def test_pool_starts_no_more_workers_than_chunks(e1, pools):
     ex.collect_populations(cfg(e1, replicates=300, chunk_size=100, threads=8), "t", [5], "gw")
     ex.collect_populations(cfg(e1, replicates=100, chunk_size=100, threads=8), "t", [5], "gw")
     assert [workers for workers, _ in pools] == [3]
+
+
+def test_pool_starts_no_more_workers_than_cores(e1, pools, monkeypatch):
+    monkeypatch.setattr(ex, "_available_cores", lambda: 2)
+    ex.collect_populations(cfg(e1, replicates=300, chunk_size=100, threads=8), "t", [5], "gw")
+    assert [workers for workers, _ in pools] == [2]
 
 
 def test_small_runs_start_no_pool(e1, pools, monkeypatch):

@@ -217,7 +217,8 @@ def cmd_simulate(args) -> int:
         k_path.write_text(
             "\n".join(["k,count"] + [f"{i},{int(c)}" for i, c in enumerate(run.k_counts)]) + "\n"
         )
-        summary["kn_chi2_pvalue"] = ex.chi_square_pvalue(run.k_counts, engine.kn_pmf_vector(env, n))
+        summary["kn_chi2_pvalue"] = ex.chi_square_pvalue(
+            run.k_counts, engine.kn_pmf_vector(env, n)) if completed else None  # null: no sample
     summary["oracle_tail_mass"] = None  # null when no oracle ran
     if n <= 8 and not completed:
         summary["tv_vs_oracle"] = None  # every replicate aborted: no sample to compare

@@ -296,6 +296,8 @@ def chi_square_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
     The chi-square tail on an integer number of degrees of freedom is the
     closed form of Abramowitz & Stegun 26.4.4-26.4.5 (see `_chi2_sf`)."""
     counts = np.asarray(counts, dtype=float)
+    if not counts.sum() > 0:
+        raise ValueError("need at least one sample")
     expected = np.asarray(probs, dtype=float) * counts.sum()
     keep = expected > 0
     if np.any(counts[~keep] > 0):
@@ -353,7 +355,8 @@ def gamma3_cdf(x):
 
 @dataclass(frozen=True)
 class Collected:
-    """One horizon of a `collect_populations` run.
+    """One horizon of a `collect_populations` run, or of any part of its
+    replicates: parts of one horizon add up with `+`.
 
     `aborted` counts the replicates lost to the node budget.  The histograms
     cover the completed replicates: `counts[x]` of them ended with population
@@ -363,27 +366,34 @@ class Collected:
     counts: np.ndarray
     k_counts: np.ndarray | None = None
 
+    @classmethod
+    def of(cls, batch: spines.PopulationBatch, n: int) -> "Collected":
+        """A sampler's batch at horizon n: np.bincount of its populations and,
+        for two-spine batches, of their branching generations to length n.  A
+        batch with node counts (plain or one-spine) holds its live replicates
+        as its first `nodes.size` entries, so only they are counted."""
+        if batch.nodes is None:
+            return cls(batch.aborted, np.bincount(batch.x_n), np.bincount(batch.k, minlength=n))
+        counts = np.bincount(batch.x_n[:batch.nodes.size], minlength=min(batch.x_n.size, 1))
+        counts[:1] += batch.x_n.size - batch.nodes.size  # the zeros after them
+        return cls(batch.aborted, counts)
+
+    def __add__(self, other: "Collected") -> "Collected":
+        def plus(a, b):  # elementwise, the shorter one padded with zeros
+            total = np.zeros(max(a.size, b.size), dtype=a.dtype)
+            total[:a.size] += a
+            total[:b.size] += b
+            return total
+
+        k = None if self.k_counts is None else plus(self.k_counts, other.k_counts)
+        return Collected(self.aborted + other.aborted, plus(self.counts, other.counts), k)
+
+    def __radd__(self, other):  # sum() and += start from 0
+        return self if other == 0 else NotImplemented
+
     @property
     def completed(self) -> int:
         return int(self.counts.sum())
-
-
-def _sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise sum of two histograms of possibly different lengths."""
-    if a.size < b.size:
-        a, b = b, a
-    total = a.copy()
-    total[: b.size] += b
-    return total
-
-
-def _add(total: tuple | None, part: tuple) -> tuple:
-    """The sum of two (aborted, counts, k_counts) of one horizon, `total`
-    None for the empty sum."""
-    if total is None:
-        return part
-    (a0, x0, k0), (a1, x1, k1) = total, part
-    return a0 + a1, _sum_counts(x0, x1), None if k0 is None else _sum_counts(k0, k1)
 
 
 # Work, in replicates x largest horizon, below which chunks run in this
@@ -461,12 +471,12 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
 
     `kind` is "gw", "one_spine" or "two_spine".  Replicates are drawn in
     chunks with a stream per (seed, tag, largest horizon, chunk).  Each chunk
-    is simulated once, to the largest horizon, and is reduced at every
-    horizon on the way: plain and one-spine runs take several horizons,
-    two-spine runs one, since the law of their branching generation depends
-    on the horizon.  The histograms are sums of integers over all chunks, so
-    how the chunks are grouped and on which worker they run cannot change
-    them.
+    is simulated once, to the largest horizon, and its batch at every
+    horizon on the way is reduced by `Collected.of` (which counts only the
+    live prefix of a batch with node counts): plain and one-spine runs take
+    several horizons, two-spine runs one, since the law of their branching
+    generation depends on the horizon.  The parts are summed by `+`, in
+    integers, so neither the grouping nor the workers can change the sums.
 
     The chunks are split into max(workers, ceil(chunks / 16)) groups of
     consecutive chunks holding near-equal replicate counts, and each group
@@ -505,14 +515,10 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     sizes = config.chunk_sizes()
     env, budget = config.environment, config.node_budget
 
-    def reduced(batch, n):
-        k = None if batch.k is None else np.bincount(batch.k, minlength=n)
-        return batch.aborted, np.bincount(batch.x_n), k
-
     def alone(group):
         """Per horizon, the summed histograms of the chunks `group`, each run
         alone and reduced before the next one starts."""
-        totals = [None] * len(hs)
+        totals = [0] * len(hs)
         for idx in group:
             rng, batch = stream(config.seed, tag, hs[-1], idx), None
             for i, n in enumerate(hs):
@@ -520,7 +526,7 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
                     batch = sampler(env, n, sizes[idx], rng, budget)
                 else:
                     batch = sampler(env, n, sizes[idx], rng, budget, start=batch)
-                totals[i] = _add(totals[i], reduced(batch, n))
+                totals[i] += Collected.of(batch, n)
         return totals
 
     def plain(group):
@@ -528,26 +534,19 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
         see `collect_populations`."""
         rngs = [stream(config.seed, tag, hs[-1], idx) for idx in group]
         reps = [sizes[idx] for idx in group]
-        totals = [None] * len(hs)
+        totals = [0] * len(hs)
 
         def to_horizon(rows, members, i):
             """`rows` of the chunks `members` from generation hs[i] - 1 on to
             hs[i], each chunk by its own `simulate_gw_populations` call,
             whose batch is reduced into totals[i]; None at the largest
-            horizon, where no run goes on.  The batch's live rows, its first
-            `nodes.size` entries, give both its histogram and the rows that
-            go on."""
+            horizon, where no run goes on."""
             parts = []
             for s, j in enumerate(members):
                 batch = sampler(env, hs[i], reps[j], rngs[j], budget, start=rows.batch(s, reps[j]))
-                live = spines.LiveRows.of(batch)
-                size = batch.x_n.size
-                counts = np.bincount(live.x, minlength=min(size, 1))  # np.bincount(batch.x_n)
-                if size:
-                    counts[0] = size - live.x.size
-                totals[i] = _add(totals[i], (batch.aborted, counts, None))
+                totals[i] += Collected.of(batch, hs[i])
                 if i + 1 < len(hs):
-                    parts.append(live)
+                    parts.append(spines.LiveRows.of(batch))
                 del batch  # dropped before the next chunk's starts
             return spines.LiveRows.join(parts) if parts else None
 
@@ -577,10 +576,10 @@ def collect_populations(config: ExperimentConfig, tag: str, horizons: list[int],
     def merged(groups):
         """Per horizon, the groups' histograms summed as they arrive, so no
         group's histograms are kept."""
-        totals = [None] * len(hs)
+        totals = [0] * len(hs)
         for group in groups:
-            totals = [_add(total, part) for total, part in zip(totals, group)]
-        return [Collected(*total) for total in totals]
+            totals = [total + part for total, part in zip(totals, group)]
+        return totals
 
     work = plain if kind == "gw" else alone
 

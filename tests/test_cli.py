@@ -266,6 +266,19 @@ def test_simulate_two_spine_one_generation(tmp_path):
     assert summary["kn_chi2_pvalue"] == 1.0
 
 
+def test_simulate_two_spine_all_aborted_has_no_kn_pvalue(tmp_path):
+    # a node budget of 3 aborts every replicate: no K_n sample, so no fit
+    config = write_config(tmp_path, replicates=2_000, node_budget=3, threads=1)
+    out = tmp_path / "sim"
+    rc = main(["simulate", "two-spine", "--config", str(config), "--n", "10",
+               "--out", str(out), "--quiet"])
+    assert rc == 1
+    text = (out / "simulate_two_spine_n10_summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["completed"] == 0 and summary["aborted"] == 2_000
+    assert summary["kn_chi2_pvalue"] is None
+
+
 def test_check_zero_kn_horizon_exit_2(tmp_path, capsys):
     config = write_config(tmp_path, kn_horizon=0)
     out = tmp_path / "out"

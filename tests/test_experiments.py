@@ -524,6 +524,69 @@ def test_collection_reduces_chunks_to_histograms(e2, kind):
         x, k, aborted = got  # a histogram result, not the old (x, k, aborted) samples
 
 
+def _collected_batches(e1):
+    """Batches from the public samplers, by name: (batch, horizon)."""
+    rng = stream(7, "collected", 10, 0)
+    one = spines.simulate_one_spine_populations(e1, 3, 400, rng)
+    return {
+        # 50 replicates to n = 5000: every one dies out (checked below)
+        "gw-extinct": (spines.simulate_gw_populations(e1, 5000, 50, stream(1, "collected", 5000, 0)),
+                       5000),
+        "gw": (spines.simulate_gw_populations(e1, 5, 1_000, rng), 5),
+        "gw-empty": (spines.simulate_gw_populations(e1, 5, 0, rng), 5),
+        "one-spine-continued": (spines.simulate_one_spine_populations(e1, 8, 400, rng, start=one), 8),
+        "two-spine-aborts": (spines.simulate_two_spine_populations(e1, 10, 2_000, rng, 100), 10),
+        "two-spine-short": (spines.simulate_two_spine_populations(e1, 4, 300, rng), 4),
+        "two-spine-empty": (spines.simulate_two_spine_populations(e1, 6, 0, rng), 6),
+    }
+
+
+def test_collected_of_a_batch_is_its_bincount(e1):
+    batches = _collected_batches(e1)
+    extinct = batches["gw-extinct"][0]
+    assert extinct.nodes.size == 0 and extinct.x_n.size == 50
+    assert 0 < batches["two-spine-aborts"][0].aborted < 2_000
+    for name, (batch, n) in batches.items():
+        got = ex.Collected.of(batch, n)
+        assert got.aborted == batch.aborted, name
+        assert np.array_equal(got.counts, np.bincount(batch.x_n)), name
+        assert got.completed == batch.x_n.size, name
+        if batch.k is None:
+            assert got.k_counts is None, name
+        else:
+            assert np.array_equal(got.k_counts, np.bincount(batch.k, minlength=n)), name
+    assert np.array_equal(ex.Collected.of(extinct, 5000).counts, [50])
+
+
+def _padded_sum(a, b):
+    top = max(a.size, b.size)
+    return np.pad(a, (0, top - a.size)) + np.pad(b, (0, top - b.size))
+
+
+@pytest.mark.parametrize("left, right", [
+    ("gw-extinct", "gw"), ("gw", "gw-empty"), ("one-spine-continued", "gw"),
+    ("two-spine-aborts", "two-spine-short"), ("two-spine-short", "two-spine-empty"),
+])
+def test_collected_parts_add_as_padded_histograms(e1, left, right):
+    batches = _collected_batches(e1)
+    a, b = (ex.Collected.of(*batches[name]) for name in (left, right))
+    assert a.counts.size != b.counts.size  # parts of unequal lengths
+    for total in (a + b, b + a, sum([a, b])):
+        assert total.aborted == a.aborted + b.aborted
+        assert np.array_equal(total.counts, _padded_sum(a.counts, b.counts))
+        if a.k_counts is None:
+            assert total.k_counts is None
+        else:
+            assert a.k_counts.size != b.k_counts.size
+            assert np.array_equal(total.k_counts, _padded_sum(a.k_counts, b.k_counts))
+
+
+def test_chi_square_refuses_an_empty_sample():
+    # an all-zero histogram (every two-spine replicate aborted) has no p-value
+    with pytest.raises(ValueError, match="need at least one sample"):
+        ex.chi_square_pvalue(np.zeros(10, dtype=np.int64), np.full(10, 0.1))
+
+
 def test_spine_collection_memory_does_not_grow_with_replicates(e1):
     chunk = 1 << 14
     ex.collect_populations(cfg(e1, replicates=chunk, chunk_size=chunk, threads=1),

@@ -5,7 +5,9 @@ Poisson and binomial laws.  Every family exposes its probability generating
 function f(s) = sum_k q(k) s^k together with its first two derivatives in
 closed form, the first three factorial moments at s = 1, and the two
 reweighted laws used by spine constructions: the size-biased law
-k*q(k)/f'(1) and the pair-biased law k*(k-1)*q(k)/f''(1).
+k*q(k)/f'(1) and the pair-biased law k*(k-1)*q(k)/f''(1).  The pgf is
+evaluated in complement form, as 1 - f(1 - w), f'(1 - w) and f''(1 - w), so
+that 1 - f keeps its digits near s = 1.
 
 The geometric, Poisson and binomial families are closed under convolution,
 and so are their reweighted laws less the spine children: for geometric(p)
@@ -257,11 +259,14 @@ class OffspringDistribution:
     """Common interface for one generation's offspring law.
 
     A family supplies only its formulas: `_key` (its parameters, which define
-    equality and the hash), `_pmf(k)` for k >= 0, `_jet(s)`, the triple
-    (f(s), f'(s), f''(s)), and `_branch_survival(u)` on a float64 array or
-    numpy scalar, and `_draw(rng, size)`.  The public methods here check and
-    convert the arguments, and return a float for a scalar argument.  Families whose
-    `sum_sample` reads an alias table also supply `_alias_laws()`."""
+    equality and the hash), `_pmf(k)` for k >= 0, `_cjet(w)`, the triple
+    (1 - f(1 - w), f'(1 - w), f''(1 - w)) on a float64 array or numpy
+    scalar, free of cancellation for small w, and `_draw(rng, size)`.  If
+    each child's lineage independently survives with probability w, the
+    first entry is the probability that at least one does.  The public
+    methods here check and convert the arguments, and return a float for a
+    scalar argument.  Families whose `sum_sample` reads an alias table also
+    supply `_alias_laws()`."""
 
     _key: tuple
 
@@ -277,10 +282,15 @@ class OffspringDistribution:
         return self._pmf(k)
 
     def pgf(self, s, order: int = 0):
-        """Evaluate f(s), f'(s) or f''(s); accepts scalars or arrays."""
+        """Evaluate f(s), f'(s) or f''(s), from `_cjet(1 - s)`; accepts
+        scalars or arrays."""
         if order not in (0, 1, 2):
             raise ValueError("order must be in {0, 1, 2}")
-        return _on_floats(lambda x: self._jet(x)[order], s)
+
+        def formula(x):
+            jet = self._cjet(1.0 - x)
+            return jet[order] if order else 1.0 - jet[0]
+        return _on_floats(formula, s)
 
     def mean(self) -> float:
         """f'(1)."""
@@ -293,14 +303,6 @@ class OffspringDistribution:
     def third_factorial(self) -> float:
         """f'''(1) = E[k(k-1)(k-2)]."""
         raise NotImplementedError
-
-    def branch_survival(self, u):
-        """1 - f(1 - u), evaluated without cancellation for small u.
-
-        If each child's lineage independently survives with probability u,
-        this is the probability that at least one lineage survives.
-        """
-        return _on_floats(self._branch_survival, u)
 
     def sample(self, rng: np.random.Generator, size=None):
         """One draw as an int, or an int64 array of the given size."""
@@ -474,11 +476,13 @@ class FiniteTable(OffspringDistribution):
             math.fsum(k * (k - 1.0) * self.probs),
             math.fsum(k * (k - 1.0) * (k - 2.0) * self.probs),
         )
-        # Coefficient vectors of f and its first two derivatives.
+        # Coefficient vectors of f and its first two derivatives, and the
+        # tail sums P(X > j), j < K, each summed from the top.
         self._dcoefs = [self.probs]
         for r in range(1, 3):
             prev = self._dcoefs[-1]
             self._dcoefs.append(prev[1:] * np.arange(1, prev.size, dtype=float))
+        self._tails = np.cumsum(self.probs[:0:-1])[::-1]
 
     def __repr__(self) -> str:
         return f"FiniteTable({np.round(self.probs, 12).tolist()})"
@@ -486,17 +490,19 @@ class FiniteTable(OffspringDistribution):
     def _pmf(self, k: int) -> float:
         return float(self.probs[k]) if k < self.probs.size else 0.0
 
-    def _jet(self, s):
-        # Horner's rule on each coefficient vector, term for term as
-        # `np.polynomial.polynomial.polyval` evaluates it, without importing
-        # numpy.polynomial (0.6 MB of modules).
+    def _cjet(self, w):
+        # 1 - f(1 - w) = w sum_j P(X > j) (1 - w)^j, whose terms are all
+        # positive.  Horner's rule on the tail sums and on the coefficients
+        # of f' and f'', term for term as `np.polynomial.polynomial.polyval`
+        # evaluates it, without importing numpy.polynomial (0.6 MB of modules).
+        s = 1.0 - w
         jet = []
-        for c in self._dcoefs:
+        for c in (self._tails, *self._dcoefs[1:]):
             value = c[-1] + s * 0 if c.size else np.zeros_like(s)
             for coef in c[-2::-1]:
                 value = coef + value * s
             jet.append(value)
-        return tuple(jet)
+        return w * jet[0], jet[1], jet[2]
 
     def mean(self) -> float:
         return self._moments[0]
@@ -506,13 +512,6 @@ class FiniteTable(OffspringDistribution):
 
     def third_factorial(self) -> float:
         return self._moments[2]
-
-    def _branch_survival(self, u):
-        k = np.arange(1, self.probs.size, dtype=float)
-        # 1 - (1-u)^k, stable for u near 0; k >= 1 so u = 1 is fine too.
-        with np.errstate(divide="ignore"):
-            terms = -np.expm1(np.multiply.outer(np.log1p(-u), k))
-        return terms @ self.probs[1:]
 
     def _draw(self, rng, size):
         idx = np.searchsorted(self._cdf, rng.random(size), side="right")
@@ -608,10 +607,15 @@ class Geometric(OffspringDistribution):
     def _pmf(self, k: int) -> float:
         return self.p * (1.0 - self.p) ** k
 
-    def _jet(self, s):
+    def _cjet(self, w):
+        # t = 1 - q s.  f' = (p/t)(q/t) is rounded afresh at every argument;
+        # a constant p*q would repeat one rounding in every generation of a
+        # sweep.
         p, q = self.p, 1.0 - self.p
-        t = 1.0 - q * s
-        return p / t, p * q / t**2, 2 * p * q**2 / t**3
+        t = p + q * w
+        b = q / t
+        fp = p / t * b
+        return b * w, fp, 2 * fp * b
 
     def mean(self) -> float:
         return (1.0 - self.p) / self.p
@@ -621,10 +625,6 @@ class Geometric(OffspringDistribution):
 
     def third_factorial(self) -> float:
         return 6.0 * (1.0 - self.p) ** 3 / self.p**3
-
-    def _branch_survival(self, u):
-        q = 1.0 - self.p
-        return q * u / (self.p + q * u)
 
     def _draw(self, rng, size):
         return rng.geometric(self.p, size) - 1
@@ -758,9 +758,10 @@ class Poisson(OffspringDistribution):
     def _pmf(self, k: int) -> float:
         return math.exp(k * math.log(self.lam) - self.lam - math.lgamma(k + 1))
 
-    def _jet(self, s):
-        e = np.exp(self.lam * (s - 1.0))
-        return e, self.lam * e, self.lam**2 * e
+    def _cjet(self, w):
+        x = -self.lam * w
+        e = np.exp(x)
+        return -np.expm1(x), self.lam * e, self.lam**2 * e
 
     def mean(self) -> float:
         return self.lam
@@ -770,9 +771,6 @@ class Poisson(OffspringDistribution):
 
     def third_factorial(self) -> float:
         return self.lam**3
-
-    def _branch_survival(self, u):
-        return -np.expm1(-self.lam * u)
 
     def _draw(self, rng, size):
         return rng.poisson(self.lam, size)
@@ -825,11 +823,17 @@ class Binomial(OffspringDistribution):
             return 0.0
         return math.comb(self.n, k) * self.p**k * (1.0 - self.p) ** (self.n - k)
 
-    def _jet(self, s):
+    def _cjet(self, w):
+        # 1 - base^n by expm1 and log1p, free of cancellation near w = 0.
+        # Past p w = 1/2, which only pgf arguments s < 1 - 1/(2p) reach,
+        # base may be negative, where log1p has no value, and 1 - base^n is
+        # formed directly.
         n, p = self.n, self.p
-        base = 1.0 - p + p * s
-        fpp = np.zeros_like(s) if n == 1 else (n - 1) * n * p**2 * base ** (n - 2)
-        return base**n, n * p * base ** (n - 1), fpp
+        pw = p * w
+        base = 1.0 - pw
+        comp = np.where(pw <= 0.5, -np.expm1(n * np.log1p(-np.minimum(pw, 0.5))), 1.0 - base**n)
+        fpp = np.zeros_like(w) if n == 1 else (n - 1) * n * p**2 * base ** (n - 2)
+        return comp, n * p * base ** (n - 1), fpp
 
     def mean(self) -> float:
         return self.n * self.p
@@ -839,9 +843,6 @@ class Binomial(OffspringDistribution):
 
     def third_factorial(self) -> float:
         return self.n * (self.n - 1) * (self.n - 2) * self.p**3
-
-    def _branch_survival(self, u):
-        return -np.expm1(self.n * np.log1p(-self.p * u))
 
     def _draw(self, rng, size):
         return rng.binomial(self.n, self.p, size)

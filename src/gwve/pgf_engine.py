@@ -2,11 +2,14 @@
 
 For an environment with per-generation pgfs f_1, f_2, ... the composition
 f_{m,n}(s) = f_{m+1}(f_{m+2}(... f_n(s))) and its first two derivatives come
-from one backward sweep (a `CompositionTrace`).  Starting from v_n = s, every
-generation l = n, ..., 1 evaluates
+from one backward sweep (a `CompositionTrace`).  The sweep carries the
+complement w_l = 1 - v_l of v_l = f_{l,n}(s), never v_l itself: near s = 1
+every rounding of v would add an absolute error that the n factors of the
+chain rule then carry, while w keeps its relative digits.  Starting from
+w_n = 1 - s, every generation l = n, ..., 1 evaluates
 
-  * v_{l-1} = f_l(v_l), so that v_m = f_{m,n}(s), and the factors f'_l(v_l)
-    and f''_l(v_l), from one call to the law's `_jet`,
+  * w_{l-1} = 1 - f_l(1 - w_l), so that w_m = 1 - f_{m,n}(s), and the
+    factors f'_l(v_l) and f''_l(v_l), from one call to the law's `_cjet`,
   * the chain rule d1_{l-1} = f'_l(v_l) d1_l and
     d2_{l-1} = f''_l(v_l) d1_l^2 + f'_l(v_l) d2_l from d1_n = 1, d2_n = 0,
     so that d1_m = f'_{m,n}(s) and d2_m = f''_{m,n}(s).
@@ -28,9 +31,8 @@ transform takes (env, n[, m], lambda) and makes its own sweep from them;
 in, so none can pair a transform with the sweep of another environment.
 
 Quantities of the form 1 - f_{m,n}(s) (survival probabilities, conditional
-transforms) are computed by iterating the complement map u -> 1 - f(1 - u)
-with per-family stable forms, which avoids the cancellation that makes the
-naive difference lose a relative n*eps.
+transforms) are read from the sweep's complement column, so they avoid the
+cancellation that makes the naive difference lose a relative n*eps.
 """
 
 from __future__ import annotations
@@ -88,35 +90,35 @@ def _scaled(x, e, log_c):
 
 
 class CompositionTrace:
-    """One backward sweep from v_n = s down to v_0 = f_{0,n}(s).
+    """One backward sweep from w_n = 1 - s down to w_0 = 1 - f_{0,n}(s).
 
-    `values[m]` is f_{m,n}(s); `fp[l]` and `fpp[l]` are f'_l(v_l) and
-    f''_l(v_l) for l = 1..n (index 0 is NaN).  For a grid s each of these has
-    the grid as its last axis.
+    `comp[m]` is 1 - f_{m,n}(s); `fp[l]` and `fpp[l]` are f'_l(v_l) and
+    f''_l(v_l), v_l = f_{l,n}(s), for l = 1..n (index 0 is NaN).  For a grid
+    s each of these has the grid as its last axis.
     """
 
     def __init__(self, env: Environment, n: int, s):
-        grid = np.asarray(s, dtype=float)
+        grid = np.array(s, dtype=float)
         if n < 0:
             raise ValueError("horizon must be nonnegative")
         if grid.ndim > 1:
             raise ValueError("pgf argument must be a scalar or a 1-d grid")
         if not np.all((grid >= 0.0) & (grid <= 1.0)):
             raise ValueError("pgf argument must lie in [0, 1]")
-        self.n = n
+        self.n, self._s = n, grid
         shape = (n + 1,) + grid.shape
-        self.values = values = np.empty(shape)
+        self.comp = comp = np.empty(shape)
         self.fp = fp = np.full(shape, math.nan)
         self.fpp = fpp = np.full(shape, math.nan)
         self._x1 = x1s = np.empty(shape)
         self._x2 = x2s = np.empty(shape)
         self._e = es = np.empty(shape, np.int64)
-        values[n], x1, x2, e = grid, 1.0, 0.0, 0
+        comp[n], x1, x2, e = 1.0 - grid, 1.0, 0.0, 0
         x1s[n], x2s[n], es[n] = x1, x2, e
         lo, hi = 1.0 / _WIDE, _WIDE
         for l in range(n, 0, -1):
-            f, a, b = env.dist_at(l)._jet(values[l])
-            values[l - 1], fp[l], fpp[l] = f, a, b
+            w, a, b = env.dist_at(l)._cjet(comp[l])
+            comp[l - 1], fp[l], fpp[l] = w, a, b
             x1, x2 = a * x1, b * x1 * x1 + a * x2
             t = x1 + x2
             low, high = (t.min(initial=1.0), t.max(initial=1.0)) if grid.ndim else (t, t)
@@ -126,8 +128,8 @@ class CompositionTrace:
             x1s[l - 1], x2s[l - 1], es[l - 1] = x1, x2, e
 
     def value(self, m: int):
-        """f_{m,n}(s)."""
-        return _out(self.values[m])
+        """f_{m,n}(s); s itself at m = n."""
+        return _out(self._s if m == self.n else 1.0 - self.comp[m])
 
     def d1(self, m: int):
         """f'_{m,n}(s); +inf past the float range."""
@@ -165,19 +167,10 @@ def d2_compose(env: Environment, m: int, n: int, s):
     return CompositionTrace(env, n, s).d2(m)
 
 
-def one_minus_compose(env: Environment, m: int, n: int, s: float) -> float:
-    """1 - f_{m,n}(s), evaluated without cancellation.
-
-    Iterates u -> 1 - f_l(1 - u) downward from u_n = 1 - s using each
-    family's stable complement form.
-    """
+def one_minus_compose(env: Environment, m: int, n: int, s):
+    """1 - f_{m,n}(s), free of cancellation: the sweep's complement column."""
     _check_range(m, n)
-    if not (0.0 <= s <= 1.0):
-        raise ValueError("pgf argument must lie in [0, 1]")
-    u = 1.0 - s
-    for l in range(n, m, -1):
-        u = env.dist_at(l).branch_survival(u)
-    return u
+    return _out(CompositionTrace(env, n, s).comp[m])
 
 
 def survival_prob(env: Environment, n: int) -> float:
@@ -335,14 +328,13 @@ def kolmogorov_ratio(env: Environment, n: int) -> float:
     return 0.5 * _s_n(env, n) * survival_prob(env, n)
 
 
-def conditional_laplace_z(env: Environment, n: int, lam: float) -> float:
-    """E[exp(-lam Z_n) | Z_n > 0]."""
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+def conditional_laplace_z(env: Environment, n: int, lam):
+    """E[exp(-lam Z_n) | Z_n > 0] = 1 - (1 - f_{0,n}(e^-lam)) / P(Z_n > 0)."""
+    lam = _lambdas(lam)
     surv = survival_prob(env, n)
     if surv <= EXTINCT_EPS:
         raise DistributionError("process is extinct by this horizon")
-    return 1.0 - one_minus_compose(env, 0, n, math.exp(-lam)) / surv
+    return _out(1.0 - CompositionTrace(env, n, np.exp(-lam)).comp[0] / surv)
 
 
 def two_spine_rhs(env: Environment, n: int, lam):

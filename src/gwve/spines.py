@@ -305,19 +305,6 @@ class PopulationBatch:
     nodes: np.ndarray | None = None
 
 
-def _start_batch(start: PopulationBatch | None, n: int, reps: int) -> PopulationBatch:
-    """`start`, checked to be a continuable batch of `reps` replicates that
-    stopped at a horizon <= n, or the one-node batch at generation 0."""
-    if n < 0 or reps < 0:
-        raise ValueError("need n >= 0 and reps >= 0")
-    if start is None:
-        return PopulationBatch(np.ones(reps, dtype=np.int64), 0, n=0,
-                               nodes=np.ones(reps, dtype=np.int64))
-    if start.n is None or start.n > n or start.x_n.size + start.aborted != reps:
-        raise ValueError("can only continue a batch of the same replicates to a later horizon")
-    return start
-
-
 @dataclass
 class LiveRows:
     """The live replicates of runs on one or more streams at generation n:
@@ -416,6 +403,20 @@ class LiveRows:
         return LiveRows(pop, cum, bounds, aborted, k, K)
 
 
+def _start_rows(start: PopulationBatch | None, n: int, reps: int, K=None) -> LiveRows:
+    """The rows of `start`, checked to be a continuable batch of `reps`
+    replicates that stopped at a horizon <= n, or `reps` one-node rows at
+    generation 0; plain, or one-spine with K = inf.  Rows from generation 0
+    are made here, so no caller's frame holds them through the loop."""
+    if n < 0 or reps < 0:
+        raise ValueError("need n >= 0 and reps >= 0")
+    if start is None:
+        return LiveRows.start(reps, K)
+    if start.n is None or start.n > n or start.x_n.size + start.aborted != reps:
+        raise ValueError("can only continue a batch of the same replicates to a later horizon")
+    return LiveRows.of(start, K)
+
+
 def simulate_gw_populations(
     env: Environment,
     n: int,
@@ -430,8 +431,7 @@ def simulate_gw_populations(
     `start` continues an earlier batch of the same replicates from its horizon
     on the same generator; the draws, and so the result, are those of a single
     run to n.  Aborted counts are cumulative from generation 0."""
-    start = _start_batch(start, n, reps)
-    return LiveRows.of(start).advance(env, n, [rng], node_budget).batch(0, reps)
+    return _start_rows(start, n, reps).advance(env, n, [rng], node_budget).batch(0, reps)
 
 
 def simulate_one_spine_populations(
@@ -447,8 +447,7 @@ def simulate_one_spine_populations(
     The tree never branches before the horizon, so its law up to any
     generation does not depend on n, and `start` continues an earlier batch
     exactly as for `simulate_gw_populations`."""
-    start = _start_batch(start, n, reps)
-    rows = LiveRows.of(start, math.inf).advance(env, n, [rng], node_budget)
+    rows = _start_rows(start, n, reps, math.inf).advance(env, n, [rng], node_budget)
     return PopulationBatch(rows.x + 1, int(rows.aborted[0]), n=n, nodes=rows.nodes)
 
 

@@ -80,15 +80,21 @@ def test_pgf_at_one_matches_direct_summation(dist, order):
 @pytest.mark.parametrize("probs", [[0.25, 0.5, 0.25], [0.1, 0.0, 0.3, 0.6], [1.0],
                                    np.linspace(1.0, 2.0, 30) / np.linspace(1.0, 2.0, 30).sum()])
 def test_table_pgf_is_polyval_bit_for_bit(probs):
-    # the table's jet runs Horner's rule itself, as numpy's polyval does
+    # the table's complement jet runs Horner's rule itself, as numpy's polyval
+    # does: on the tail sums for 1 - f(1 - w) = w sum_j P(X > j) (1 - w)^j,
+    # and on the coefficients of f' and f''
     from numpy.polynomial.polynomial import polyval
     table = FiniteTable(probs)
     points = [0.0, 0.37, 1.0, -0.5, np.array(0.9), np.linspace(0.0, 1.0, 7), np.exp(-np.arange(6.0)).reshape(2, 3)]
-    for s in points:
-        jet = table._jet(s)
+
+    def horner(x, c):
+        return polyval(x, c) if c.size else np.zeros_like(x)
+
+    for w in points:
+        jet = table._cjet(w)
         assert len(jet) == len(table._dcoefs) == 3
-        for got, c in zip(jet, table._dcoefs):
-            want = polyval(s, c) if c.size else np.zeros_like(s)
+        wants = [w * horner(1.0 - w, table._tails)] + [horner(1.0 - w, c) for c in table._dcoefs[1:]]
+        for got, want in zip(jet, wants):
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
             assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
@@ -111,12 +117,34 @@ def test_scalar_in_float_out_array_in_array_out(dist):
         out = dist.pgf(grid, order)
         assert isinstance(out, np.ndarray) and out.shape == grid.shape
         assert out.tolist() == [dist.pgf(s, order) for s in grid.tolist()]
-    assert isinstance(dist.branch_survival(0.2), float)
-    assert dist.branch_survival(grid).tolist() == [dist.branch_survival(u) for u in grid.tolist()]
     assert type(dist.sample(np.random.default_rng(0))) is int
     assert dist.sample(np.random.default_rng(0), size=3).dtype == np.int64
     with pytest.raises(ValueError):
         dist.pmf(-1)
+
+
+def _textbook_jet(dist, s):
+    """(f(s), f'(s), f''(s)) by the closed forms, or, for finite support,
+    the sums over the pmf."""
+    if isinstance(dist, Geometric):
+        p, q = dist.p, 1.0 - dist.p
+        t = 1.0 - q * s
+        return p / t, p * q / t**2, 2 * p * q**2 / t**3
+    if isinstance(dist, Poisson):
+        e = math.exp(dist.lam * (s - 1.0))
+        return e, dist.lam * e, dist.lam**2 * e
+    probs = dist.to_table().probs.tolist()
+    return tuple(math.fsum(math.perm(k, r) * q * s ** (k - r) for k, q in enumerate(probs) if k >= r)
+                 for r in range(3))
+
+
+@pytest.mark.parametrize("dist", FAMILIES + [Binomial(2, 0.75)], ids=repr)
+@pytest.mark.parametrize("s", [-1.0, -0.5])
+def test_pgf_keeps_its_domain_below_zero(dist, s):
+    # pgf(s) is _cjet(1 - s), whose w = 1 - s passes 1 here; a binomial's
+    # log1p(-p w) has no value once p w >= 1
+    for order, want in enumerate(_textbook_jet(dist, s)):
+        assert dist.pgf(s, order) == pytest.approx(want, rel=1e-13, abs=1e-15), order
 
 
 def test_equality_and_hash_follow_the_parameters():

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_trace_recomputation_consistency(e2):
     for l in range(30):
         again = e2.dist_at(l + 1).pgf(t.value(l + 1), 0)
         assert t.value(l) == pytest.approx(again, abs=1e-14)
-    assert np.all((t.values >= 0.0) & (t.values <= 1.0))
+    assert all(0.0 <= t.value(l) <= 1.0 for l in range(31))
 
 
 def test_d1_closed_forms(e1):
@@ -107,8 +108,9 @@ def test_last_generation_second_derivative_exact(e3):
                          ids=repr)
 @pytest.mark.parametrize("s", [0.3, np.linspace(0.0, 1.0, 9)], ids=["scalar", "grid"])
 def test_sweep_matches_pgf_bit_for_bit(law, s):
-    # the sweep's one jet per generation gives what pgf gives order by order;
-    # Binomial(1, p) has f'' = 0, and FiniteTable([1.0]) empty derivative vectors
+    # the sweep's one complement jet per generation is the law's `_cjet` at
+    # the complement column; Binomial(1, p) has f'' = 0, and FiniteTable([1.0])
+    # empty tail and derivative vectors
     env = Environment.periodic([law, Geometric(0.5)])
     n = 12
     t = en.CompositionTrace(env, n, s)
@@ -117,9 +119,9 @@ def test_sweep_matches_pgf_bit_for_bit(law, s):
         return np.asarray(x, dtype=float).view(np.uint64)
 
     for l in range(1, n + 1):
-        d, v = env.dist_at(l), t.values[l]
-        for got, order in ((t.values[l - 1], 0), (t.fp[l], 1), (t.fpp[l], 2)):
-            assert np.array_equal(bits(got), bits(d.pgf(v, order))), (l, order)
+        want = env.dist_at(l)._cjet(t.comp[l])
+        for i, got in enumerate((t.comp[l - 1], t.fp[l], t.fpp[l])):
+            assert np.array_equal(bits(got), bits(want[i])), (l, i)
 
 
 def test_range_validation(e1):
@@ -185,6 +187,43 @@ def test_laplace_zddot_closed_form(e1):
 def test_laplace_zddot_limit(e1):
     lam = 1.0 / e1.a(500)
     assert abs(en.laplace_zddot(e1, 500, lam) - 0.125) < 5e-3
+
+
+def _linear_fractional_derivatives(ps, n, s):
+    """f'_{0,n}(s) and f''_{0,n}(s), exactly, for the environment cycling
+    through Geometric(p) for p in ps, whose cycle of means has product 1.
+
+    A composition of linear fractional maps is linear fractional (Kersting &
+    Vatutin 2017, section 1.4): 1/(1 - f_{0,n}(s)) = 1/(mu_n w) + H_n with
+    w = 1 - s and H_n = sum_{k<n} 1/mu_k.  So f'_{0,n}(s) = mu_n/(1 + B w)^2
+    and f''_{0,n}(s) = 2 mu_n^2 H_n/(1 + B w)^3 with B = mu_n H_n, here in
+    rational arithmetic on the floats p and s."""
+    inverse_means = [Fraction(p) / (1 - Fraction(p)) for p in ps]
+    assert math.prod(inverse_means) == 1
+    prefix = [math.prod(inverse_means[:r]) for r in range(len(ps) + 1)]  # 1/mu_r, r <= L
+    cycles, rest = divmod(n, len(ps))
+    inv_mu = prefix[rest]
+    h = cycles * sum(prefix[:-1]) + sum(prefix[:rest])
+    w = 1 - Fraction(s)
+    denominator = 1 + h * w / inv_mu
+    return float(1 / (inv_mu * denominator**2)), float(2 * h / (inv_mu**2 * denominator**3))
+
+
+def test_long_horizon_derivatives_match_linear_fractional_closed_forms(e1):
+    # Near s = 1 only a sweep that carries 1 - f_{l,n}(s) keeps these
+    # digits: rounding f_{l,n}(s) itself costs relative accuracy like n^1.5
+    # to n^2, about 2e-9 here.  On E1 mu_n = 1 and S_n = 2n exactly, so the
+    # biased transforms are checked too.
+    n, lams = 100_000, np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0])
+    s = np.exp(-lams)
+    for ps in ([0.5], [0.4, 0.6]):
+        t = en.CompositionTrace(Environment.periodic([Geometric(p) for p in ps]), n, s)
+        want = np.array([_linear_fractional_derivatives(ps, n, x) for x in s.tolist()])
+        np.testing.assert_allclose(t.d1(0), want[:, 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(t.d2(0), want[:, 1], rtol=1e-12, atol=0.0)
+    w = -np.expm1(-lams)
+    np.testing.assert_allclose(en.laplace_zdot(e1, n, lams), s / (1 + n * w) ** 2, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(en.laplace_zddot(e1, n, lams), s**2 / (1 + n * w) ** 3, rtol=1e-12, atol=0.0)
 
 
 def test_laplace_zdot_shifted(e1, e2):
@@ -530,7 +569,8 @@ def test_lambda_grid_matches_scalar(env_name, request):
     env = request.getfixturevalue(env_name)
     lams = [0.0, 0.1, 0.7, 2.0, 5.0]
     n, m = 9, 3
-    for f in (_laplace_z, en.laplace_zdot, en.laplace_zddot, en.g_gap_profile, en.two_spine_rhs):
+    for f in (_laplace_z, en.laplace_zdot, en.laplace_zddot, en.g_gap_profile, en.two_spine_rhs,
+              en.conditional_laplace_z):
         _assert_grid_matches_scalars(lambda x: f(env, n, x), lams)
     for f in (en.laplace_zdot_shifted, en.laplace_hanging_qdot, en.laplace_hanging_qddot, en.g_ratio):
         _assert_grid_matches_scalars(lambda x: f(env, n, m, x), lams)
@@ -541,7 +581,7 @@ def test_s_grid_matches_scalar_with_vanishing_factor():
     env = Environment.constant(FiniteTable([0.5, 0.0, 0.5]))
     points = [0.0, 0.3, 1.0]
     n = 6
-    for f in (en.compose, en.d1_compose, en.d2_compose):
+    for f in (en.compose, en.d1_compose, en.d2_compose, en.one_minus_compose):
         for m in (0, 3, n - 1, n):
             _assert_grid_matches_scalars(lambda s: f(env, m, n, s), points)
     lams = [0.0, 1.0, math.inf]  # s = 1, e^-1, 0

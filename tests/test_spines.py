@@ -344,6 +344,28 @@ def test_spine_loops_free_their_generation_0_arrays(e1, kind, begin, parent_peak
     assert peak / (8 * reps) <= parent_peak + kept + 0.5
 
 
+@pytest.mark.parametrize("kind, peak_rows", [("gw", 5.5), ("one_spine", 7.6)])
+def test_runs_from_generation_0_keep_no_start_batch(e1, kind, peak_rows):
+    # Peak traced memory, in int64 row arrays, of one E1 chunk of 2^14 rows
+    # run from generation 0 to 20, after a run that fills the environment's
+    # caches (numpy 2.4.6, CPython 3.11).  Samplers that built a batch of
+    # ones to start from and kept it in their frames through the loop read
+    # 7.5 and 9.6.  Before CPython 3.11 the caller keeps the two arrays of
+    # the rows it hands to `advance` until the call returns.
+    reps = 1 << 14
+    sampler = getattr(sp, f"simulate_{kind}_populations")
+    for _ in range(2):
+        rng = stream(48, "mem")
+        tracemalloc.start()
+        try:
+            sampler(e1, 20, reps, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    kept = 0 if sys.version_info >= (3, 11) else 2
+    assert peak / (8 * reps) <= peak_rows + kept + 0.5
+
+
 def test_two_spine_branch_generation_skips_zero_variance():
     env = Environment.periodic([FiniteTable([0.25, 0.5, 0.25]), FiniteTable([0.0, 1.0])])
     batch = sp.simulate_two_spine_populations(env, 6, 20_000, stream(33, "nu0"))

@@ -6,9 +6,9 @@ tail) are all representable as a finite head followed by a repeating cycle,
 and that form is closed under shifting and prepending, so shifted and
 prepended environments keep exact constants.
 
-Cached per environment: log mu_n (running sum of log means), the series
-S_n = sum_{k<n} nu_{k+1}/mu_k accumulated with Kahan compensation, and the
-individual terms of that series.
+Cached per environment: log mu_n (log means summed through the head and the
+first cycle, then the log of the cycle's mean product once per cycle), the
+series S_n = sum_{k<n} nu_{k+1}/mu_k with Kahan compensation, and its terms.
 
 The regime label is exact and has one rule, read off the laws: a finite head
 cannot change it, so the cycle decides (see `Environment.classify`).  The
@@ -17,6 +17,7 @@ horizon given to `classify` sets only the window of its diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, asdict
@@ -176,7 +177,16 @@ class Environment:
                 # mu_k * S_k = mean_k * (mu_{k-1} S_{k-1} + nu_k): stays finite
                 # in regimes where mu_n S_n is bounded but S_n overflows.
                 self._mu_s.append(mean * (self._mu_s[k - 1] + nu))
-                self._log_mu.append(self._log_mu[k - 1] + math.log(mean))
+                back = k - len(self.cycle)  # the same place one cycle back
+                self._log_mu.append(self._log_mu[back] + self._log_cycle if back >= len(self.head)
+                                    else self._log_mu[k - 1] + math.log(mean))
+
+    @functools.cached_property
+    def _log_cycle(self) -> float:
+        """log of the cycle's mean product: one rounding, not one per law."""
+        means = [d.mean() for d in self.cycle]
+        prod = math.prod(means)
+        return math.log(prod) if 1e-300 < prod < 1e300 else math.fsum(map(math.log, means))
 
     def log_mu(self, n: int) -> float:
         if n < 0:
@@ -234,10 +244,9 @@ class Environment:
             mu_arr = np.exp(np.asarray(self._log_mu[1 : horizon + 1]))
         mu_s_arr = np.asarray(self._mu_s[1 : horizon + 1])
 
-        log_cycle = math.fsum(math.log(d.mean()) for d in self.cycle)
-        if log_cycle > 1e-12:
+        if self._log_cycle > 1e-12:
             label = "supercritical"
-        elif log_cycle < -1e-12:
+        elif self._log_cycle < -1e-12:
             label = "subcritical"
         elif any(d.second_factorial() > 0.0 for d in self.cycle):
             label = "critical"

@@ -642,10 +642,10 @@ def run_decomposition_check(config: ExperimentConfig) -> ExperimentReport:
     with _Timer() as t:
         lams = np.array(config.lambda_grid)
         for n in config.horizons:
-            lhs = engine.laplace_zddot(config.environment, n, lams)
-            rhs = engine.two_spine_rhs(config.environment, n, lams)
+            engine.kn_pmf_vector(config.environment, n)  # raises when S_n is undefined
+            record = engine.lemma33_transforms(config.environment, n, lams)
             with np.errstate(divide="ignore", invalid="ignore"):
-                rel = np.abs(lhs - rhs) / np.abs(lhs)
+                rel = np.abs(record.zddot - record.rhs) / np.abs(record.zddot)
             for lam, gap in zip(config.lambda_grid, rel):
                 rows.append(_row(n, f"decomposition_rel_gap[lam={lam:g}]", gap, "le", tol))
     return ExperimentReport("decomposition", config.seed, rows, wall_time=t.elapsed)
@@ -807,8 +807,9 @@ def _oracle_horizon(env: Environment, n: int, config: ExperimentConfig) -> tuple
             return np.full(lams.size, math.inf)
         return np.array([oracle.laplace_from_pmf(pmf, lam) for lam in config.lambda_grid])
 
-    gaps = [oracle_laplace(_reweighted(p, "size_biased", env, n)) - engine.laplace_zdot(env, n, lams),
-            oracle_laplace(_reweighted(p, "pair_biased", env, n)) - engine.laplace_zddot(env, n, lams)]
+    record = engine.lemma33_transforms(env, n, lams)
+    gaps = [oracle_laplace(_reweighted(p, "size_biased", env, n)) - record.zdot,
+            oracle_laplace(_reweighted(p, "pair_biased", env, n)) - record.zddot]
     for m in range(n):
         d = env.dist_at(m + 1)
         shifted = env.shift(m + 1)
@@ -821,9 +822,8 @@ def _oracle_horizon(env: Environment, n: int, config: ExperimentConfig) -> tuple
             ref = oracle_laplace(_reweighted(dp.exact_pmf(shifted, rest), "size_biased", shifted, rest))
         else:
             ref = np.exp(-lams)  # one fresh particle
-        gaps += [oracle_laplace(p_dot) - engine.laplace_hanging_qdot(env, n, m, lams),
-                 oracle_laplace(p_ddot) - engine.laplace_hanging_qddot(env, n, m, lams),
-                 ref - engine.laplace_zdot_shifted(env, n, m, lams)]
+        gaps += [oracle_laplace(p_dot) - record.qdot[m], oracle_laplace(p_ddot) - record.qddot[m],
+                 ref - record.zdot_shifted[m]]
     return p, float(np.max(np.abs(gaps)))
 
 

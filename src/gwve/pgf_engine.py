@@ -25,10 +25,11 @@ pair-biased and hanging-subtree populations (lambda a scalar or a 1-d array;
 the plain one is `compose(env, 0, n, exp(-lambda))`), the law of the spine
 branching generation K_n, the partition points A_{n,m} with the step CDF of
 A_{n,K_n} over a scalar or an array of y, and the two sides of the spine
-decomposition identity, whose sum over m is one array expression.  Each
-transform takes (env, n[, m], lambda) and makes its own sweep from them;
-`two_spine_rhs` makes one for all of its factors.  No caller hands a sweep
-in, so none can pair a transform with the sweep of another environment.
+decomposition identity.  `lemma33_transforms` makes one sweep for every
+Lemma 3.3 transform at a horizon, the per-m ones as rows over m, and the
+per-m functions, `laplace_zddot` and `two_spine_rhs` read it, so each has one
+formula.  No caller hands a sweep in, so none can pair a transform with the
+sweep of another environment.
 
 Quantities of the form 1 - f_{m,n}(s) (survival probabilities, conditional
 transforms) are read from the sweep's complement column, so they avoid the
@@ -38,6 +39,7 @@ cancellation that makes the naive difference lose a relative n*eps.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -66,6 +68,8 @@ __all__ = [
     "kolmogorov_ratio",
     "conditional_laplace_z",
     "two_spine_rhs",
+    "Lemma33Transforms",
+    "lemma33_transforms",
 ]
 
 # Survival below this is treated as extinction for conditional transforms.
@@ -158,12 +162,10 @@ def compose(env: Environment, m: int, n: int, s):
 
 def d1_compose(env: Environment, m: int, n: int, s):
     """f'_{m,n}(s)."""
-    _check_range(m, n)
     return CompositionTrace(env, n, s).d1(m)
 
 def d2_compose(env: Environment, m: int, n: int, s):
     """f''_{m,n}(s)."""
-    _check_range(m, n)
     return CompositionTrace(env, n, s).d2(m)
 
 
@@ -187,97 +189,101 @@ def _lambdas(lam) -> np.ndarray:
     return lam
 
 
+def _zdot(env: Environment, n: int, lam: np.ndarray, t: CompositionTrace):
+    """E[exp(-lam Zdot_n)] = f'_{0,n}(e^-lam) e^-lam / mu_n from t, the sweep over e^-lam."""
+    return _scaled(t._x1[0], t._e[0], -env.log_mu(n) - lam)
+
+
 def laplace_zdot(env: Environment, n: int, lam):
-    """E[exp(-lam Zdot_n)] = f'_{0,n}(e^-lam) e^-lam / mu_n."""
+    """E[exp(-lam Zdot_n)], by the formula of `lemma33_transforms` on a sweep of its own."""
     lam = _lambdas(lam)
     return _zdot(env, n, lam, CompositionTrace(env, n, np.exp(-lam)))
 
 
-def _zdot(env: Environment, n: int, lam: np.ndarray, t: CompositionTrace):
-    """`laplace_zdot` from t, the sweep to n over exp(-lam)."""
-    return _scaled(t._x1[0], t._e[0], -env.log_mu(n) - lam)
+Lemma33Transforms = namedtuple("Lemma33Transforms", "zdot zddot zdot_shifted qdot qddot g rhs")
 
 
-def laplace_zdot_shifted(env: Environment, n: int, m: int, lam):
-    """E[exp(-lam Zdot^{(m+1)}_{n-(m+1)})] = (mu_{m+1}/mu_n) f'_{m+1,n}(e^-lam) e^-lam."""
-    if not 0 <= m < n:
-        raise ValueError("need 0 <= m < n")
+def lemma33_transforms(env: Environment, n: int, lam) -> Lemma33Transforms:
+    """Every Lemma 3.3 transform at horizon n, from one sweep over e^-lam,
+    with v = f_{m+1,n}(e^-lam):
+
+      * zdot = E[exp(-lam Zdot_n)] and zddot = E[exp(-lam Zddot_n)]
+        = f''_{0,n}(e^-lam) e^-2lam / (mu_n^2 S_n), shaped like lambda;
+      * rows m = 0..n-1, the grid on their trailing axis: zdot_shifted =
+        E[exp(-lam Zdot^{(m+1)}_{n-(m+1)})] = (mu_{m+1}/mu_n) f'_{m+1,n}(e^-lam) e^-lam;
+        the transforms of the subtrees hanging from a shifted size-biased and
+        pair-biased root, qdot = f'_{m+1}(v) / f'_{m+1}(1) and
+        qddot = f''_{m+1}(v) / f''_{m+1}(1); and their quotient g = g(n, m, lam);
+      * rhs = zdot sum_m P(K_n=m) zdot_shifted g, the spine decomposition of
+        zddot, one exactly rounded sum per grid point.
+
+    zddot and rhs are NaN unless 0 < S_n < inf, and so are the rows of qddot
+    and g where f''_{m+1}(1) = 0 (no pair-biased law).
+    """
     lam = _lambdas(lam)
     t = CompositionTrace(env, n, np.exp(-lam))
-    return _scaled(t._x1[m + 1], t._e[m + 1], env.log_mu(m + 1) - env.log_mu(n) - lam)
+    column = (-1,) + (1,) * lam.ndim  # a value per m, against the grid
+    mean = np.array([env.dist_at(m + 1).mean() for m in range(n)]).reshape(column)
+    sf = np.array([env.dist_at(m + 1).second_factorial() for m in range(n)]).reshape(column)
+    log_mu = np.array([env.log_mu(m + 1) for m in range(n)]).reshape(column)
+    fp, zdot = t.fp[1:], _zdot(env, n, lam, t)
+    shifted = _scaled(t._x1[1:], t._e[1:], log_mu - env.log_mu(n) - lam)
+    s_n = env.cum_nu_over_mu(n) if n else math.nan
+    zddot = rhs = _out(np.full(lam.shape, math.nan))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qddot = np.where(sf > 0.0, t.fpp[1:] / sf, math.nan)
+        g = (mean / fp) * qddot
+        if 0.0 < s_n < math.inf:
+            zddot = _scaled(t._x2[0], 2 * t._e[0], -2.0 * env.log_mu(n) - math.log(s_n) - 2.0 * lam)
+            weights = (env.nu_over_mu_terms(n) / s_n).reshape(column)
+            terms = (weights * shifted * g)[weights.ravel() > 0.0]
+            sums = [math.fsum(col.tolist()) for col in terms.reshape(len(terms), -1).T]
+            rhs = _out(zdot * np.reshape(sums, lam.shape))
+    return Lemma33Transforms(zdot, zddot, shifted, fp / mean, qddot, g, rhs)
+
+
+def _read(field: str, env: Environment, n: int, lam, m: int | None = None):
+    """`lemma33_transforms(env, n, lam).<field>`, or its row m; raises unless n >= 1
+    (0 <= m < n), a row of qddot or g has a pair-biased law and 0 < S_n < inf for zddot, rhs."""
+    lam = _lambdas(lam)
+    if not (n >= 1 if m is None else 0 <= m < n):
+        raise ValueError("need n >= 1" if m is None else "need 0 <= m < n")
+    if m is not None and field in ("qddot", "g") and env.dist_at(m + 1).second_factorial() <= 0.0:
+        raise DistributionError("no pair-biased law")
+    if field in ("zddot", "rhs"):
+        _s_n(env, n)
+    values = getattr(lemma33_transforms(env, n, lam), field)
+    return values if m is None else _out(values[m])
 
 
 def laplace_zddot(env: Environment, n: int, lam):
-    """E[exp(-lam Zddot_n)] = f''_{0,n}(e^-lam) e^-2lam / (mu_n^2 S_n)."""
-    if n < 1:
-        raise ValueError("the pair-biased process needs n >= 1")
-    lam = _lambdas(lam)
-    s_n = _s_n(env, n)
-    t = CompositionTrace(env, n, np.exp(-lam))
-    return _scaled(t._x2[0], 2 * t._e[0], -2.0 * env.log_mu(n) - math.log(s_n) - 2.0 * lam)
+    """E[exp(-lam Zddot_n)]; see `lemma33_transforms`."""
+    return _read("zddot", env, n, lam)
+
+
+def laplace_zdot_shifted(env: Environment, n: int, m: int, lam):
+    """E[exp(-lam Zdot^{(m+1)}_{n-(m+1)})]; see `lemma33_transforms`."""
+    return _read("zdot_shifted", env, n, lam, m)
 
 
 def laplace_hanging_qdot(env: Environment, n: int, m: int, lam):
-    """Laplace transform of the subtree grown from a shifted size-biased root,
-    f'_{m+1}(f_{m+1,n}(e^-lam)) / f'_{m+1}(1)."""
-    if not 0 <= m < n:
-        raise ValueError("need 0 <= m < n")
-    t = CompositionTrace(env, n, np.exp(-_lambdas(lam)))
-    return _out(t.fp[m + 1] / env.dist_at(m + 1).mean())
+    """Laplace transform of the subtree grown from a shifted size-biased root."""
+    return _read("qdot", env, n, lam, m)
 
 
 def laplace_hanging_qddot(env: Environment, n: int, m: int, lam):
-    """Laplace transform of the subtree grown from a shifted pair-biased root,
-    f''_{m+1}(f_{m+1,n}(e^-lam)) / (nu_{m+1} f'_{m+1}(1)^2)."""
-    if not 0 <= m < n:
-        raise ValueError("need 0 <= m < n")
-    lam = _lambdas(lam)
-    d = env.dist_at(m + 1)
-    if d.second_factorial() <= 0.0:
-        raise DistributionError("no pair-biased law")
-    t = CompositionTrace(env, n, np.exp(-lam))
-    return _out(t.fpp[m + 1] / (d.nu() * d.mean() ** 2))
-
-
-def _moments(env: Environment, t: CompositionTrace, lo: int, hi: int):
-    """f'_{m+1}(1) and f''_{m+1}(1) for lo <= m < hi, as columns against t's grid."""
-    laws = [env.dist_at(m + 1) for m in range(lo, hi)]
-    shape = (-1,) + (1,) * (t.fp.ndim - 1)
-    return (np.array([d.mean() for d in laws]).reshape(shape),
-            np.array([d.second_factorial() for d in laws]).reshape(shape))
-
-
-def _g(t: CompositionTrace, lo: int, mean: np.ndarray, sf: np.ndarray) -> np.ndarray:
-    """g(n, m, lam) for m = lo, lo + 1, ..., given f'_{m+1}(1) and f''_{m+1}(1)
-    (`_moments`); NaN where nu_{m+1} = 0.
-
-    The closed form f'_{m+1}(1) f''_{m+1}(v) / (f'_{m+1}(v) f''_{m+1}(1)),
-    v = f_{m+1,n}(e^-lam), the quotient of the two hanging transforms.
-    """
-    fp, fpp = t.fp[lo + 1:lo + 1 + len(mean)], t.fpp[lo + 1:lo + 1 + len(mean)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(sf > 0.0, (mean / fp) * (fpp / sf), math.nan)
+    """Laplace transform of the subtree grown from a shifted pair-biased root."""
+    return _read("qddot", env, n, lam, m)
 
 
 def g_ratio(env: Environment, n: int, m: int, lam):
-    """Ratio of the pair-biased to size-biased hanging-subtree transforms, in
-    closed form (see `_g`)."""
-    if not 0 <= m < n:
-        raise ValueError("need 0 <= m < n")
-    lam = _lambdas(lam)
-    if env.dist_at(m + 1).second_factorial() <= 0.0:
-        raise DistributionError("no pair-biased law")
-    t = CompositionTrace(env, n, np.exp(-lam))
-    return _out(_g(t, m, *_moments(env, t, m, m + 1))[0])
+    """Ratio of the pair-biased to size-biased hanging-subtree transforms."""
+    return _read("g", env, n, lam, m)
 
 
 def g_gap_profile(env: Environment, n: int, lam) -> np.ndarray:
-    """1 - g(n, m, lam) for every m in 0..n-1 (rows), NaN where nu_{m+1} = 0,
-    from one trace shared across all m."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    t = CompositionTrace(env, n, np.exp(-_lambdas(lam)))
-    return 1.0 - _g(t, 0, *_moments(env, t, 0, n))
+    """1 - g(n, m, lam) for every m in 0..n-1 (rows), NaN where nu_{m+1} = 0."""
+    return 1.0 - _read("g", env, n, lam)
 
 
 def _s_n(env: Environment, n: int) -> float:
@@ -329,33 +335,18 @@ def kolmogorov_ratio(env: Environment, n: int) -> float:
 
 
 def conditional_laplace_z(env: Environment, n: int, lam):
-    """E[exp(-lam Z_n) | Z_n > 0] = 1 - (1 - f_{0,n}(e^-lam)) / P(Z_n > 0)."""
+    """E[exp(-lam Z_n) | Z_n > 0] = 1 - (1 - f_{0,n}(e^-lam)) / P(Z_n > 0),
+    from one sweep whose last grid point, s = 0, gives P(Z_n > 0)."""
     lam = _lambdas(lam)
-    surv = survival_prob(env, n)
-    if surv <= EXTINCT_EPS:
+    comp = CompositionTrace(env, n, np.append(np.exp(-lam), 0.0)).comp[0]
+    if comp[-1] <= EXTINCT_EPS:
         raise DistributionError("process is extinct by this horizon")
-    return _out(1.0 - CompositionTrace(env, n, np.exp(-lam)).comp[0] / surv)
+    return _out(np.reshape(1.0 - comp[:-1] / comp[-1], lam.shape))
 
 
 def two_spine_rhs(env: Environment, n: int, lam):
     """Right-hand side of the spine decomposition of E[exp(-lam Zddot_n)]:
 
         E[e^{-lam Zdot_n}] * sum_m P(K_n=m) E[e^{-lam Zdot^{(m+1)}_{n-(m+1)}}] g(n,m,lam)
-
-    with every factor of the sum an array over m (rows) and the lambda grid.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lam = _lambdas(lam)
-    t = CompositionTrace(env, n, np.exp(-lam))
-    weights = kn_pmf_vector(env, n)
-    mean, sf = _moments(env, t, 0, n)
-    # log(mu_{m+1} / mu_n) = -sum_{l=m+2}^{n} log f'_l(1), summed from l = n down.
-    tail = np.cumsum(np.log(mean[:0:-1]), axis=0)[::-1]
-    log_mu_ratio = -np.concatenate([tail, np.zeros_like(mean[:1])])
-    shifted = _scaled(t._x1[1:], t._e[1:], log_mu_ratio - lam)
-    keep = weights > 0.0
-    terms = weights.reshape(mean.shape)[keep] * shifted[keep] * _g(t, 0, mean, sf)[keep]
-    # One exactly rounded sum per grid point.
-    sums = [math.fsum(col.tolist()) for col in terms.reshape(len(terms), -1).T]
-    return _out(_zdot(env, n, lam, t) * np.reshape(sums, lam.shape))
+    return _read("rhs", env, n, lam)

@@ -84,6 +84,28 @@ def test_shift_mu_identity(e2):
             assert sh.dist_at(k).nu() == e2.dist_at(m + k).nu()
 
 
+def test_log_mu_adds_the_cycle_log_once_per_cycle():
+    # 1 - 0.4 == 0.6 in floats, so the pair's means multiply to exactly 1:
+    # log mu_n is 0 at every even n, with no per-generation rounding to build up.
+    pair = Environment.periodic([Geometric(0.4), Geometric(0.6)])
+    assert pair.log_mu(100_000) == 0.0
+    assert pair.log_mu(100_001) == math.log(Geometric(0.4).mean())
+    head = [FiniteTable([0.4, 0.3, 0.3])]
+    cycle = [Poisson(1.3), FiniteTable([0.5, 0.1, 0.4]), Binomial(3, 0.25)]
+    env = Environment(head, cycle)
+    log_cycle = math.log(math.prod(d.mean() for d in cycle))
+    for k in range(1, 40):
+        assert env.log_mu(k + 3) == env.log_mu(k) + log_cycle
+    # through the head and the first cycle: the running sum of the laws' logs
+    assert env.log_mu(3) == (math.log(head[0].mean()) + math.log(1.3)) + math.log(0.9)
+    # a one-law cycle adds that law's log every generation, as before
+    const = Environment.constant(Poisson(1.3))
+    total = 0.0
+    for k in range(1, 50):
+        total += math.log(1.3)
+        assert const.log_mu(k) == total
+
+
 def test_shifted_a_value(e1):
     # constant geometric: a_{n-(m+1)} of the (m+1)-shift with n=5, m=2
     assert e1.shift(3).a(2) == pytest.approx(2.0, abs=1e-12)

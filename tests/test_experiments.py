@@ -3,12 +3,14 @@ import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gwve.experiments as ex
-from gwve import oracle, spines
+from gwve import oracle, pgf_engine as engine, spines
+from gwve.config import build_experiment_config, load_config_file
 from gwve.environment import Environment
 from gwve.offspring import FiniteTable
 from gwve.streams import stream
@@ -377,6 +379,33 @@ _PINNED_TRANSFORM_REPORTS = [
     ("run_transform_identities", "E2", {"horizons": [2, 6], "replicates": 20_000, "threads": 1},
      "da654be345abc99abdb062fbf94a38e1a34af00eabd9f295c6882351a0e7a8a8"),
 ]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The (n, s) of every CompositionTrace built while the test runs."""
+    made, init = [], engine.CompositionTrace.__init__
+
+    def counting(self, env, n, s):
+        made.append((n, s))
+        init(self, env, n, s)
+
+    monkeypatch.setattr(engine.CompositionTrace, "__init__", counting)
+    return made
+
+
+def test_identities_sweep_at_most_five_times(sweeps):
+    # configs/identities_e2.json: one sweep per oracle horizon for every Lemma
+    # 3.3 transform, one for P(Z_n > 0), one for the conditional transform and
+    # one for the size-biased integrand (32 when each transform swept alone).
+    doc = load_config_file(Path(__file__).parents[1] / "configs" / "identities_e2.json")
+    ex.run_transform_identities(build_experiment_config(doc, replicates=20_000, threads=1))
+    assert len(sweeps) <= 5
+
+
+def test_decomposition_sweeps_once_per_horizon(sweeps, e2):
+    ex.run_decomposition_check(cfg(e2, horizons=[1, 10, 50]))
+    assert [n for n, _ in sweeps] == [1, 10, 50]
 
 
 def _report_digest(runner, env_name, kw):

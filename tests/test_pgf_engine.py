@@ -224,6 +224,17 @@ def test_long_horizon_derivatives_match_linear_fractional_closed_forms(e1):
     w = -np.expm1(-lams)
     np.testing.assert_allclose(en.laplace_zdot(e1, n, lams), s / (1 + n * w) ** 2, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(en.laplace_zddot(e1, n, lams), s**2 / (1 + n * w) ** 3, rtol=1e-12, atol=0.0)
+    # On Geometric(0.4)/Geometric(0.6) mu_n = 1 at even n and nu = 2, so S_n
+    # = 2 H_n and the biased transforms are E1's with n replaced by H_n =
+    # sum_{k<n} 1/mu_k.  They need log mu_n = 0 exactly, not a rounded log
+    # per generation.
+    pair = Environment.periodic([Geometric(0.4), Geometric(0.6)])
+    h = n // 2 * (1 + Fraction(0.4) / Fraction(0.6))
+    x = [Fraction(v) for v in s.tolist()]
+    np.testing.assert_allclose(en.laplace_zdot(pair, n, lams), [float(v / (1 + h * (1 - v)) ** 2) for v in x],
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(en.laplace_zddot(pair, n, lams), [float(v**2 / (1 + h * (1 - v)) ** 3) for v in x],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_laplace_zdot_shifted(e1, e2):
@@ -554,6 +565,52 @@ def test_s_n_overflow_raises():
                  lambda: en.partition_points(env, n)):
         with pytest.raises(DistributionError):
             call()
+
+
+_RECORD_ENVIRONMENTS = {
+    "E2": lambda: Environment.periodic([Geometric(0.5), FiniteTable([0.25, 0.5, 0.25])]),
+    "geometric-pair": lambda: Environment.periodic([Geometric(0.4), Geometric(0.6)]),
+    "mixed-cycle": lambda: Environment.periodic([Poisson(1.3), FiniteTable([0.5, 0.1, 0.4]), Binomial(3, 0.25)]),
+    "nu-zero-every-second": lambda: Environment.periodic([Geometric(0.5), FiniteTable([0.0, 1.0])]),
+}
+
+
+@pytest.mark.parametrize("env_name", list(_RECORD_ENVIRONMENTS))
+def test_transforms_are_rows_of_the_lemma33_record_bit_for_bit(env_name):
+    env = _RECORD_ENVIRONMENTS[env_name]()
+    for n in (1, 7, 40):
+        for lam in (np.array([0.0, 0.1, 0.7, 2.0, 5.0]), 0.7):
+            rec = en.lemma33_transforms(env, n, lam)
+            np.testing.assert_array_equal(en.g_gap_profile(env, n, lam), 1.0 - rec.g)
+            same = [(en.laplace_zdot(env, n, lam), rec.zdot), (en.laplace_zddot(env, n, lam), rec.zddot),
+                    (en.two_spine_rhs(env, n, lam), rec.rhs)]
+            for m in range(n):
+                same += [(en.laplace_zdot_shifted(env, n, m, lam), rec.zdot_shifted[m]),
+                         (en.laplace_hanging_qdot(env, n, m, lam), rec.qdot[m])]
+                if env.dist_at(m + 1).second_factorial() > 0.0:
+                    same += [(en.laplace_hanging_qddot(env, n, m, lam), rec.qddot[m]),
+                             (en.g_ratio(env, n, m, lam), rec.g[m])]
+                else:  # no pair-biased law: the functions refuse, the rows are NaN
+                    for f in (en.laplace_hanging_qddot, en.g_ratio):
+                        with pytest.raises(DistributionError):
+                            f(env, n, m, lam)
+                    assert np.all(np.isnan(rec.qddot[m])) and np.all(np.isnan(rec.g[m]))
+            for got, want in same:
+                assert isinstance(got, float) == (np.ndim(lam) == 0)
+                np.testing.assert_array_equal(got, want)
+        # The right-hand side is its own rows' exactly rounded sum.
+        weights = en.kn_pmf_vector(env, n)
+        keep = weights > 0.0
+        terms = weights[keep] * rec.zdot_shifted[keep] * rec.g[keep]
+        assert rec.rhs == rec.zdot * math.fsum(terms.tolist())
+
+
+def test_lemma33_record_marks_what_needs_s_n_as_nan():
+    # S_n overflows for subcritical Geometric(0.6) from n = 1800; at n = 0 it is undefined.
+    for env, n in ((Environment.constant(Geometric(0.6)), 1800), (Environment.constant(Geometric(0.5)), 0)):
+        rec = en.lemma33_transforms(env, n, np.array([0.1, 1.0]))
+        assert np.all(np.isnan(rec.zddot)) and np.all(np.isnan(rec.rhs))
+        assert np.all(np.isfinite(rec.zdot)) and rec.zdot_shifted.shape == rec.g.shape == (n, 2)
 
 
 def _assert_grid_matches_scalars(call, points):
